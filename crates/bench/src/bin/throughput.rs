@@ -61,7 +61,9 @@
 //!   staging/fsync overhead is measured rather than guessed.
 //! * `recorder_instrumented_loads_per_sec` / `telemetry_overhead_frac` —
 //!   the recorder microbench repeated with a telemetry [`Registry`]
-//!   attached, best-of-N against the uninstrumented best. The overhead
+//!   attached, in nine back-to-back pairs with the uninstrumented run,
+//!   alternating which goes first; the fraction is one minus the median
+//!   of the per-pair rate ratios. The overhead
 //!   fraction is gated by `bench_check` at an absolute ceiling
 //!   (`--max-overhead`, default 0.03): always-on instrumentation that
 //!   costs more than 3% of recorder throughput fails CI.
@@ -504,83 +506,106 @@ fn bench_dump_write(machine: &Machine, samples: usize) -> Vec<Metric> {
     ]
 }
 
-/// Self-overhead section: the recorder microbench with and without a
-/// telemetry [`Registry`] attached, best-of-[`OVERHEAD_REPS`] each so
-/// scheduler noise cancels out of the comparison. The hot path batches its
-/// counts in the interval state and flushes to the shared counters once per
-/// sealed interval, so the measured fraction should sit near zero; the
-/// `bench_check --max-overhead` ceiling (0.03) turns "near zero" into an
-/// enforced contract.
-const OVERHEAD_REPS: usize = 3;
+/// Pairs of runs behind each self-overhead fraction.
+const OVERHEAD_PAIRS: usize = 9;
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times the plain and the instrumented recorder arm over `loads` in
+/// [`OVERHEAD_PAIRS`] back-to-back pairs, alternating which arm goes first
+/// so neither always runs second, on the cache and allocator state the
+/// other left. Returns the instrumented arm's median rate and its
+/// overhead: one minus the median over pairs of instrumented rate over
+/// plain rate. A burst of host noise slows both runs of a pair, so it
+/// cancels in that pair's ratio, and the median drops the pairs it split.
+fn overhead_pairs(
+    loads: &[(Addr, Word, bool)],
+    interval: u64,
+    telemetry: Option<&Registry>,
+    trace: Option<&TraceSession>,
+) -> (f64, f64) {
+    let run = |instrumented: bool| {
+        let (flls, secs) = if instrumented {
+            time(|| record_stream_with(loads, interval, 0, telemetry, trace))
+        } else {
+            time(|| record_stream(loads, interval, 0))
+        };
+        assert!(!flls.is_empty());
+        secs
+    };
+    let mut instrumented_secs = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut ratios = Vec::with_capacity(OVERHEAD_PAIRS);
+    for pair in 0..OVERHEAD_PAIRS {
+        let (plain, instrumented) = if pair % 2 == 0 {
+            let plain = run(false);
+            (plain, run(true))
+        } else {
+            let instrumented = run(true);
+            (run(false), instrumented)
+        };
+        instrumented_secs.push(instrumented);
+        ratios.push(plain / instrumented);
+    }
+    let rate = loads.len() as f64 / median(instrumented_secs);
+    (rate, (1.0 - median(ratios)).max(0.0))
+}
+
+/// Self-overhead section: the recorder microbench with and without a
+/// telemetry [`Registry`] attached, in alternating pairs (see
+/// [`overhead_pairs`]). The hot path batches its counts in the interval
+/// state and flushes to the shared counters once per sealed interval, so
+/// the measured fraction should sit near zero; the `bench_check
+/// --max-overhead` ceiling (0.03) turns "near zero" into an enforced
+/// contract.
 fn bench_telemetry_overhead(loads: &[(Addr, Word, bool)], interval: u64) -> Vec<Metric> {
     let registry = Registry::default();
-    let mut plain_best = f64::INFINITY;
-    let mut instrumented_best = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        let (flls, secs) = time(|| record_stream(loads, interval, 0));
-        assert!(!flls.is_empty());
-        plain_best = plain_best.min(secs);
-        let (flls, secs) = time(|| record_stream_with(loads, interval, 0, Some(&registry), None));
-        assert!(!flls.is_empty());
-        instrumented_best = instrumented_best.min(secs);
-    }
+    let (rate, overhead) = overhead_pairs(loads, interval, Some(&registry), None);
     // The instrumented arm must actually have instrumented: the registry
-    // saw every load of every repetition.
+    // saw every load of every pair.
     match registry.snapshot().entries.get("recorder_loads_seen_total") {
         Some(MetricValue::Counter(seen)) => {
-            assert_eq!(*seen, (loads.len() * OVERHEAD_REPS) as u64);
+            assert_eq!(*seen, (loads.len() * OVERHEAD_PAIRS) as u64);
         }
         other => panic!("recorder_loads_seen_total missing or mistyped: {other:?}"),
     }
-    let plain_rate = loads.len() as f64 / plain_best;
-    let instrumented_rate = loads.len() as f64 / instrumented_best;
     vec![
         Metric {
             name: "recorder_instrumented_loads_per_sec",
-            value: instrumented_rate,
+            value: rate,
         },
         Metric {
             name: "telemetry_overhead_frac",
-            value: (1.0 - instrumented_rate / plain_rate).max(0.0),
+            value: overhead,
         },
     ]
 }
 
 /// Trace self-overhead section: the recorder microbench with and without a
-/// [`TraceSession`] attached, best-of-[`OVERHEAD_REPS`] each — the same A/B
-/// shape as [`bench_telemetry_overhead`]. The recorder emits one span per
-/// sealed interval into a lock-free per-thread ring, so the per-load hot
-/// path is untouched and the fraction should sit near zero; `bench_check
+/// [`TraceSession`] attached — the same paired A/B shape as
+/// [`bench_telemetry_overhead`]. The recorder emits one span per sealed
+/// interval into a lock-free per-thread ring, so the per-load hot path is
+/// untouched and the fraction should sit near zero; `bench_check
 /// --max-trace-overhead` (0.03) enforces it.
 fn bench_trace_overhead(loads: &[(Addr, Word, bool)], interval: u64) -> Vec<Metric> {
     let session = TraceSession::with_capacity("bench-trace-overhead", 1 << 12);
-    let mut plain_best = f64::INFINITY;
-    let mut traced_best = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        let (flls, secs) = time(|| record_stream(loads, interval, 0));
-        assert!(!flls.is_empty());
-        plain_best = plain_best.min(secs);
-        let (flls, secs) = time(|| record_stream_with(loads, interval, 0, None, Some(&session)));
-        assert!(!flls.is_empty());
-        traced_best = traced_best.min(secs);
-    }
+    let (rate, overhead) = overhead_pairs(loads, interval, None, Some(&session));
     // The traced arm must actually have traced: every closed interval of
-    // every repetition emitted a span.
+    // every pair emitted a span.
     assert!(
         session.emitted_events() > 0,
         "traced arm emitted no events — attach_trace wiring broken"
     );
-    let plain_rate = loads.len() as f64 / plain_best;
-    let traced_rate = loads.len() as f64 / traced_best;
     vec![
         Metric {
             name: "recorder_traced_loads_per_sec",
-            value: traced_rate,
+            value: rate,
         },
         Metric {
             name: "trace_overhead_frac",
-            value: (1.0 - traced_rate / plain_rate).max(0.0),
+            value: overhead,
         },
     ]
 }

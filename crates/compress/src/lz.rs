@@ -23,6 +23,17 @@
 //! deterministic — identical input always yields identical bytes — which the
 //! parallel flush pipeline relies on to produce dumps byte-identical to
 //! serial flushing.
+//!
+//! The output bytes are fixed by four choices, and every committed dump
+//! depends on them: the multiplicative hash of the 4-byte prefix into
+//! 2^15 buckets; a chain walk of at most 64 steps (the searched position
+//! itself, which heads its chain, counts as the first) that stops at the
+//! first position older than the window; the strictly-longer rule, so on a
+//! tie the most recent candidate wins; and the one-step lazy parse.
+//! Anything else in the match finder — how the tables are laid out, which
+//! candidates it can rule out without a full compare, how it compares —
+//! may change only if the bytes do not, which the tests check against a
+//! frozen copy of the original compressor.
 
 use crate::{Codec, CodecId, DecodeError};
 
@@ -36,8 +47,8 @@ const HASH_SIZE: usize = 1 << 15;
 /// Maximum positions examined per chain walk; bounds worst-case compress
 /// time on degenerate inputs without affecting determinism.
 const MAX_CHAIN: usize = 64;
-/// Sentinel for "no position" in the hash tables.
-const NONE: u32 = u32::MAX;
+/// Ring mask of the chain table: one slot per position in the window.
+const WINDOW_MASK: usize = MAX_OFFSET;
 
 /// The hand-rolled LZ77 codec. Stateless; see the module docs for the
 /// format.
@@ -64,11 +75,23 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - 15)) as usize % HASH_SIZE
 }
 
-/// Hash-chain match finder: `head[h]` is the most recent position whose
-/// 4-byte prefix hashes to `h`, `prev[p % window]` chains to the previous
-/// such position. Positions older than [`MAX_OFFSET`] are skipped at walk
-/// time; the ring indexing is safe because a slot is only overwritten by a
-/// position a full window newer.
+#[inline]
+fn load_u32(raw: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+fn load_u64(raw: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(raw[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Hash-chain match finder: `head[h]` is one plus the most recent position
+/// whose 4-byte prefix hashes to `h`, `prev[p & WINDOW_MASK]` chains to one
+/// plus the previous such position, and 0 means "none" in both, so the
+/// tables start out as the allocator's zeroed pages. `prev` holds one slot
+/// per position, capped at the window: positions older than [`MAX_OFFSET`]
+/// are skipped at walk time, and the ring indexing is safe because a slot
+/// is only overwritten by a position a full window newer.
 struct Matcher {
     head: Vec<u32>,
     prev: Vec<u32>,
@@ -76,10 +99,10 @@ struct Matcher {
 }
 
 impl Matcher {
-    fn new() -> Self {
+    fn new(len: usize) -> Self {
         Matcher {
-            head: vec![NONE; HASH_SIZE],
-            prev: vec![NONE; MAX_OFFSET + 1],
+            head: vec![0; HASH_SIZE],
+            prev: vec![0; len.min(WINDOW_MASK + 1)],
             next_insert: 0,
         }
     }
@@ -90,58 +113,74 @@ impl Matcher {
         while self.next_insert <= last {
             let i = self.next_insert;
             let h = hash4(&raw[i..]);
-            self.prev[i % (MAX_OFFSET + 1)] = self.head[h];
-            self.head[h] = i as u32;
+            self.prev[i & WINDOW_MASK] = self.head[h];
+            self.head[h] = i as u32 + 1;
             self.next_insert += 1;
         }
     }
 
-    /// Longest match for the suffix at `pos`, as `(length, offset)`.
-    fn find(&self, raw: &[u8], pos: usize) -> Option<(usize, usize)> {
-        if pos + MIN_MATCH > raw.len() {
+    /// Longest match for the suffix at `pos` that is longer than `beat`
+    /// bytes, as `(length, offset)`; `pos` must already be inserted.
+    ///
+    /// With `beat` below the longest match's length, the result is the
+    /// most recent candidate of that length, whatever `beat` is: a
+    /// candidate can only win by strictly exceeding the best so far, so
+    /// starting the bar higher only skips candidates that could not have
+    /// been the answer.
+    fn find(&self, raw: &[u8], pos: usize, beat: usize) -> Option<(usize, usize)> {
+        let limit = raw.len().checked_sub(pos)?;
+        if limit < MIN_MATCH || beat >= limit {
             return None;
         }
-        let h = hash4(&raw[pos..]);
-        let mut candidate = self.head[h];
-        let mut best_len = 0usize;
+        // `pos` was inserted last, so it heads its own chain and takes the
+        // first of the MAX_CHAIN steps; the walk starts one link further.
+        debug_assert_eq!(self.next_insert, pos + 1, "pos is the newest insert");
+        let mut link = self.prev[pos & WINDOW_MASK];
+        let mut best_len = beat.max(MIN_MATCH - 1);
         let mut best_off = 0usize;
-        let limit = raw.len();
-        for _ in 0..MAX_CHAIN {
-            if candidate == NONE {
+        for _ in 1..MAX_CHAIN {
+            if link == 0 {
                 break;
             }
-            let c = candidate as usize;
-            if c >= pos {
-                // The chain head may be `pos` itself (inserted before the
-                // search); step past it to the genuine candidates.
-                candidate = self.prev[c % (MAX_OFFSET + 1)];
-                continue;
-            }
+            let c = link as usize - 1;
             if pos - c > MAX_OFFSET {
                 break;
             }
-            let len = common_prefix(raw, c, pos, limit);
-            // Strictly-greater keeps the most recent candidate (smallest
-            // offset) on ties, which costs nothing and ages out of the
-            // window last.
-            if len > best_len {
-                best_len = len;
-                best_off = pos - c;
+            // Beating `best_len` needs bytes `best_len - 3 ..= best_len`
+            // to agree, so one word compare rejects most candidates.
+            let probe = best_len - (MIN_MATCH - 1);
+            if load_u32(raw, c + probe) == load_u32(raw, pos + probe) {
+                let len = common_prefix(raw, c, pos, limit);
+                // Strictly-greater keeps the most recent candidate
+                // (smallest offset) on ties, which costs nothing and ages
+                // out of the window last.
+                if len > best_len {
+                    best_len = len;
+                    best_off = pos - c;
+                    if len == limit {
+                        break;
+                    }
+                }
             }
-            candidate = self.prev[c % (MAX_OFFSET + 1)];
+            link = self.prev[c & WINDOW_MASK];
         }
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_off))
-        } else {
-            None
-        }
+        (best_off != 0).then_some((best_len, best_off))
     }
 }
 
+/// Length of the common prefix of the suffixes at `a` and `b`, at most
+/// `max` bytes, compared a word at a time. Requires `a < b` and
+/// `b + max <= raw.len()`.
 #[inline]
-fn common_prefix(raw: &[u8], a: usize, b: usize, limit: usize) -> usize {
-    let max = limit - b;
+fn common_prefix(raw: &[u8], a: usize, b: usize, max: usize) -> usize {
     let mut n = 0;
+    while n + 8 <= max {
+        let diff = load_u64(raw, a + n) ^ load_u64(raw, b + n);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
     while n < max && raw[a + n] == raw[b + n] {
         n += 1;
     }
@@ -191,12 +230,17 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
         emit_last(&mut out, raw);
         return out;
     }
-    let mut matcher = Matcher::new();
+    let mut matcher = Matcher::new(n);
     let mut lit_start = 0usize;
     let mut i = 0usize;
+    // The lazy step's match at `i`, when it deferred to it.
+    let mut deferred = None;
     while i + MIN_MATCH <= n {
         matcher.insert_up_to(raw, i);
-        let Some((mut len, mut off)) = matcher.find(raw, i) else {
+        let Some((mut len, mut off)) = deferred
+            .take()
+            .or_else(|| matcher.find(raw, i, MIN_MATCH - 1))
+        else {
             i += 1;
             continue;
         };
@@ -204,11 +248,10 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
         // byte later, paying a single literal for it.
         if i + 1 + MIN_MATCH <= n {
             matcher.insert_up_to(raw, i + 1);
-            if let Some((len2, _)) = matcher.find(raw, i + 1) {
-                if len2 > len {
-                    i += 1;
-                    continue;
-                }
+            if let Some(longer) = matcher.find(raw, i + 1, len) {
+                deferred = Some(longer);
+                i += 1;
+                continue;
             }
         }
         // Never let a match run into the final MIN_MATCH-1 bytes leaving an
@@ -383,35 +426,247 @@ mod tests {
         assert!(enc.len() < raw.len() + raw.len() / 128 + 16);
     }
 
+    /// A seeded mixture of runs, copies of earlier output and noise.
+    fn mixture(seed: u64, max_len: u64) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        let len = (rng.next() % max_len) as usize;
+        let mut raw = Vec::with_capacity(len);
+        while raw.len() < len {
+            match rng.next() % 4 {
+                0 => {
+                    let run = (rng.next() % 600) as usize + 1;
+                    let byte = rng.next() as u8;
+                    raw.extend(std::iter::repeat_n(byte, run));
+                }
+                1 if !raw.is_empty() => {
+                    let take = ((rng.next() as usize) % raw.len()).max(1);
+                    let from = (rng.next() as usize) % (raw.len() - take + 1);
+                    let copy: Vec<u8> = raw[from..from + take].to_vec();
+                    raw.extend(copy);
+                }
+                _ => {
+                    let n = (rng.next() % 200) as usize + 1;
+                    raw.extend((0..n).map(|_| rng.next() as u8));
+                }
+            }
+        }
+        raw.truncate(len);
+        raw
+    }
+
+    /// A table of little-endian 4-byte words, `frequent_pct` percent of
+    /// them drawn from `frequent` recurring values and the rest random —
+    /// the shape of a program image's data, where hash chains run deep.
+    fn word_table(seed: u64, words: usize, frequent: usize, frequent_pct: u64) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        let pool: Vec<u32> = (0..frequent).map(|_| rng.next() as u32 % 4096).collect();
+        let mut raw = Vec::with_capacity(words * 4);
+        for _ in 0..words {
+            let word = if rng.next() % 100 < frequent_pct {
+                pool[rng.next() as usize % frequent]
+            } else {
+                rng.next() as u32
+            };
+            raw.extend_from_slice(&word.to_le_bytes());
+        }
+        raw
+    }
+
     #[test]
     fn seeded_random_structures_round_trip() {
         // Mixtures of runs, copies and noise across many seeds and sizes.
         for seed in 0..50u64 {
-            let mut rng = Rng(seed);
-            let len = (rng.next() % 20_000) as usize;
-            let mut raw = Vec::with_capacity(len);
-            while raw.len() < len {
-                match rng.next() % 4 {
-                    0 => {
-                        let run = (rng.next() % 600) as usize + 1;
-                        let byte = rng.next() as u8;
-                        raw.extend(std::iter::repeat_n(byte, run));
-                    }
-                    1 if !raw.is_empty() => {
-                        let take = ((rng.next() as usize) % raw.len()).max(1);
-                        let from = (rng.next() as usize) % (raw.len() - take + 1);
-                        let copy: Vec<u8> = raw[from..from + take].to_vec();
-                        raw.extend(copy);
-                    }
-                    _ => {
-                        let n = (rng.next() % 200) as usize + 1;
-                        raw.extend((0..n).map(|_| rng.next() as u8));
-                    }
+            round_trip(&mixture(seed, 20_000));
+        }
+    }
+
+    /// The compressor as it stood before its match finder was tuned, kept
+    /// verbatim: every committed dump holds its output, so the live
+    /// compressor must reproduce it byte for byte.
+    mod frozen {
+        use super::super::{emit_last, emit_sequence, MAX_OFFSET, MIN_MATCH};
+
+        const HASH_SIZE: usize = 1 << 15;
+        const MAX_CHAIN: usize = 64;
+        const NONE: u32 = u32::MAX;
+
+        fn hash4(bytes: &[u8]) -> usize {
+            let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            (v.wrapping_mul(2_654_435_761) >> (32 - 15)) as usize % HASH_SIZE
+        }
+
+        struct Matcher {
+            head: Vec<u32>,
+            prev: Vec<u32>,
+            next_insert: usize,
+        }
+
+        impl Matcher {
+            fn new() -> Self {
+                Matcher {
+                    head: vec![NONE; HASH_SIZE],
+                    prev: vec![NONE; MAX_OFFSET + 1],
+                    next_insert: 0,
                 }
             }
-            raw.truncate(len);
-            round_trip(&raw);
+
+            fn insert_up_to(&mut self, raw: &[u8], pos: usize) {
+                let last = pos.min(raw.len().saturating_sub(MIN_MATCH));
+                while self.next_insert <= last {
+                    let i = self.next_insert;
+                    let h = hash4(&raw[i..]);
+                    self.prev[i % (MAX_OFFSET + 1)] = self.head[h];
+                    self.head[h] = i as u32;
+                    self.next_insert += 1;
+                }
+            }
+
+            fn find(&self, raw: &[u8], pos: usize) -> Option<(usize, usize)> {
+                if pos + MIN_MATCH > raw.len() {
+                    return None;
+                }
+                let h = hash4(&raw[pos..]);
+                let mut candidate = self.head[h];
+                let mut best_len = 0usize;
+                let mut best_off = 0usize;
+                let limit = raw.len();
+                for _ in 0..MAX_CHAIN {
+                    if candidate == NONE {
+                        break;
+                    }
+                    let c = candidate as usize;
+                    if c >= pos {
+                        candidate = self.prev[c % (MAX_OFFSET + 1)];
+                        continue;
+                    }
+                    if pos - c > MAX_OFFSET {
+                        break;
+                    }
+                    let len = common_prefix(raw, c, pos, limit);
+                    if len > best_len {
+                        best_len = len;
+                        best_off = pos - c;
+                    }
+                    candidate = self.prev[c % (MAX_OFFSET + 1)];
+                }
+                if best_len >= MIN_MATCH {
+                    Some((best_len, best_off))
+                } else {
+                    None
+                }
+            }
         }
+
+        fn common_prefix(raw: &[u8], a: usize, b: usize, limit: usize) -> usize {
+            let max = limit - b;
+            let mut n = 0;
+            while n < max && raw[a + n] == raw[b + n] {
+                n += 1;
+            }
+            n
+        }
+
+        pub(super) fn compress(raw: &[u8]) -> Vec<u8> {
+            let n = raw.len();
+            let mut out = Vec::with_capacity(n / 2 + 16);
+            if n < MIN_MATCH {
+                emit_last(&mut out, raw);
+                return out;
+            }
+            let mut matcher = Matcher::new();
+            let mut lit_start = 0usize;
+            let mut i = 0usize;
+            while i + MIN_MATCH <= n {
+                matcher.insert_up_to(raw, i);
+                let Some((mut len, mut off)) = matcher.find(raw, i) else {
+                    i += 1;
+                    continue;
+                };
+                if i + 1 + MIN_MATCH <= n {
+                    matcher.insert_up_to(raw, i + 1);
+                    if let Some((len2, _)) = matcher.find(raw, i + 1) {
+                        if len2 > len {
+                            i += 1;
+                            continue;
+                        }
+                    }
+                }
+                len = len.min(n - i);
+                off = off.min(MAX_OFFSET);
+                emit_sequence(&mut out, &raw[lit_start..i], off, len);
+                matcher.insert_up_to(raw, (i + len).saturating_sub(1));
+                i += len;
+                lit_start = i;
+            }
+            emit_last(&mut out, &raw[lit_start..]);
+            out
+        }
+    }
+
+    fn assert_same_bytes(raw: &[u8], what: &str) {
+        let enc = round_trip(raw);
+        assert!(
+            enc == frozen::compress(raw),
+            "{what}: output differs from the frozen compressor ({} bytes in)",
+            raw.len()
+        );
+    }
+
+    #[test]
+    fn output_matches_frozen_compressor_on_mixtures() {
+        for seed in 0..40u64 {
+            assert_same_bytes(&mixture(seed, 20_000), &format!("mixture seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn output_matches_frozen_compressor_on_word_tables() {
+        // Deep chains: few distinct words, so nearly every position's
+        // chain is full and the 64-step cap and the tie-break decide.
+        for (seed, frequent, pct) in [(1, 8, 35), (2, 8, 50), (3, 16, 35), (4, 16, 50)] {
+            let raw = word_table(seed, 24_000, frequent, pct);
+            assert_same_bytes(&raw, &format!("{frequent} words at {pct}%"));
+        }
+    }
+
+    #[test]
+    fn output_matches_frozen_compressor_on_short_inputs() {
+        let mut rng = Rng(0x5407);
+        for len in 0..=8usize {
+            let patterns: [Vec<u8>; 4] = [
+                vec![0; len],
+                (0..len as u8).collect(),
+                (0..len).map(|k| b"ab"[k % 2]).collect(),
+                (0..len).map(|_| rng.next() as u8 % 3).collect(),
+            ];
+            for raw in &patterns {
+                assert_same_bytes(raw, &format!("{len}-byte input {raw:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn output_matches_frozen_compressor_across_the_window() {
+        // A block repeated at distances straddling the 64 KiB window, so
+        // chain walks meet positions just inside and just outside it and
+        // the chain ring wraps.
+        let mut rng = Rng(0x0FF5);
+        let block: Vec<u8> = (0..4_096).map(|_| (rng.next() % 5) as u8).collect();
+        for gap in [
+            MAX_OFFSET - 4_100,
+            MAX_OFFSET - 4_096,
+            MAX_OFFSET - 4_095,
+            MAX_OFFSET,
+        ] {
+            let mut raw = block.clone();
+            raw.extend((0..gap).map(|_| rng.next() as u8));
+            raw.extend_from_slice(&block);
+            raw.extend_from_slice(&block[..1_000]);
+            assert_same_bytes(&raw, &format!("gap {gap}"));
+        }
+        let raw = word_table(5, 40_000, 8, 50);
+        assert_same_bytes(&raw, "160 KB word table");
+        assert_same_bytes(&mixture(7, 200_000), "mixture past the window");
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! hides: skip counts and ranks draw from tiny alphabets, type bits pack
 //! 8 records per byte, and near-monotone columns collapse to small deltas.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -218,49 +219,91 @@ const MTF_ESCAPE: u8 = 0xFF;
 /// back section instead of fitting the nibble.
 const RANK_ESCAPE: u8 = 0xF;
 
+/// Depth of the move-to-front list: every index is below [`MTF_ESCAPE`].
+const MTF_DEPTH: usize = MTF_ESCAPE as usize;
+
+/// Slots of the encoder's membership filter (2^12).
+const MTF_FILTER_BITS: u32 = 12;
+
+/// List depth at which the encoder starts its membership filter; a
+/// shorter list is scanned faster than a filter is set up.
+const MTF_FILTER_FROM: usize = 32;
+
+fn mtf_filter_slot(delta: u32) -> usize {
+    (delta.wrapping_mul(0x9E37_79B1) >> (32 - MTF_FILTER_BITS)) as usize
+}
+
 /// Move-to-front list of recently seen value deltas, at most
-/// [`MTF_ESCAPE`] entries deep so every index fits in one sub-escape byte.
+/// [`MTF_DEPTH`] entries deep so every index fits in one sub-escape byte.
 /// Split and join run the identical update rule, which is what makes the
 /// token stream decodable.
+///
+/// The list is a ring, so evicting the oldest entry is O(1) and moving an
+/// entry to the front shifts only the entries ahead of it. Most full
+/// values on a low-locality workload miss the list, and a miss would scan
+/// all 255 entries; so once the list is [`MTF_FILTER_FROM`] deep the
+/// encoder keeps a counting filter, the number of members in each hash
+/// slot, and a zero count proves a miss without the scan. The decoder
+/// only ever looks entries up by index and keeps no filter.
 struct MtfDeltas {
-    recent: Vec<u32>,
+    recent: VecDeque<u32>,
+    /// Members per [`mtf_filter_slot`]; empty until the encoder starts it.
+    /// A `u8` holds any count, as the list has at most 255 members.
+    filter: Vec<u8>,
 }
 
 impl MtfDeltas {
     fn new() -> Self {
-        MtfDeltas { recent: Vec::new() }
+        MtfDeltas {
+            recent: VecDeque::with_capacity(MTF_DEPTH),
+            filter: Vec::new(),
+        }
     }
 
     /// Returns the current index of `delta` and moves it to the front, or
     /// `None` (caller escapes) after recording it as the new front.
     fn encode(&mut self, delta: u32) -> Option<u8> {
-        match self.recent.iter().position(|&d| d == delta) {
-            Some(i) => {
+        let may_hit = self.filter.is_empty() || self.filter[mtf_filter_slot(delta)] != 0;
+        if may_hit {
+            if let Some(i) = self.recent.iter().position(|&d| d == delta) {
                 self.recent.remove(i);
-                self.recent.insert(0, delta);
-                Some(i as u8)
-            }
-            None => {
-                self.push_front(delta);
-                None
+                self.recent.push_front(delta);
+                return Some(i as u8);
             }
         }
+        self.push_front(delta);
+        if self.filter.is_empty() && self.recent.len() == MTF_FILTER_FROM {
+            self.filter = vec![0; 1 << MTF_FILTER_BITS];
+            for &d in &self.recent {
+                self.filter[mtf_filter_slot(d)] += 1;
+            }
+        }
+        None
     }
 
     /// Resolves a token index back to its delta and moves it to the front.
     fn decode(&mut self, index: u8) -> Option<u32> {
-        if usize::from(index) >= self.recent.len() {
-            return None;
-        }
-        let delta = self.recent.remove(usize::from(index));
-        self.recent.insert(0, delta);
+        let delta = self.recent.remove(usize::from(index))?;
+        self.recent.push_front(delta);
         Some(delta)
     }
 
-    /// Records an escaped literal delta as the most recent entry.
+    /// Records an escaped literal delta as the most recent entry, evicting
+    /// the oldest when the list is full.
     fn push_front(&mut self, delta: u32) {
-        self.recent.insert(0, delta);
-        self.recent.truncate(usize::from(MTF_ESCAPE));
+        if self.recent.len() == MTF_DEPTH {
+            let evicted = self
+                .recent
+                .pop_back()
+                .expect("a full list has a last entry");
+            if !self.filter.is_empty() {
+                self.filter[mtf_filter_slot(evicted)] -= 1;
+            }
+        }
+        self.recent.push_front(delta);
+        if !self.filter.is_empty() {
+            self.filter[mtf_filter_slot(delta)] += 1;
+        }
     }
 }
 
@@ -825,6 +868,109 @@ mod tests {
         for id in CodecId::ALL {
             let blob = encode_fll_columnar(id, &log);
             assert_eq!(decode_fll_columnar(&blob).unwrap(), log);
+        }
+    }
+
+    /// The value stream of a delta sequence under the original MTF: a plain
+    /// list, scanned in full and shifted on every update.
+    fn list_mtf_value_stream(deltas: &[u32]) -> Vec<u8> {
+        let mut recent: Vec<u32> = Vec::new();
+        let (mut tokens, mut literals) = (Vec::new(), Vec::new());
+        for &delta in deltas {
+            match recent.iter().position(|&d| d == delta) {
+                Some(i) => {
+                    recent.remove(i);
+                    recent.insert(0, delta);
+                    tokens.push(i as u8);
+                }
+                None => {
+                    recent.insert(0, delta);
+                    recent.truncate(usize::from(MTF_ESCAPE));
+                    tokens.push(MTF_ESCAPE);
+                    literals.extend_from_slice(&delta.to_le_bytes());
+                }
+            }
+        }
+        tokens.extend_from_slice(&literals);
+        tokens
+    }
+
+    /// Splits a log of full values with the given deltas and checks the
+    /// value stream against the list MTF and the round trip through join.
+    fn assert_mtf_matches_list(deltas: &[u32], what: &str) {
+        let mut value = 0u32;
+        let records: Vec<(u64, EncodedValue)> = deltas
+            .iter()
+            .map(|&d| {
+                value = value.wrapping_add(d);
+                (1, EncodedValue::Full(Word::new(value)))
+            })
+            .collect();
+        let log = make_fll(&records);
+        let streams = split_fll(&log).unwrap();
+        assert!(
+            stream(&streams, FLL_STREAM_VALUE).unwrap() == list_mtf_value_stream(deltas),
+            "{what}: value stream differs from the list MTF"
+        );
+        assert_eq!(join_fll(&streams).unwrap(), log, "{what}: round trip");
+    }
+
+    #[test]
+    fn mtf_cycles_around_the_eviction_boundary() {
+        for distinct in [254u32, 255, 256, 257] {
+            let deltas: Vec<u32> = (0..4 * distinct).map(|k| (k % distinct) * 8 + 1).collect();
+            assert_mtf_matches_list(&deltas, &format!("cycle of {distinct}"));
+        }
+    }
+
+    #[test]
+    fn mtf_hits_at_the_first_and_last_index() {
+        // 255 distinct deltas fill the list; the oldest then sits at index
+        // 254, and repeating it hits index 254, then index 0.
+        let mut deltas: Vec<u32> = (0..255u32).map(|k| k * 3 + 7).collect();
+        deltas.extend([7, 7, 10, 10]);
+        let stream = list_mtf_value_stream(&deltas);
+        assert_eq!(&stream[255..259], &[254, 0, 254, 0]);
+        assert_mtf_matches_list(&deltas, "first and last index");
+    }
+
+    #[test]
+    fn mtf_filter_slot_collisions_and_a_repeated_delta() {
+        // Deltas that all share one filter slot: a member keeps the slot
+        // nonzero, so misses on its neighbours must still scan, and each
+        // eviction must release exactly its own count.
+        let slot = mtf_filter_slot(5);
+        let colliding: Vec<u32> = (0u32..)
+            .filter(|&d| mtf_filter_slot(d) == slot)
+            .take(40)
+            .collect();
+        let mut rng = bugnet_types::SplitMix64::new(0xC011);
+        let mut deltas = Vec::new();
+        for round in 0..30u32 {
+            deltas.extend((0..10).map(|_| colliding[rng.next_range(40) as usize]));
+            // Fillers push the list past its depth so colliding members are
+            // evicted while others of their slot stay behind.
+            deltas.extend((0..30).map(|k| 1_000_000 + round * 30 + k));
+        }
+        assert_mtf_matches_list(&deltas, "colliding deltas");
+        assert_mtf_matches_list(&[4; 1_000], "one repeated delta");
+    }
+
+    #[test]
+    fn mtf_matches_list_on_random_mixtures() {
+        for seed in 0..20u64 {
+            let mut rng = bugnet_types::SplitMix64::new(seed);
+            let alphabet = 1 + rng.next_range(600);
+            let deltas: Vec<u32> = (0..3_000)
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        rng.next_u32()
+                    } else {
+                        rng.next_range(alphabet) as u32
+                    }
+                })
+                .collect();
+            assert_mtf_matches_list(&deltas, &format!("seed {seed}"));
         }
     }
 

@@ -2041,11 +2041,20 @@ impl CrashDump {
             let replayer = Replayer::new(program);
             let n = t.checkpoints.len();
             let mut probes = 0u64;
-            let probe = |i: usize, probes: &mut u64| -> Result<bool, ReplayError> {
+            // Each interval replays at most once: the frontier check and
+            // the fallback scan reuse what the binary search learned, so a
+            // healthy thread costs exactly `n` probes.
+            let mut matched: Vec<Option<bool>> = vec![None; n];
+            let mut probe = |i: usize, probes: &mut u64| -> Result<bool, ReplayError> {
+                if let Some(known) = matched[i] {
+                    return Ok(known);
+                }
                 *probes += 1;
                 let cp = &t.checkpoints[i];
                 let replayed = replayer.replay_interval(&cp.fll)?;
-                Ok(cp.digest.matches(&replayed.digest))
+                let matches = cp.digest.matches(&replayed.digest);
+                matched[i] = Some(matches);
+                Ok(matches)
             };
             // Binary search for the match/diverge frontier, assuming all
             // intervals before it match and all after it diverge.

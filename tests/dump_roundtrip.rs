@@ -404,11 +404,12 @@ fn bisect_finds_the_first_divergent_interval() {
     let n = clean.threads[0].checkpoints.len();
     assert!(n >= 8, "need a window worth bisecting, got {n}");
 
-    // A clean dump bisects clean — and must probe everything to say so.
+    // A clean dump bisects clean — and must probe everything to say so,
+    // each interval exactly once.
     let report = clean.bisect(|_| None).expect("bisect runs");
     assert!(report.is_clean());
     assert_eq!(report.intervals, n as u64);
-    assert!(report.probes >= report.intervals);
+    assert_eq!(report.probes, report.intervals);
 
     // Monotone corruption — every digest from interval k onward tampered —
     // is the binary-search fast path: the frontier is found in O(log n)
@@ -439,6 +440,7 @@ fn bisect_finds_the_first_divergent_interval() {
     let report = lone.bisect(|_| None).expect("bisect runs");
     assert_eq!(report.divergences.len(), 1);
     assert_eq!(report.divergences[0].index, k as u32);
+    assert!(report.probes <= report.intervals);
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -168,6 +168,40 @@ fn committed_v5_dump_still_loads_verifies_and_replays() {
     assert!(replay.all_match(), "{:?}", replay.divergences());
 }
 
+/// The v5 writer still produces the committed fixture byte for byte, so a
+/// change to the seal, the codec or the dump layout that moves any output
+/// byte fails here. (The v4 fixture is load-only: its image was recorded
+/// before a later workload change, so today's writer cannot reproduce it.)
+#[test]
+fn v5_writer_reproduces_the_committed_fixture() {
+    let out = std::env::temp_dir().join(format!("bugnet-golden-v5-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    regenerate(DumpFormat::V5, &out);
+    let names = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .expect("dump directory lists")
+            .map(|e| e.expect("directory entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let fixture = fixture_dir_v5();
+    assert_eq!(names(&out), names(&fixture), "file sets differ");
+    for name in names(&fixture) {
+        let written = std::fs::read(out.join(&name)).expect("written file reads");
+        let committed = std::fs::read(fixture.join(&name)).expect("fixture file reads");
+        assert!(
+            written == committed,
+            "{}: {} bytes written, {} committed, first difference at byte {:?}",
+            name.to_string_lossy(),
+            written.len(),
+            committed.len(),
+            written.iter().zip(&committed).position(|(a, b)| a != b)
+        );
+    }
+    std::fs::remove_dir_all(&out).expect("temp dump removes");
+}
+
 /// Writes the v2 fixture. Run manually (once, or after an *intentional*
 /// format-v2 change, which should be impossible — v2 is frozen):
 ///
@@ -214,6 +248,7 @@ fn regenerate_golden_fixture_v5() {
     regenerate(DumpFormat::V5, &fixture_dir_v5());
 }
 
+/// Records [`GOLDEN_SPEC`] and writes its dump in `format` into `dir`.
 fn regenerate(format: DumpFormat, dir: &std::path::Path) {
     use bugnet::sim::MachineBuilder;
     let workload = registry::resolve(GOLDEN_SPEC).unwrap();
