@@ -23,13 +23,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use bugnet_compress::CodecId;
-use bugnet_core::dump::{CrashDump, DumpFormat, DumpManifest, DumpOptions, ReplayStats};
+use bugnet_core::dump::{CrashDump, DumpManifest, ProgramSource, ReplayRequest, ReplayStats};
 use bugnet_core::profile::{profile_dump, ProfileOptions};
 use bugnet_sim::{MachineBuilder, RecordingOptions};
 use bugnet_telemetry::{Registry, Snapshot};
 use bugnet_trace::TraceSession;
 use bugnet_types::{BugNetConfig, ByteSize, CheckpointId, ThreadId};
-use bugnet_workloads::registry;
+use bugnet_workloads::{registry, ThreadSpec};
 
 mod report;
 
@@ -74,8 +74,7 @@ bugnet — record, inspect, verify and replay BugNet crash dumps
 USAGE:
     bugnet dump --workload <SPEC> --out <DIR> [--interval <N>] [--dict <N>]
                 [--max-instructions <N>] [--codec <identity|lz>]
-                [--flush-workers <N>] [--shards <N>]
-                [--format <v2|v3|v4|v5>] [--no-embed-image]
+                [--flush-workers <N>] [--shards <N>] [--no-embed-image]
                 [--metrics-json <FILE>] [--trace-out <FILE>]
         Record a workload on the simulated machine and write the retained
         log window to <DIR> as a crash-dump directory. Faults dump
@@ -86,12 +85,11 @@ USAGE:
         frame compressor (default: lz); --flush-workers seals intervals on
         N background threads and --shards sets the store's hand-off lane
         count (recorded content is identical for any worker/shard count).
-        Format v5 (the default) stores each log as columnar,
-        delta-encoded per-field streams and embeds the program images
+        Dumps are format v5: each log is stored as columnar, delta-encoded
+        per-field streams and the program images are embedded
         content-addressed, so threads sharing one image store it once;
-        --format v4 writes the row-serialized layout with the same image
-        dedup, --format v3 one image per thread, --format v2 the legacy
-        codec-only format, --no-embed-image omits the images.
+        --no-embed-image omits the images. Older formats (v1-v4) still
+        load, verify and replay.
         --metrics-json turns on run telemetry, writes the metric
         snapshot to <FILE> as JSON and embeds it in the dump manifest
         (readable later with `bugnet stats <DIR>`). Telemetry makes
@@ -133,7 +131,8 @@ USAGE:
         instead of refusing to load. --metrics-json records replay
         telemetry (instructions, interval latency, digest comparisons)
         and writes the snapshot to <FILE> as JSON. --trace-out writes a
-        per-interval replay timeline as Chrome trace-event JSON.
+        per-interval replay timeline as Chrome trace-event JSON. --at
+        combines with every other flag.
 
     bugnet bisect <DIR> [--workload <SPEC>]
         Binary-search each thread's retained window for the first interval
@@ -297,14 +296,6 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
     };
     let flush_workers = args.option_u64("--flush-workers")?.unwrap_or(0) as usize;
     let store_shards = args.option_u64("--shards")?.unwrap_or(0) as usize;
-    let format = match args.option("--format")? {
-        None => DumpFormat::default(),
-        Some(name) => DumpFormat::parse(&name).ok_or_else(|| {
-            CliError::usage(format!(
-                "--format expects `v2`, `v3`, `v4` or `v5`, got `{name}`"
-            ))
-        })?,
-    };
     let embed_image = !args.flag("--no-embed-image");
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
@@ -325,17 +316,10 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         flush_workers,
         store_shards,
         embed_image,
-        // The automatic crash-time dump always writes the current format;
-        // v2/v3/v4 dumps are written explicitly after the run instead.
-        dump_on_crash: (format == DumpFormat::V5).then(|| out.clone()),
+        dump_on_crash: Some(out.clone()),
         dump_io: None,
         telemetry: telemetry.clone(),
         trace: trace.clone(),
-    };
-    let dump_opts = DumpOptions {
-        format,
-        codec: None, // the store already seals with `codec`
-        embed_image: None,
     };
     let mut machine = MachineBuilder::new()
         .bugnet(cfg)
@@ -371,10 +355,9 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         // A fault fired mid-run and the machine already dumped, OS-style.
         Some(Ok(manifest)) => manifest.clone(),
         Some(Err(e)) => return Err(CliError::data(format!("automatic crash dump failed: {e}"))),
-        // Clean run (or an explicit legacy format): archive the retained
-        // window.
+        // Clean run: archive the retained window.
         None => machine
-            .write_crash_dump_with(&out, &dump_opts)
+            .write_crash_dump(&out)
             .map_err(|e| CliError::data(e.to_string()))?,
     };
     println!(
@@ -529,6 +512,37 @@ fn cmd_fsck(args: &mut Args) -> Result<(), CliError> {
     }
 }
 
+/// The one program resolver of `replay`, `bisect` and `profile`: the
+/// threads (index = thread id) of `--workload <SPEC>` when given — called
+/// out up front when it contradicts the recorded spec, since divergence is
+/// then the expected outcome (`replaces` names what the override stands in
+/// for) — else those of the recorded spec, which a self-contained dump
+/// never needs. The inner `Err` is the registry's reason it cannot rebuild
+/// the recorded spec; an override it cannot rebuild fails outright.
+fn workload_threads(
+    dump: &CrashDump,
+    override_spec: Option<&str>,
+    replaces: &str,
+) -> Result<Result<Vec<ThreadSpec>, String>, CliError> {
+    let recorded = &dump.manifest.workload;
+    let Some(spec) = override_spec else {
+        if dump.is_self_contained() {
+            return Ok(Ok(Vec::new()));
+        }
+        return Ok(registry::resolve(recorded).map(|w| w.threads));
+    };
+    if !registry::specs_equivalent(spec, recorded) {
+        eprintln!(
+            "bugnet: warning: dump was recorded from workload `{recorded}` but --workload \
+             overrides {replaces} with `{spec}`; if the programs differ, digest divergence \
+             below is expected"
+        );
+    }
+    registry::resolve(spec)
+        .map(|w| Ok(w.threads))
+        .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))
+}
+
 fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     let dir = dump_dir_arg(args)?;
     let at = args.option_u64("--at")?;
@@ -537,22 +551,14 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
     args.finish()?;
-    if at.is_some() && override_spec.is_some() {
-        return Err(CliError::usage(
-            "--at replays from the dump's own images (registry fallback for the \
-             rest) and cannot be combined with --workload",
-        ));
-    }
-    if at.is_some() && metrics_json.is_some() {
-        return Err(CliError::usage(
-            "--at does not record replay telemetry; drop --metrics-json",
-        ));
-    }
-    if at.is_some() && trace_out.is_some() {
-        return Err(CliError::usage(
-            "--at does not record a replay timeline; drop --trace-out",
-        ));
-    }
+    let from = match at {
+        Some(n) => {
+            Some(CheckpointId(u32::try_from(n).map_err(|_| {
+                CliError::usage(format!("--at {n} overflows u32"))
+            })?))
+        }
+        None => None,
+    };
     let telemetry = metrics_json.as_ref().map(|_| Registry::default());
     let stats = telemetry.as_ref().map(ReplayStats::register);
     let trace = trace_out
@@ -578,110 +584,66 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     } else {
         CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?
     };
-    let report = if let Some(n) = at {
+    let spec = &dump.manifest.workload;
+    let resolved = workload_threads(&dump, override_spec.as_deref(), "it")?;
+    let threads = match (&override_spec, resolved) {
+        // Explicit override: replay against exactly the named workload,
+        // ignoring any embedded images.
+        (Some(spec), Ok(threads)) => {
+            println!("replaying against override workload `{spec}`");
+            threads
+        }
+        // Self-contained dump: every program comes from the checksummed
+        // dump itself, no workload registry involved.
+        _ if dump.is_self_contained() => {
+            println!("replaying from embedded program images (self-contained dump)");
+            Vec::new()
+        }
+        // Not (fully) self-contained: v1/v2 dump, or image embedding was
+        // off for some threads. Rebuild the missing programs from the
+        // recorded workload spec; embedded images still take precedence
+        // per thread.
+        (_, Ok(threads)) => {
+            println!("replaying from workload spec `{spec}` (registry fallback)");
+            threads
+        }
+        // The spec is unresolvable but some threads do carry their image:
+        // replay those and report the rest as unreplayable rather than
+        // refusing the whole dump.
+        (_, Err(e)) if dump.manifest.embedded_images() > 0 => {
+            eprintln!(
+                "bugnet: warning: workload `{spec}` cannot be rebuilt ({e}); replaying the {} \
+                 thread(s) with embedded images only",
+                dump.manifest.embedded_images()
+            );
+            Vec::new()
+        }
+        (_, Err(e)) => {
+            return Err(CliError::data(format!(
+                "dump embeds no program images and workload `{spec}` cannot be rebuilt: {e}; \
+                 pass --workload <SPEC> to override"
+            )))
+        }
+    };
+    if let Some(n) = at {
         // Checkpoint-seeking time travel: every FLL header carries the full
         // start-of-interval architectural state, so replay jumps straight
         // to checkpoint `n` — intervals before it are skipped, never
         // re-executed.
-        let from = CheckpointId(
-            u32::try_from(n).map_err(|_| CliError::usage(format!("--at {n} overflows u32")))?,
-        );
-        let programs: Vec<_> = registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default();
         println!("seeking to checkpoint {n}: earlier intervals are skipped, not replayed");
-        dump.replay_from(from, |thread: ThreadId| {
-            programs.get(thread.0 as usize).cloned()
-        })
-    } else {
-        match override_spec {
-            // Explicit override: replay against exactly the named workload,
-            // ignoring any embedded images.
-            Some(spec) => {
-                if !registry::specs_equivalent(&spec, &dump.manifest.workload) {
-                    // Say so up front: a digest divergence below is then the
-                    // *expected* outcome of the override, not dump corruption.
-                    eprintln!(
-                        "bugnet: warning: dump was recorded from workload \
-                     `{}` but --workload overrides it with `{spec}`; if the \
-                     programs differ, digest divergence below is expected",
-                        dump.manifest.workload
-                    );
-                }
-                let workload = registry::resolve(&spec).map_err(|e| {
-                    CliError::data(format!("cannot rebuild workload `{spec}`: {e}"))
-                })?;
-                let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
-                println!("replaying against override workload `{spec}`");
-                let program_of = |thread: ThreadId| programs.get(thread.0 as usize).cloned();
-                match tracer.as_mut() {
-                    Some(t) => dump.replay_with_traced(program_of, stats.as_ref(), t),
-                    None => match &stats {
-                        Some(s) => dump.replay_with_observed(program_of, s),
-                        None => dump.replay_with(program_of),
-                    },
-                }
-            }
-            // Self-contained dump: every program comes from the checksummed
-            // dump itself, no workload registry involved.
-            None if dump.is_self_contained() => {
-                println!("replaying from embedded program images (self-contained dump)");
-                match tracer.as_mut() {
-                    Some(t) => dump.replay_traced(|_| None, stats.as_ref(), t),
-                    None => match &stats {
-                        Some(s) => dump.replay_observed(|_| None, s),
-                        None => dump.replay(|_| None),
-                    },
-                }
-            }
-            // Not (fully) self-contained: v1/v2 dump, or image embedding was
-            // off for some threads. Rebuild the missing programs from the
-            // recorded workload spec; embedded images still take precedence
-            // per thread inside `replay`.
-            None => {
-                let spec = dump.manifest.workload.clone();
-                let embedded = dump.manifest.embedded_images();
-                match registry::resolve(&spec) {
-                    Ok(workload) => {
-                        let programs: Vec<_> =
-                            workload.threads.iter().map(|t| t.program.clone()).collect();
-                        println!("replaying from workload spec `{spec}` (registry fallback)");
-                        let fallback = |thread: ThreadId| programs.get(thread.0 as usize).cloned();
-                        match tracer.as_mut() {
-                            Some(t) => dump.replay_traced(fallback, stats.as_ref(), t),
-                            None => match &stats {
-                                Some(s) => dump.replay_observed(fallback, s),
-                                None => dump.replay(fallback),
-                            },
-                        }
-                    }
-                    // The spec is unresolvable but some threads do carry their
-                    // image: replay those and report the rest as unreplayable
-                    // rather than refusing the whole dump.
-                    Err(e) if embedded > 0 => {
-                        eprintln!(
-                            "bugnet: warning: workload `{spec}` cannot be rebuilt ({e}); \
-                         replaying the {embedded} thread(s) with embedded images only"
-                        );
-                        match tracer.as_mut() {
-                            Some(t) => dump.replay_traced(|_| None, stats.as_ref(), t),
-                            None => match &stats {
-                                Some(s) => dump.replay_observed(|_| None, s),
-                                None => dump.replay(|_| None),
-                            },
-                        }
-                    }
-                    Err(e) => {
-                        return Err(CliError::data(format!(
-                            "dump embeds no program images and workload `{spec}` \
-                         cannot be rebuilt: {e}; pass --workload <SPEC> to override"
-                        )))
-                    }
-                }
-            }
-        }
     }
-    .map_err(|e| CliError::data(format!("replay failed: {e}")))?;
+    let program_of = |t: ThreadId| threads.get(t.0 as usize).map(|s| s.program.clone());
+    let report = dump
+        .replay_with(ReplayRequest {
+            programs: match override_spec {
+                Some(_) => ProgramSource::Override(program_of),
+                None => ProgramSource::Embedded(program_of),
+            },
+            from,
+            stats: stats.as_ref(),
+            tracer: tracer.as_mut(),
+        })
+        .map_err(|e| CliError::data(format!("replay failed: {e}")))?;
     if report.intervals.is_empty() && report.unreplayable_threads.is_empty() {
         return Err(CliError::data(match at {
             Some(n) => format!("no retained interval at or after checkpoint {n}"),
@@ -712,29 +674,11 @@ fn cmd_bisect(args: &mut Args) -> Result<(), CliError> {
     args.finish()?;
     let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
     // Same program resolution as replay: embedded images first (inside
-    // `bisect`), then the workload registry for threads without one.
-    let programs: Vec<_> = match &override_spec {
-        Some(spec) => {
-            if !registry::specs_equivalent(spec, &dump.manifest.workload) {
-                eprintln!(
-                    "bugnet: warning: dump was recorded from workload `{}` but \
-                     --workload overrides the fallback with `{spec}`",
-                    dump.manifest.workload
-                );
-            }
-            registry::resolve(spec)
-                .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?
-                .threads
-                .iter()
-                .map(|t| t.program.clone())
-                .collect()
-        }
-        None => registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default(),
-    };
+    // `bisect`), then the workload's programs for threads without one.
+    let threads =
+        workload_threads(&dump, override_spec.as_deref(), "the fallback")?.unwrap_or_default();
     let report = dump
-        .bisect(|thread| programs.get(thread.0 as usize).cloned())
+        .bisect(|t| threads.get(t.0 as usize).map(|s| s.program.clone()))
         .map_err(|e| CliError::data(format!("bisect failed: {e}")))?;
     report::print_bisect(&dir, &report);
     if report.is_clean() {
@@ -756,31 +700,13 @@ fn cmd_profile(args: &mut Args) -> Result<(), CliError> {
     args.finish()?;
     let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
     // Program resolution mirrors replay: embedded images first (inside
-    // `profile_dump`), the workload registry for threads without one.
-    let programs: Vec<_> = match &override_spec {
-        Some(spec) => {
-            if !registry::specs_equivalent(spec, &dump.manifest.workload) {
-                eprintln!(
-                    "bugnet: warning: dump was recorded from workload `{}` but \
-                     --workload overrides the fallback with `{spec}`",
-                    dump.manifest.workload
-                );
-            }
-            registry::resolve(spec)
-                .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?
-                .threads
-                .iter()
-                .map(|t| t.program.clone())
-                .collect()
-        }
-        None => registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default(),
-    };
+    // `profile_dump`), the workload's programs for threads without one.
+    let threads =
+        workload_threads(&dump, override_spec.as_deref(), "the fallback")?.unwrap_or_default();
     let options = ProfileOptions { sample_every };
     let profile = profile_dump(
         &dump,
-        |thread| programs.get(thread.0 as usize).cloned(),
+        |t| threads.get(t.0 as usize).map(|s| s.program.clone()),
         &options,
     )
     .map_err(|e| CliError::data(format!("profile failed: {e}")))?;

@@ -3,8 +3,8 @@
 //! When the OS detects a fault it dumps the retained window of First-Load
 //! Logs and Memory Race Logs to stable storage; the resulting directory is
 //! the *portable artifact* a developer ships to the vendor and replays
-//! offline. This module defines that format and the strict, checksum-guarded
-//! reader for it.
+//! offline. This module writes that format and reads it back through one
+//! checksum-guarded walk.
 //!
 //! A dump directory contains:
 //!
@@ -56,20 +56,27 @@
 //! *row-serialized* raw sizes, so compression ratios stay comparable across
 //! format versions.
 //!
-//! Dumps are committed *atomically*: the writers encode every file in
-//! memory, stage them in a `<dir>.staging-<nonce>` sibling, fsync, and
-//! rename into place (see [`crate::io`]). A dump directory therefore either
-//! exists complete or not at all, no matter at which operation a crash,
-//! disk-full or kill interrupts the write.
+//! [`write_dump`] writes v5 only. Versions 1–4 are read-only; a committed
+//! fixture of each under `tests/fixtures/golden-v*` pins the bytes their
+//! readers must keep accepting.
 //!
-//! Loading validates everything it reads — magics, versions, bounds, frame
-//! checksums, manifest/file cross-consistency, FLL/MRL pairing, image
-//! decodability — and returns a typed [`DumpError`] on any corruption; it
-//! never panics on bad input and never silently accepts a flipped bit.
-//! When a dump *did* get damaged — truncated mid-upload, clipped by the
-//! very disk-full that triggered it — [`CrashDump::load_salvage`] recovers
-//! every checksum-intact prefix of frames instead of rejecting the dump
-//! wholesale, and reports exactly what was lost ([`SalvageReport`]).
+//! Dumps are committed *atomically*: the writer encodes every file in
+//! memory, stages them in a `<dir>.staging-<nonce>` sibling, fsyncs, and
+//! renames into place (see [`crate::io`]). A dump directory therefore
+//! either exists complete or not at all, no matter at which operation a
+//! crash, disk-full or kill interrupts the write.
+//!
+//! Reading is one walk over the directory. It validates everything it
+//! reads — magics, versions, bounds, frame checksums, FLL/MRL pairing,
+//! image hashes and decodability — and keeps every checksum-intact prefix
+//! of frames, recording where and why it stopped instead of failing.
+//! [`CrashDump::load`] turns the first recorded damage, or the first
+//! disagreement between what was recovered and what the manifest declares,
+//! into a typed [`DumpError`]; it never panics on bad input and never
+//! silently accepts a flipped bit. [`CrashDump::load_salvage`] keeps what
+//! the walk recovered from a damaged dump — truncated mid-upload, clipped by
+//! the very disk-full that triggered it — and reports exactly what was lost
+//! ([`SalvageReport`]).
 
 use std::error::Error;
 use std::fmt;
@@ -88,7 +95,7 @@ use bugnet_types::{Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, Threa
 use crate::columnar::{decode_fll_columnar, decode_mrl_columnar, ColumnarCodecError};
 use crate::digest::{fnv1a, ExecutionDigest};
 use crate::fll::FirstLoadLog;
-use crate::io::{commit_atomic, DumpIo, IoFailure, IoOp, StdIo};
+use crate::io::{commit_atomic, DumpIo, IoFailure, IoOp};
 use crate::mrl::MemoryRaceLog;
 use crate::recorder::LogStore;
 use crate::replayer::{ReplayError, Replayer};
@@ -107,22 +114,20 @@ pub const IMAGE_FILE_MAGIC: [u8; 4] = *b"BNIM";
 /// each stream passes through the back-end codec independently. Outer frame
 /// framing and embedded images are unchanged from v4.
 pub const DUMP_VERSION: u32 = 5;
-/// The v5 format: columnar, delta-encoded FLL/MRL frames (the current
-/// default, [`DUMP_VERSION`]).
+/// The v5 format: columnar, delta-encoded FLL/MRL frames (the only format
+/// [`write_dump`] writes, [`DUMP_VERSION`]).
 pub const DUMP_VERSION_V5: u32 = 5;
 /// The v4 format: like v3, but embedded program images are content-addressed
 /// (`image-<hash>.bni`) and shared between threads running the same binary.
-/// Still fully loadable and writable via [`write_dump_v4`].
+/// Still fully loadable.
 pub const DUMP_VERSION_V4: u32 = 4;
 /// The v3 format: each thread's full program image is embedded as a
 /// codec-compressed, checksummed per-thread `image-<tid>.bni` section,
-/// making dumps self-contained. Still fully loadable and writable via
-/// [`write_dump_v3`].
+/// making dumps self-contained. Still fully loadable.
 pub const DUMP_VERSION_V3: u32 = 3;
 /// The v2 format: frames pass through a back-end codec (self-describing
 /// containers) and the manifest records the codec and the raw vs stored
-/// sizes, but program images are not embedded. Still fully loadable and
-/// writable via [`write_dump_v2`].
+/// sizes, but program images are not embedded. Still fully loadable.
 pub const DUMP_VERSION_V2: u32 = 2;
 /// The original format version: raw frames, each with its own trailing
 /// checksum. Still fully loadable.
@@ -130,70 +135,13 @@ pub const DUMP_VERSION_V1: u32 = 1;
 /// File name of the manifest inside a dump directory.
 pub const MANIFEST_FILE: &str = "manifest.bnd";
 
-/// A writable crash-dump format, selecting which on-disk layout
-/// [`write_dump`]-family writers produce. (v1 is load-only and kept for old
-/// dumps; it is not a writable target here.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DumpFormat {
-    /// Codec-framed logs, no embedded program images ([`DUMP_VERSION_V2`]).
-    V2,
-    /// Self-contained: per-thread embedded images ([`DUMP_VERSION_V3`]).
-    V3,
-    /// Self-contained with content-addressed, deduplicated images
-    /// ([`DUMP_VERSION_V4`]).
-    V4,
-    /// Columnar, delta-encoded log frames — the current default
-    /// ([`DUMP_VERSION`]).
-    #[default]
-    V5,
-}
-
-impl DumpFormat {
-    /// Parses a format name as the CLI spells it (`v2`/`v3`/`v4`/`v5`, bare
-    /// digits accepted).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "v2" | "2" => Some(DumpFormat::V2),
-            "v3" | "3" => Some(DumpFormat::V3),
-            "v4" | "4" => Some(DumpFormat::V4),
-            "v5" | "5" => Some(DumpFormat::V5),
-            _ => None,
-        }
-    }
-
-    /// The manifest version number this format writes.
-    pub fn version(self) -> u32 {
-        match self {
-            DumpFormat::V2 => DUMP_VERSION_V2,
-            DumpFormat::V3 => DUMP_VERSION_V3,
-            DumpFormat::V4 => DUMP_VERSION_V4,
-            DumpFormat::V5 => DUMP_VERSION,
-        }
-    }
-}
-
-impl std::fmt::Display for DumpFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "v{}", self.version())
-    }
-}
-
-/// Everything that varies about writing one crash dump, in one place —
-/// consumed by `Machine::write_crash_dump_with` in the sim crate and
-/// mirrored by the CLI `dump` subcommand. `Default` is the recommended
-/// production shape: current format, the store's own codec, the machine's
-/// embed-image setting.
+/// What varies about writing one crash dump — consumed by
+/// `Machine::write_crash_dump_with` in the sim crate. `Default` is the
+/// recommended production shape: the machine's embed-image setting.
 #[derive(Debug, Clone, Default)]
 pub struct DumpOptions {
-    /// On-disk layout to write.
-    pub format: DumpFormat,
-    /// Codec for the dumped frames. `None` keeps the codec the store sealed
-    /// with (no re-compression); `Some` re-seals the retained window with
-    /// that codec at dump time.
-    pub codec: Option<CodecId>,
-    /// Whether to embed program images (ignored by [`DumpFormat::V2`],
-    /// which has no image sections). `None` keeps the writer's configured
-    /// default.
+    /// Whether to embed program images. `None` keeps the writer's
+    /// configured default.
     pub embed_image: Option<bool>,
 }
 
@@ -808,13 +756,13 @@ impl DumpManifest {
         })
     }
 
+    /// Encodes the manifest in the current (v5) layout; only the writer
+    /// calls it, on a manifest it built with [`DUMP_VERSION`].
     fn encode(&self) -> Vec<u8> {
         let mut w = Vec::with_capacity(256 + self.threads.len() * 64);
         w.extend_from_slice(&MANIFEST_MAGIC);
-        put_u32(&mut w, self.version);
-        if self.version >= 2 {
-            w.push(self.codec.as_u8());
-        }
+        put_u32(&mut w, DUMP_VERSION);
+        w.push(self.codec.as_u8());
         put_u64(&mut w, self.created.0);
         encode_config(&mut w, &self.config);
         put_string(&mut w, &self.workload);
@@ -836,21 +784,15 @@ impl DumpManifest {
             put_u64(&mut w, t.instructions);
             put_u64(&mut w, t.fll_bytes);
             put_u64(&mut w, t.mrl_bytes);
-            if self.version >= 2 {
-                put_u64(&mut w, t.fll_stored_bytes);
-                put_u64(&mut w, t.mrl_stored_bytes);
-            }
-            if self.version >= 3 {
-                if t.has_image {
-                    w.push(1);
-                    if self.version >= 4 {
-                        put_u64(&mut w, t.image_hash.unwrap_or(0));
-                    }
-                    put_u64(&mut w, t.image_raw_bytes);
-                    put_u64(&mut w, t.image_stored_bytes);
-                } else {
-                    w.push(0);
-                }
+            put_u64(&mut w, t.fll_stored_bytes);
+            put_u64(&mut w, t.mrl_stored_bytes);
+            if t.has_image {
+                w.push(1);
+                put_u64(&mut w, t.image_hash.unwrap_or(0));
+                put_u64(&mut w, t.image_raw_bytes);
+                put_u64(&mut w, t.image_stored_bytes);
+            } else {
+                w.push(0);
             }
             for d in &t.digests {
                 put_u64(&mut w, d.hash);
@@ -945,20 +887,21 @@ struct EncodedDump {
 }
 
 /// Writes the retained window of `store` to `dir` as a crash-dump directory
-/// in the current (v5, columnar) format: the sealed columnar frames the
-/// store already holds are written out verbatim, so serial and parallel
-/// flushing produce byte-identical dumps and dump time pays no compression
-/// cost. `image_of`
-/// supplies each thread's program image; threads for which it returns a
-/// program get a codec-compressed, checksummed, content-addressed
-/// `image-<hash>.bni` section (threads running the same binary share one
-/// file), making the dump self-contained for offline replay. Return `None`
-/// to dump a thread without its image (the `embed_image` knob off).
+/// in the current (v5, columnar) format, through `io`. The sealed columnar
+/// frames the store already holds are written out verbatim, so serial and
+/// parallel flushing produce byte-identical dumps and dump time pays no
+/// compression cost. `image_of` supplies each thread's program image;
+/// threads for which it returns a program get a codec-compressed,
+/// checksummed, content-addressed `image-<hash>.bni` section (threads
+/// running the same binary share one file), making the dump self-contained
+/// for offline replay. Return `None` to dump a thread without its image
+/// (the `embed_image` knob off).
 ///
 /// The dump is committed atomically via staging + rename (see
 /// [`commit_atomic`]): `dir` either appears complete or not at all, and an
-/// existing dump at `dir` is replaced. Returns the manifest that was
-/// written.
+/// existing dump at `dir` is replaced. All filesystem traffic goes through
+/// `io` — the fault-injection seam; the encoding itself is pure. Returns
+/// the manifest that was written.
 ///
 /// # Errors
 ///
@@ -971,156 +914,26 @@ pub fn write_dump(
     meta: &DumpMeta,
     store: &LogStore,
     image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-) -> Result<DumpManifest, DumpError> {
-    write_dump_with_io(dir, meta, store, image_of, &mut StdIo::new())
-}
-
-/// [`write_dump`] against an explicit [`DumpIo`] backend — the
-/// fault-injection seam. All filesystem traffic of the commit goes through
-/// `io`; the encoding itself is pure and performs no I/O.
-///
-/// # Errors
-///
-/// As [`write_dump`].
-pub fn write_dump_with_io(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     io: &mut dyn DumpIo,
 ) -> Result<DumpManifest, DumpError> {
-    let encoded = encode_codec_dump(meta, store, DUMP_VERSION, image_of)?;
-    commit_encoded(io, dir, encoded)
-}
-
-/// Writes a dump in the v4 format (row-serialized frames, content-addressed
-/// images, no columnar transform). Retained so the v4 loading path stays
-/// exercised by tests and so old tooling can be handed a compatible dump,
-/// mirroring the earlier version transitions; new dumps should use
-/// [`write_dump`].
-///
-/// # Errors
-///
-/// As [`write_dump`].
-pub fn write_dump_v4(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-) -> Result<DumpManifest, DumpError> {
-    write_dump_v4_with_io(dir, meta, store, image_of, &mut StdIo::new())
-}
-
-/// [`write_dump_v4`] against an explicit [`DumpIo`] backend.
-///
-/// # Errors
-///
-/// As [`write_dump`].
-pub fn write_dump_v4_with_io(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-    io: &mut dyn DumpIo,
-) -> Result<DumpManifest, DumpError> {
-    let encoded = encode_codec_dump(meta, store, DUMP_VERSION_V4, image_of)?;
-    commit_encoded(io, dir, encoded)
-}
-
-/// Writes a dump in the v3 format (per-thread `image-<tid>.bni` files, no
-/// content addressing). Retained so the v3 loading path stays exercised by
-/// tests and so old tooling can be handed a compatible dump, mirroring the
-/// earlier version transitions; new dumps should use [`write_dump`].
-///
-/// # Errors
-///
-/// As [`write_dump`].
-pub fn write_dump_v3(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-) -> Result<DumpManifest, DumpError> {
-    write_dump_v3_with_io(dir, meta, store, image_of, &mut StdIo::new())
-}
-
-/// [`write_dump_v3`] against an explicit [`DumpIo`] backend.
-///
-/// # Errors
-///
-/// As [`write_dump`].
-pub fn write_dump_v3_with_io(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-    io: &mut dyn DumpIo,
-) -> Result<DumpManifest, DumpError> {
-    let encoded = encode_codec_dump(meta, store, DUMP_VERSION_V3, image_of)?;
-    commit_encoded(io, dir, encoded)
-}
-
-/// Writes a dump in the v2 format (codec containers, no embedded program
-/// images). Retained so the v2 loading path stays exercised by tests and so
-/// old tooling can be handed a compatible dump; new dumps should use
-/// [`write_dump`].
-///
-/// # Errors
-///
-/// Returns [`DumpError::Io`] if the commit fails, or
-/// [`DumpError::Inconsistent`] on a mixed-codec store.
-pub fn write_dump_v2(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-) -> Result<DumpManifest, DumpError> {
-    write_dump_v2_with_io(dir, meta, store, &mut StdIo::new())
-}
-
-/// [`write_dump_v2`] against an explicit [`DumpIo`] backend.
-///
-/// # Errors
-///
-/// As [`write_dump_v2`].
-pub fn write_dump_v2_with_io(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-    io: &mut dyn DumpIo,
-) -> Result<DumpManifest, DumpError> {
-    let encoded = encode_codec_dump(meta, store, DUMP_VERSION_V2, |_| None)?;
-    commit_encoded(io, dir, encoded)
-}
-
-/// Commits an encoded dump atomically through `io` and returns its manifest.
-fn commit_encoded(
-    io: &mut dyn DumpIo,
-    dir: &Path,
-    encoded: EncodedDump,
-) -> Result<DumpManifest, DumpError> {
+    let encoded = encode_dump(meta, store, image_of)?;
     commit_atomic(io, dir, &encoded.files)?;
     Ok(encoded.manifest)
 }
 
-/// Shared body of the v2–v5 writers: encodes the whole dump in memory and
-/// performs no I/O. v5 passes the store's sealed columnar frames through
-/// untouched; v2–v4 re-serialize the row layout and re-run the codec at
-/// dump time (sealing is deterministic, so the legacy bytes are identical
-/// to what pre-columnar stores produced — the golden fixtures pin this).
-/// v3+ additionally embeds program images, v4+ content-addresses them so
-/// identical images are stored once.
-fn encode_codec_dump(
+/// The body of [`write_dump`]: encodes the whole dump in memory and
+/// performs no I/O.
+fn encode_dump(
     meta: &DumpMeta,
     store: &LogStore,
-    version: u32,
     mut image_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
 ) -> Result<EncodedDump, DumpError> {
     let codec = store.codec();
     let mut threads = Vec::new();
     let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-    // v4 content addressing: raw-image hash → (file name, raw bytes for the
-    // collision check, raw size, stored size).
-    let mut images_by_hash: Vec<(u64, String, Vec<u8>, u64, u64)> = Vec::new();
+    // Content addressing: raw-image hash → (raw bytes for the collision
+    // check, raw size, stored size).
+    let mut images_by_hash: Vec<(u64, Vec<u8>, u64, u64)> = Vec::new();
     for thread in store.threads() {
         let logs = store.thread_logs(thread);
         let mut fll_file = Vec::new();
@@ -1130,20 +943,8 @@ fn encode_codec_dump(
         let mut fll_stored_bytes = 0u64;
         let mut mrl_stored_bytes = 0u64;
         let mut digests = Vec::with_capacity(logs.len());
-        begin_log_file(
-            &mut fll_file,
-            FLL_FILE_MAGIC,
-            thread,
-            logs.len() as u32,
-            version,
-        );
-        begin_log_file(
-            &mut mrl_file,
-            MRL_FILE_MAGIC,
-            thread,
-            logs.len() as u32,
-            version,
-        );
+        begin_file(&mut fll_file, FLL_FILE_MAGIC, thread, logs.len() as u32);
+        begin_file(&mut mrl_file, MRL_FILE_MAGIC, thread, logs.len() as u32);
         for entry in logs {
             if entry.codec != codec {
                 return Err(DumpError::Inconsistent {
@@ -1156,26 +957,13 @@ fn encode_codec_dump(
             }
             fll_bytes += entry.fll_raw_bytes;
             mrl_bytes += entry.mrl_raw_bytes;
-            if version >= DUMP_VERSION_V5 {
-                fll_stored_bytes += put_frame_v3(&mut fll_file, &entry.fll_frame);
-                mrl_stored_bytes += put_frame_v3(&mut mrl_file, &entry.mrl_frame);
-            } else {
-                let fll_container = encode_container(codec, &entry.fll.to_bytes());
-                let mrl_container = encode_container(codec, &entry.mrl.to_bytes());
-                if version >= 3 {
-                    fll_stored_bytes += put_frame_v3(&mut fll_file, &fll_container);
-                    mrl_stored_bytes += put_frame_v3(&mut mrl_file, &mrl_container);
-                } else {
-                    fll_stored_bytes += put_frame_v2(&mut fll_file, &fll_container);
-                    mrl_stored_bytes += put_frame_v2(&mut mrl_file, &mrl_container);
-                }
-            }
+            fll_stored_bytes += put_frame(&mut fll_file, &entry.fll_frame);
+            mrl_stored_bytes += put_frame(&mut mrl_file, &entry.mrl_frame);
             digests.push(DigestSummary::from(&entry.digest));
         }
-        let image = if version >= 3 { image_of(thread) } else { None };
-        let (has_image, image_raw_bytes, image_stored_bytes, image_hash) = match &image {
+        let (has_image, image_raw_bytes, image_stored_bytes, image_hash) = match image_of(thread) {
             Some(program) => {
-                let raw = encode_image(program);
+                let raw = encode_image(&program);
                 // Trust boundary: never ship an image that does not decode
                 // back to the recorded binary. Programs exceeding the wire
                 // format's sanity bounds (counts, string lengths) would
@@ -1183,13 +971,9 @@ fn encode_codec_dump(
                 // for truncation-collapsed symbol names, a dump that loads
                 // cleanly but replays a subtly different program.
                 let hash = fnv1a(&raw);
-                let file = if version >= 4 {
-                    format!("image-{hash:016x}.bni")
-                } else {
-                    format!("image-{}.bni", thread.0)
-                };
+                let file = format!("image-{hash:016x}.bni");
                 match decode_image(&raw) {
-                    Ok(decoded) if decoded == **program => {}
+                    Ok(decoded) if decoded == *program => {}
                     Ok(_) => {
                         return Err(DumpError::Inconsistent {
                             file,
@@ -1209,46 +993,35 @@ fn encode_codec_dump(
                         })
                     }
                 }
-                if version >= 4 {
-                    if let Some((_, _, seen_raw, raw_len, stored)) =
-                        images_by_hash.iter().find(|(h, ..)| *h == hash)
-                    {
-                        // Same hash must mean same bytes: FNV is not
-                        // collision-resistant, and silently aliasing two
-                        // different binaries would replay the wrong program.
-                        if seen_raw != &raw {
-                            return Err(DumpError::Inconsistent {
-                                file,
-                                detail: format!(
-                                    "image hash {hash:#018x} collides across different \
-                                     program images"
-                                ),
-                            });
-                        }
-                        (true, *raw_len, *stored, Some(hash))
-                    } else {
-                        let container = encode_container(codec, &raw);
-                        let mut image_file = Vec::with_capacity(16 + 12 + container.len());
-                        // One frame behind the same header framing as the
-                        // log files; the header's thread id is the first
-                        // thread that embedded this image.
-                        begin_log_file(&mut image_file, IMAGE_FILE_MAGIC, thread, 1, version);
-                        let stored = put_frame_v3(&mut image_file, &container);
-                        let raw_len = raw.len() as u64;
-                        files.push((file.clone(), image_file));
-                        images_by_hash.push((hash, file, raw, raw_len, stored));
-                        (true, raw_len, stored, Some(hash))
+                if let Some((_, seen_raw, raw_len, stored)) =
+                    images_by_hash.iter().find(|(h, ..)| *h == hash)
+                {
+                    // Same hash must mean same bytes: FNV is not
+                    // collision-resistant, and silently aliasing two
+                    // different binaries would replay the wrong program.
+                    if seen_raw != &raw {
+                        return Err(DumpError::Inconsistent {
+                            file,
+                            detail: format!(
+                                "image hash {hash:#018x} collides across different \
+                                 program images"
+                            ),
+                        });
                     }
+                    (true, *raw_len, *stored, Some(hash))
                 } else {
                     let container = encode_container(codec, &raw);
                     let mut image_file = Vec::with_capacity(16 + 12 + container.len());
-                    // The image is one frame behind the same header framing
-                    // as the log files, so the frame-count cross-check
-                    // covers it.
-                    begin_log_file(&mut image_file, IMAGE_FILE_MAGIC, thread, 1, version);
-                    let stored = put_frame_v3(&mut image_file, &container);
+                    // One frame behind the same header framing as the log
+                    // files, so the frame-count cross-check covers it; the
+                    // header's thread id is the first thread that embedded
+                    // this image.
+                    begin_file(&mut image_file, IMAGE_FILE_MAGIC, thread, 1);
+                    let stored = put_frame(&mut image_file, &container);
+                    let raw_len = raw.len() as u64;
                     files.push((file, image_file));
-                    (true, raw.len() as u64, stored, None)
+                    images_by_hash.push((hash, raw, raw_len, stored));
+                    (true, raw_len, stored, Some(hash))
                 }
             }
             None => (false, 0, 0, None),
@@ -1272,7 +1045,7 @@ fn encode_codec_dump(
         threads.push(t);
     }
     let manifest = DumpManifest {
-        version,
+        version: DUMP_VERSION,
         codec,
         created: meta.created,
         workload: meta.workload.clone(),
@@ -1286,128 +1059,33 @@ fn encode_codec_dump(
     Ok(EncodedDump { manifest, files })
 }
 
-/// Writes a dump in the legacy v1 format (raw frames, per-frame checksums,
-/// no codec layer). Retained so the v1 loading path stays exercised by
-/// tests and so old tooling can be handed a compatible dump; new dumps
-/// should use [`write_dump`].
-///
-/// # Errors
-///
-/// Returns [`DumpError::Io`] if the commit fails.
-pub fn write_dump_v1(
-    dir: &Path,
-    meta: &DumpMeta,
-    store: &LogStore,
-) -> Result<DumpManifest, DumpError> {
-    let mut threads = Vec::new();
-    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-    for thread in store.threads() {
-        let logs = store.thread_logs(thread);
-        let mut fll_file = Vec::new();
-        let mut mrl_file = Vec::new();
-        let mut fll_bytes = 0u64;
-        let mut mrl_bytes = 0u64;
-        let mut digests = Vec::with_capacity(logs.len());
-        begin_log_file(
-            &mut fll_file,
-            FLL_FILE_MAGIC,
-            thread,
-            logs.len() as u32,
-            DUMP_VERSION_V1,
-        );
-        begin_log_file(
-            &mut mrl_file,
-            MRL_FILE_MAGIC,
-            thread,
-            logs.len() as u32,
-            DUMP_VERSION_V1,
-        );
-        for entry in logs {
-            fll_bytes += put_frame_v1(&mut fll_file, &entry.fll.to_bytes());
-            mrl_bytes += put_frame_v1(&mut mrl_file, &entry.mrl.to_bytes());
-            digests.push(DigestSummary::from(&entry.digest));
-        }
-        let t = ThreadManifest {
-            thread,
-            checkpoints: logs.len() as u32,
-            instructions: store.replay_window(thread),
-            fll_bytes,
-            mrl_bytes,
-            fll_stored_bytes: fll_bytes,
-            mrl_stored_bytes: mrl_bytes,
-            has_image: false,
-            image_raw_bytes: 0,
-            image_stored_bytes: 0,
-            image_hash: None,
-            digests,
-        };
-        files.push((t.fll_file(), fll_file));
-        files.push((t.mrl_file(), mrl_file));
-        threads.push(t);
-    }
-    let manifest = DumpManifest {
-        version: DUMP_VERSION_V1,
-        codec: CodecId::Identity,
-        created: meta.created,
-        workload: meta.workload.clone(),
-        config: meta.config.clone(),
-        fault: meta.fault.clone(),
-        evicted_checkpoints: meta.evicted_checkpoints,
-        threads,
-        telemetry: meta.telemetry.clone(),
-    };
-    files.insert(0, (MANIFEST_FILE.to_string(), manifest.encode()));
-    commit_encoded(&mut StdIo::new(), dir, EncodedDump { manifest, files })
-}
-
-fn begin_log_file(w: &mut Vec<u8>, magic: [u8; 4], thread: ThreadId, frames: u32, version: u32) {
+/// Opens a log or image file: magic, format version, thread id and the
+/// number of frames that follow.
+fn begin_file(w: &mut Vec<u8>, magic: [u8; 4], thread: ThreadId, frames: u32) {
     w.extend_from_slice(&magic);
-    put_u32(w, version);
+    put_u32(w, DUMP_VERSION);
     put_u32(w, thread.0);
     put_u32(w, frames);
 }
 
-/// Appends one v1 frame (length prefix, raw payload, trailing checksum);
-/// returns the payload size.
-fn put_frame_v1(w: &mut Vec<u8>, payload: &[u8]) -> u64 {
-    put_u32(w, payload.len() as u32);
-    w.extend_from_slice(payload);
-    put_u64(w, fnv1a(payload));
-    payload.len() as u64
-}
-
-/// Appends one v2 frame (length prefix + self-describing container); returns
-/// the stored (container) size.
-fn put_frame_v2(w: &mut Vec<u8>, container: &[u8]) -> u64 {
-    put_u32(w, container.len() as u32);
-    w.extend_from_slice(container);
-    container.len() as u64
-}
-
-/// Appends one v3 frame: like v2 plus a trailing FNV-1a checksum over the
-/// *stored* container bytes. The container's own checksum covers the raw
+/// Appends one frame: a length prefix, the stored bytes (a codec container,
+/// or a v5 log frame's columnar blob) and a trailing FNV-1a checksum over
+/// those stored bytes. A container's own checksum covers only its raw
 /// payload, which leaves a hole: LZ streams are redundant, so two different
 /// encoded byte sequences can decompress to identical raw bytes — a bit
 /// flip in the encoded region could go unnoticed. The stored-bytes checksum
-/// closes it: every byte of a v3 frame is now integrity-covered. Returns
-/// the stored (container) size; the trailer is framing overhead, counted
-/// like the length prefix (i.e. not at all).
-fn put_frame_v3(w: &mut Vec<u8>, container: &[u8]) -> u64 {
-    put_u32(w, container.len() as u32);
-    w.extend_from_slice(container);
-    put_u64(w, fnv1a(container));
-    container.len() as u64
+/// (since v3) closes it: every byte of a frame is integrity-covered.
+/// Returns the stored size; the trailer is framing overhead, counted like
+/// the length prefix (i.e. not at all).
+fn put_frame(w: &mut Vec<u8>, stored: &[u8]) -> u64 {
+    put_u32(w, stored.len() as u32);
+    w.extend_from_slice(stored);
+    put_u64(w, fnv1a(stored));
+    stored.len() as u64
 }
 
-/// Payloads and size accounting decoded from one per-thread log file.
-struct LogFileContents {
-    /// Raw (decompressed) frame payloads, in frame order.
-    payloads: Vec<Vec<u8>>,
-    /// Total stored frame bytes (container sizes in v2, payload sizes in v1).
-    stored_bytes: u64,
-}
-
-/// Reads one v1 frame at the reader's position.
+/// Reads one v1 frame at the reader's position: a length prefix, the raw
+/// payload and an FNV-1a checksum over it.
 fn read_frame_v1(r: &mut ByteReader<'_>, file: &str, index: u32) -> Result<Vec<u8>, DumpError> {
     let truncated = || DumpError::Truncated { file: file.into() };
     let len = r.u32().ok_or_else(truncated)? as usize;
@@ -1425,28 +1103,9 @@ fn read_frame_v1(r: &mut ByteReader<'_>, file: &str, index: u32) -> Result<Vec<u
     Ok(payload)
 }
 
-/// Reads one v2 frame (length-prefixed container) at the reader's position;
+/// Reads one length-prefixed codec container at the reader's position —
+/// followed, since v3, by the stored-bytes checksum of [`put_frame`] — and
 /// returns the decompressed payload and the stored container size.
-fn read_frame_v2(
-    r: &mut ByteReader<'_>,
-    file: &str,
-    index: u32,
-    manifest_codec: CodecId,
-) -> Result<(Vec<u8>, u64), DumpError> {
-    read_codec_frame(r, file, index, manifest_codec, false)
-}
-
-/// Reads one v3 frame: a v2 frame followed by an FNV-1a checksum over the
-/// stored container bytes (see [`put_frame_v3`]).
-fn read_frame_v3(
-    r: &mut ByteReader<'_>,
-    file: &str,
-    index: u32,
-    manifest_codec: CodecId,
-) -> Result<(Vec<u8>, u64), DumpError> {
-    read_codec_frame(r, file, index, manifest_codec, true)
-}
-
 fn read_codec_frame(
     r: &mut ByteReader<'_>,
     file: &str,
@@ -1483,14 +1142,14 @@ fn read_codec_frame(
     Ok((payload, len as u64))
 }
 
-/// Reads one v5 frame: the outer framing of [`put_frame_v3`] (length
+/// Reads one v5 log frame: the outer framing of [`put_frame`] (length
 /// prefix, payload, FNV-1a checksum over the stored bytes), but the payload
 /// is a columnar multi-stream blob carried *verbatim* — each per-field
-/// stream stays inside its own codec container until [`CrashDump::load`]
-/// joins the streams back into a log. This validates the framing, the
-/// stored-bytes checksum, the blob's structure, and that every stream was
-/// encoded with the manifest's codec; per-stream payload checksums are
-/// verified when the streams are decoded.
+/// stream stays inside its own codec container until the walk joins the
+/// streams back into a log. This validates the framing, the stored-bytes
+/// checksum, the blob's structure, and that every stream was encoded with
+/// the manifest's codec; per-stream payload checksums are verified when
+/// the streams are decoded.
 fn read_frame_v5(
     r: &mut ByteReader<'_>,
     file: &str,
@@ -1586,105 +1245,29 @@ fn frame_error(file: &str, index: u32, e: FrameError) -> DumpError {
     }
 }
 
-/// Reads the frames of one per-thread log file, validating its header, every
-/// frame (checksums in v1, containers in v2+, columnar blobs in v5 log
-/// files), that the file ends exactly after the last frame, and that the
-/// frame count matches the manifest even when extra well-formed frames were
-/// appended. The same framing carries the FLL/MRL checkpoint frames
-/// (`expect_frames` = the manifest's checkpoint count) and the v3+ program
-/// image (`expect_frames` = 1). `columnar` selects the v5 columnar frame
-/// payload; it is set for v5 FLL/MRL files only — image files keep the
-/// single-container layout in every version.
-#[allow(clippy::too_many_arguments)]
-fn read_log_file(
-    dir: &Path,
+/// Reads one frame in the framing of format `version`; `columnar` selects
+/// the v5 log-frame payload (image files keep the single-container layout
+/// in every version). Returns the payload and its stored size.
+fn read_frame(
+    r: &mut ByteReader<'_>,
     file: &str,
-    magic: [u8; 4],
+    index: u32,
     version: u32,
     codec: CodecId,
-    thread: ThreadId,
-    expect_frames: u32,
     columnar: bool,
-) -> Result<LogFileContents, DumpError> {
-    let path = dir.join(file);
-    let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let truncated = || DumpError::Truncated { file: file.into() };
-    let mut r = ByteReader::new(&bytes);
-    if r.take(4).ok_or_else(truncated)? != magic {
-        return Err(DumpError::BadMagic { file: file.into() });
+) -> Result<(Vec<u8>, u64), DumpError> {
+    if columnar {
+        read_frame_v5(r, file, index, codec)
+    } else if version >= DUMP_VERSION_V2 {
+        read_codec_frame(r, file, index, codec, version >= DUMP_VERSION_V3)
+    } else {
+        let payload = read_frame_v1(r, file, index)?;
+        let stored = payload.len() as u64;
+        Ok((payload, stored))
     }
-    let file_version = r.u32().ok_or_else(truncated)?;
-    if !(DUMP_VERSION_V1..=DUMP_VERSION).contains(&file_version) {
-        return Err(DumpError::UnsupportedVersion {
-            file: file.into(),
-            version: file_version,
-        });
-    }
-    if file_version != version {
-        return Err(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("file is format v{file_version}, manifest declares v{version}"),
-        });
-    }
-    let file_thread = ThreadId(r.u32().ok_or_else(truncated)?);
-    if file_thread != thread {
-        return Err(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("file claims {file_thread}, manifest expects {thread}"),
-        });
-    }
-    let frames = r.u32().ok_or_else(truncated)?;
-    if frames != expect_frames {
-        return Err(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("file holds {frames} frames, manifest expects {expect_frames}"),
-        });
-    }
-    let mut payloads = Vec::with_capacity(frames as usize);
-    let mut stored_bytes = 0u64;
-    for i in 0..frames {
-        if columnar {
-            let (payload, stored) = read_frame_v5(&mut r, file, i, codec)?;
-            payloads.push(payload);
-            stored_bytes += stored;
-        } else if file_version >= 3 {
-            let (payload, stored) = read_frame_v3(&mut r, file, i, codec)?;
-            payloads.push(payload);
-            stored_bytes += stored;
-        } else if file_version == 2 {
-            let (payload, stored) = read_frame_v2(&mut r, file, i, codec)?;
-            payloads.push(payload);
-            stored_bytes += stored;
-        } else {
-            let payload = read_frame_v1(&mut r, file, i)?;
-            stored_bytes += payload.len() as u64;
-            payloads.push(payload);
-        }
-    }
-    if !r.is_exhausted() {
-        // Distinguish "garbage after the content" from the sneakier forgery
-        // where whole well-formed frames were appended (of either framing
-        // generation): the manifest's frame count must match the frames
-        // actually present even when the extras checksum cleanly.
-        let extra = count_clean_extra_frames(&mut r, file, codec);
-        if extra > 0 {
-            return Err(DumpError::Inconsistent {
-                file: file.into(),
-                detail: format!(
-                    "file holds {} well-formed frame(s), manifest declares {frames}",
-                    u64::from(frames) + extra
-                ),
-            });
-        }
-        return Err(DumpError::TrailingBytes { file: file.into() });
-    }
-    Ok(LogFileContents {
-        payloads,
-        stored_bytes,
-    })
 }
 
-/// Counts well-formed frames (of either framing generation) remaining after
+/// Counts well-formed frames (of any framing generation) remaining after
 /// the declared content, for the frame-count consistency diagnostic.
 fn count_clean_extra_frames(r: &mut ByteReader<'_>, file: &str, codec: CodecId) -> u64 {
     let mut extra = 0u64;
@@ -1699,13 +1282,13 @@ fn count_clean_extra_frames(r: &mut ByteReader<'_>, file: &str, codec: CodecId) 
             continue;
         }
         let mut v3 = *r;
-        if read_frame_v3(&mut v3, file, 0, codec).is_ok() {
+        if read_codec_frame(&mut v3, file, 0, codec, true).is_ok() {
             *r = v3;
             extra += 1;
             continue;
         }
         let mut v2 = *r;
-        if read_frame_v2(&mut v2, file, 0, codec).is_ok() {
+        if read_codec_frame(&mut v2, file, 0, codec, false).is_ok() {
             *r = v2;
             extra += 1;
             continue;
@@ -1723,231 +1306,76 @@ fn count_clean_extra_frames(r: &mut ByteReader<'_>, file: &str, codec: CodecId) 
 }
 
 impl CrashDump {
-    /// Loads a complete crash dump from `dir`, validating checksums, bounds,
-    /// manifest/file consistency and FLL/MRL pairing, and decoding every log.
+    /// Loads a complete crash dump from `dir`: the walk, then a verdict. A
+    /// dump loads only when the walk found no damage at all and what it
+    /// recovered — instruction counts, raw and stored byte totals, image
+    /// sizes — is exactly what the manifest declares.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`DumpError`] describing the first problem found.
+    /// Returns a typed [`DumpError`] describing the first problem found,
+    /// thread by thread: damage in the order the files are read (FLL, MRL,
+    /// image, then decoding and pairing), then a declared value the
+    /// recovered content contradicts.
     pub fn load(dir: &Path) -> Result<Self, DumpError> {
-        let manifest = DumpManifest::load(dir)?;
-        let mut threads = Vec::with_capacity(manifest.threads.len());
-        // v4 content addressing: threads running the same binary share one
-        // image file. The file's header names the first thread that
-        // embedded it, and the decoded program is shared across threads.
-        let mut image_cache: Vec<(String, Arc<Program>, u64, u64)> = Vec::new();
-        let image_owner = |file: &str| {
-            manifest
-                .threads
-                .iter()
-                .find(|t| t.has_image && t.image_file() == file)
-                .map(|t| t.thread)
-        };
-        for t in &manifest.threads {
-            let fll_file = t.fll_file();
-            let mrl_file = t.mrl_file();
-            let columnar = manifest.version >= DUMP_VERSION_V5;
-            let fll = read_log_file(
-                dir,
-                &fll_file,
-                FLL_FILE_MAGIC,
-                manifest.version,
-                manifest.codec,
-                t.thread,
-                t.checkpoints,
-                columnar,
-            )?;
-            let mrl = read_log_file(
-                dir,
-                &mrl_file,
-                MRL_FILE_MAGIC,
-                manifest.version,
-                manifest.codec,
-                t.thread,
-                t.checkpoints,
-                columnar,
-            )?;
-            let fll_frames = fll.payloads;
-            let mrl_frames = mrl.payloads;
-            if !columnar {
-                // v5 manifests keep declaring *row-serialized* raw sizes
-                // while the frame payloads are columnar blobs; the row-size
-                // cross-check happens after the logs are decoded below.
-                check_payload_total(&fll_file, &fll_frames, t.fll_bytes)?;
-                check_payload_total(&mrl_file, &mrl_frames, t.mrl_bytes)?;
-            }
-            check_stored_total(&fll_file, fll.stored_bytes, t.fll_stored_bytes)?;
-            check_stored_total(&mrl_file, mrl.stored_bytes, t.mrl_stored_bytes)?;
-            let image = if t.has_image {
-                let image_file = t.image_file();
-                if let Some((_, program, raw_bytes, stored_bytes)) =
-                    image_cache.iter().find(|(f, ..)| *f == image_file)
-                {
-                    // Another thread already loaded this content-addressed
-                    // file; the manifest entries sharing it must agree on
-                    // its sizes.
-                    if t.image_raw_bytes != *raw_bytes || t.image_stored_bytes != *stored_bytes {
-                        return Err(DumpError::Inconsistent {
-                            file: image_file,
-                            detail: format!(
-                                "threads sharing this image declare different sizes \
-                                 ({}/{} vs {raw_bytes}/{stored_bytes})",
-                                t.image_raw_bytes, t.image_stored_bytes
-                            ),
-                        });
-                    }
-                    Some(Arc::clone(program))
-                } else {
-                    // The file's header names the thread that first embedded
-                    // it (== this thread in v3, possibly an earlier one in
-                    // v4).
-                    let owner = image_owner(&image_file).unwrap_or(t.thread);
-                    let contents = read_log_file(
-                        dir,
-                        &image_file,
-                        IMAGE_FILE_MAGIC,
-                        manifest.version,
-                        manifest.codec,
-                        owner,
-                        1,
-                        false,
-                    )?;
-                    check_payload_total(&image_file, &contents.payloads, t.image_raw_bytes)?;
-                    check_stored_total(&image_file, contents.stored_bytes, t.image_stored_bytes)?;
-                    let raw = &contents.payloads[0];
-                    if let Some(expected) = t.image_hash {
-                        let actual = fnv1a(raw);
-                        if actual != expected {
-                            return Err(DumpError::ChecksumMismatch {
-                                file: image_file,
-                                frame: Some(0),
-                                expected,
-                                actual,
-                            });
-                        }
-                    }
-                    let program = decode_image(raw).map_err(|e| DumpError::CorruptLog {
-                        file: image_file.clone(),
-                        frame: 0,
-                        detail: format!("program image failed to decode: {e}"),
-                    })?;
-                    let program = Arc::new(program);
-                    image_cache.push((
-                        image_file,
-                        Arc::clone(&program),
-                        t.image_raw_bytes,
-                        t.image_stored_bytes,
-                    ));
-                    Some(program)
-                }
+        let Walk {
+            manifest,
+            threads,
+            mut images,
+        } = walk(dir)?;
+        let columnar = manifest.version >= DUMP_VERSION_V5;
+        let mut dumps = Vec::with_capacity(threads.len());
+        for (t, w) in manifest.threads.iter().zip(threads) {
+            let mut image = if t.has_image {
+                let file = t.image_file();
+                images.iter_mut().find(|i| i.account.file == file)
             } else {
                 None
             };
-            let mut checkpoints = Vec::with_capacity(fll_frames.len());
-            let mut instructions = 0u64;
-            let (mut fll_row_bytes, mut mrl_row_bytes) = (0u64, 0u64);
-            for (i, (fll_bytes, mrl_bytes)) in fll_frames.iter().zip(&mrl_frames).enumerate() {
-                let fll = if columnar {
-                    decode_fll_columnar(fll_bytes)
-                        .map_err(|e| columnar_log_error(&fll_file, i as u32, e))?
-                } else {
-                    FirstLoadLog::from_bytes(fll_bytes).map_err(|e| DumpError::CorruptLog {
-                        file: fll_file.clone(),
-                        frame: i as u32,
-                        detail: e.to_string(),
-                    })?
-                };
-                let mrl = if columnar {
-                    decode_mrl_columnar(mrl_bytes)
-                        .map_err(|e| columnar_log_error(&mrl_file, i as u32, e))?
-                } else {
-                    MemoryRaceLog::from_bytes(mrl_bytes).ok_or_else(|| DumpError::CorruptLog {
-                        file: mrl_file.clone(),
-                        frame: i as u32,
-                        detail: "memory race log failed to decode".into(),
-                    })?
-                };
-                fll_row_bytes += fll.serialized_len();
-                mrl_row_bytes += mrl.serialized_len();
-                if fll.header.thread != t.thread {
-                    return Err(DumpError::Inconsistent {
-                        file: fll_file.clone(),
-                        detail: format!(
-                            "frame {i} belongs to {}, expected {}",
-                            fll.header.thread, t.thread
-                        ),
-                    });
-                }
-                if mrl.header.checkpoint != fll.header.checkpoint
-                    || mrl.header.thread != fll.header.thread
-                {
-                    return Err(DumpError::Inconsistent {
-                        file: mrl_file.clone(),
-                        detail: format!(
-                            "frame {i} pairs {} {} with FLL {} {}",
-                            mrl.header.thread,
-                            mrl.header.checkpoint,
-                            fll.header.thread,
-                            fll.header.checkpoint
-                        ),
-                    });
-                }
-                // Checked: frames are attacker-controlled (FNV is not a MAC),
-                // and an overflowing sum must not panic or wrap past the
-                // manifest cross-check below.
-                instructions = instructions.checked_add(fll.instructions).ok_or_else(|| {
-                    DumpError::Inconsistent {
-                        file: fll_file.clone(),
-                        detail: "declared per-interval instruction counts overflow".into(),
-                    }
-                })?;
-                checkpoints.push(DumpedCheckpoint {
-                    fll,
-                    mrl,
-                    digest: t.digests[i],
-                });
+            let image_cause = image.as_mut().and_then(|i| {
+                let stop = i.stop.take().map(|s| s.cause);
+                i.account.cause.take().or(stop)
+            });
+            let stop = w.stop.map(|(_, s)| s.cause);
+            if let Some(cause) = w.fll.cause.or(w.mrl.cause).or(image_cause).or(stop) {
+                return Err(cause);
             }
-            if instructions != t.instructions {
-                return Err(DumpError::Inconsistent {
-                    file: fll_file.clone(),
-                    detail: format!(
-                        "logs cover {instructions} instructions, manifest declares {}",
-                        t.instructions
-                    ),
-                });
+            let (fll, mrl, r) = (&w.fll.file, &w.mrl.file, &w.recovered);
+            let raw_totals = || {
+                check_declared(fll, "raw bytes", r.fll_bytes, t.fll_bytes)?;
+                check_declared(mrl, "raw bytes", r.mrl_bytes, t.mrl_bytes)
+            };
+            if !columnar {
+                raw_totals()?;
             }
+            check_declared(fll, "stored bytes", r.fll_stored_bytes, t.fll_stored_bytes)?;
+            check_declared(mrl, "stored bytes", r.mrl_stored_bytes, t.mrl_stored_bytes)?;
+            if let Some(ImageWalk {
+                account,
+                sizes: Some((raw, stored)),
+                ..
+            }) = image.as_deref()
+            {
+                // Every thread sharing a content-addressed file must declare
+                // its sizes.
+                let file = &account.file;
+                check_declared(file, "image raw bytes", *raw, t.image_raw_bytes)?;
+                check_declared(file, "image stored bytes", *stored, t.image_stored_bytes)?;
+            }
+            check_declared(fll, "instructions", r.instructions, t.instructions)?;
             if columnar {
-                // The columnar payload check deferred from above: the
-                // manifest's raw sizes are row-serialized semantics, so they
-                // are validated against the decoded logs, not the blobs.
-                if fll_row_bytes != t.fll_bytes {
-                    return Err(DumpError::Inconsistent {
-                        file: fll_file.clone(),
-                        detail: format!(
-                            "decoded logs re-serialize to {fll_row_bytes} bytes, manifest \
-                             declares {}",
-                            t.fll_bytes
-                        ),
-                    });
-                }
-                if mrl_row_bytes != t.mrl_bytes {
-                    return Err(DumpError::Inconsistent {
-                        file: mrl_file.clone(),
-                        detail: format!(
-                            "decoded logs re-serialize to {mrl_row_bytes} bytes, manifest \
-                             declares {}",
-                            t.mrl_bytes
-                        ),
-                    });
-                }
+                raw_totals()?;
             }
-            threads.push(ThreadDump {
+            dumps.push(ThreadDump {
                 thread: t.thread,
-                image,
-                checkpoints,
+                image: w.image,
+                checkpoints: w.checkpoints,
             });
         }
-        Ok(CrashDump { manifest, threads })
+        Ok(CrashDump {
+            manifest,
+            threads: dumps,
+        })
     }
 
     /// The logs of one thread, if retained in the dump.
@@ -1979,14 +1407,14 @@ impl CrashDump {
     /// replayed at all (corrupt stream, bad initial state, divergent length).
     pub fn replay(
         &self,
-        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+        fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(
-            |t| t.image.clone().or_else(|| fallback(t.thread)),
-            None,
-            None,
-            None,
-        )
+        self.replay_with(ReplayRequest {
+            programs: ProgramSource::Embedded(fallback),
+            from: None,
+            stats: None,
+            tracer: None,
+        })
     }
 
     /// Checkpoint-seeking time travel: like [`replay`](CrashDump::replay),
@@ -2001,14 +1429,14 @@ impl CrashDump {
     pub fn replay_from(
         &self,
         from: CheckpointId,
-        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+        fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(
-            |t| t.image.clone().or_else(|| fallback(t.thread)),
-            None,
-            Some(from),
-            None,
-        )
+        self.replay_with(ReplayRequest {
+            programs: ProgramSource::Embedded(fallback),
+            from: Some(from),
+            stats: None,
+            tracer: None,
+        })
     }
 
     /// Searches for each thread's first interval whose replayed digest
@@ -2029,12 +1457,13 @@ impl CrashDump {
     /// replayed at all.
     pub fn bisect(
         &self,
-        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+        fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<BisectReport, ReplayError> {
+        let mut programs = ProgramSource::Embedded(fallback);
         let mut report = BisectReport::default();
         for t in &self.threads {
             report.intervals += t.checkpoints.len() as u64;
-            let Some(program) = t.image.clone().or_else(|| fallback(t.thread)) else {
+            let Some(program) = programs.resolve(t) else {
                 report.unreplayable_threads.push(t.thread);
                 continue;
             };
@@ -2098,103 +1527,28 @@ impl CrashDump {
         Ok(report)
     }
 
-    /// Replays against exactly the supplied program images, ignoring any
-    /// embedded ones — the `--workload` explicit-override path.
+    /// The general replay: resolves each thread's program as
+    /// `request.programs` says, skips the intervals before `request.from`,
+    /// and feeds `request.stats` and `request.tracer` as it goes. Every
+    /// replayed interval is checked against its recorded digest (and
+    /// fault, where one ended it).
     ///
     /// # Errors
     ///
     /// Returns the first [`ReplayError`] from an unreplayable interval.
-    pub fn replay_with(
+    pub fn replay_with<F: FnMut(ThreadId) -> Option<Arc<Program>>>(
         &self,
-        mut program_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+        request: ReplayRequest<'_, F>,
     ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(|t| program_of(t.thread), None, None, None)
-    }
-
-    /// Like [`replay_with`](CrashDump::replay_with), but also feeds replay
-    /// telemetry into `stats` as it goes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ReplayError`] from an unreplayable interval.
-    pub fn replay_with_observed(
-        &self,
-        mut program_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-        stats: &ReplayStats,
-    ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(|t| program_of(t.thread), Some(stats), None, None)
-    }
-
-    /// Like [`replay`](CrashDump::replay), but also feeds replay telemetry
-    /// (interval latency, instruction and digest-comparison counters) into
-    /// `stats` as it goes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ReplayError`] from an unreplayable interval.
-    pub fn replay_observed(
-        &self,
-        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-        stats: &ReplayStats,
-    ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(
-            |t| t.image.clone().or_else(|| fallback(t.thread)),
-            Some(stats),
-            None,
-            None,
-        )
-    }
-
-    /// Like [`replay`](CrashDump::replay), but emits one `interval` span
-    /// (category `replay`, instruction-count arg) per replayed interval
-    /// into `tracer`, plus `digest_mismatch` instants where the replay
-    /// diverges — the timeline twin of
-    /// [`replay_observed`](CrashDump::replay_observed)'s aggregates.
-    /// `stats` may be supplied as well; the two observers are independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ReplayError`] from an unreplayable interval.
-    pub fn replay_traced(
-        &self,
-        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-        stats: Option<&ReplayStats>,
-        tracer: &mut bugnet_trace::ThreadTracer,
-    ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(
-            |t| t.image.clone().or_else(|| fallback(t.thread)),
+        let ReplayRequest {
+            mut programs,
+            from,
             stats,
-            None,
-            Some(tracer),
-        )
-    }
-
-    /// Like [`replay_with`](CrashDump::replay_with), but emits timeline
-    /// events into `tracer` as [`replay_traced`](CrashDump::replay_traced)
-    /// does.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ReplayError`] from an unreplayable interval.
-    pub fn replay_with_traced(
-        &self,
-        mut program_of: impl FnMut(ThreadId) -> Option<Arc<Program>>,
-        stats: Option<&ReplayStats>,
-        tracer: &mut bugnet_trace::ThreadTracer,
-    ) -> Result<DumpReplayReport, ReplayError> {
-        self.replay_inner(|t| program_of(t.thread), stats, None, Some(tracer))
-    }
-
-    fn replay_inner(
-        &self,
-        mut resolve: impl FnMut(&ThreadDump) -> Option<Arc<Program>>,
-        stats: Option<&ReplayStats>,
-        from: Option<CheckpointId>,
-        mut tracer: Option<&mut bugnet_trace::ThreadTracer>,
-    ) -> Result<DumpReplayReport, ReplayError> {
+            mut tracer,
+        } = request;
         let mut report = DumpReplayReport::default();
         for t in &self.threads {
-            let Some(program) = resolve(t) else {
+            let Some(program) = programs.resolve(t) else {
                 report.unreplayable_threads.push(t.thread);
                 continue;
             };
@@ -2249,6 +1603,50 @@ impl CrashDump {
         }
         Ok(report)
     }
+}
+
+/// Where a replay takes each thread's program from (see
+/// [`ReplayRequest::programs`]). Both variants carry a per-thread lookup.
+#[derive(Debug)]
+pub enum ProgramSource<F> {
+    /// The thread's embedded image first; the lookup only for threads
+    /// without one (v1/v2 dumps, or image embedding off) — the registry
+    /// fallback.
+    Embedded(F),
+    /// Exactly the lookup's programs, ignoring embedded images — the
+    /// explicit `--workload` override.
+    Override(F),
+}
+
+impl<F: FnMut(ThreadId) -> Option<Arc<Program>>> ProgramSource<F> {
+    /// The program `thread` replays against; `None` leaves it unreplayable.
+    pub fn resolve(&mut self, thread: &ThreadDump) -> Option<Arc<Program>> {
+        match self {
+            ProgramSource::Embedded(fallback) => {
+                thread.image.clone().or_else(|| fallback(thread.thread))
+            }
+            ProgramSource::Override(program_of) => program_of(thread.thread),
+        }
+    }
+}
+
+/// One replay of a dump, for [`CrashDump::replay_with`]: where the programs
+/// come from, where in the window to start, and what observes it.
+pub struct ReplayRequest<'a, F> {
+    /// Per-thread program resolution.
+    pub programs: ProgramSource<F>,
+    /// Checkpoint-seeking time travel: replay only the intervals whose
+    /// checkpoint id is `from` or later (see
+    /// [`replay_from`](CrashDump::replay_from)); `None` replays the whole
+    /// window.
+    pub from: Option<CheckpointId>,
+    /// Replay telemetry (interval latency, instruction and
+    /// digest-comparison counters) fed as the replay goes.
+    pub stats: Option<&'a ReplayStats>,
+    /// Timeline: one `interval` span (category `replay`, instruction-count
+    /// arg) per replayed interval, plus a `digest_mismatch` instant where
+    /// the replay diverges — the twin of `stats`' aggregates.
+    pub tracer: Option<&'a mut bugnet_trace::ThreadTracer>,
 }
 
 /// Telemetry handles for the dump replay path, registered under the
@@ -2316,27 +1714,6 @@ pub struct BisectDivergence {
     pub checkpoint: CheckpointId,
     /// Index of the interval within the thread's retained window.
     pub index: u32,
-}
-
-fn check_payload_total(file: &str, frames: &[Vec<u8>], declared: u64) -> Result<(), DumpError> {
-    let actual: u64 = frames.iter().map(|f| f.len() as u64).sum();
-    if actual != declared {
-        return Err(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("frames total {actual} payload bytes, manifest declares {declared}"),
-        });
-    }
-    Ok(())
-}
-
-fn check_stored_total(file: &str, actual: u64, declared: u64) -> Result<(), DumpError> {
-    if actual != declared {
-        return Err(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("frames total {actual} stored bytes, manifest declares {declared}"),
-        });
-    }
-    Ok(())
 }
 
 /// Result of replaying one interval out of a dump.
@@ -2524,7 +1901,7 @@ impl CrashDump {
     }
 }
 
-// --- salvage loading ------------------------------------------------------
+// --- salvage accounting ---------------------------------------------------
 
 /// What salvage recovered from (and lost in) one dump file.
 #[derive(Debug)]
@@ -2551,6 +1928,23 @@ impl FileSalvage {
     /// Whether the file was fully intact.
     pub fn is_clean(&self) -> bool {
         self.cause.is_none() && self.lost_frames() == 0
+    }
+
+    /// Records damage at `offset`, unless earlier damage is recorded already.
+    fn damage(&mut self, cause: DumpError, offset: u64) {
+        if self.cause.is_none() {
+            self.cause = Some(cause);
+            self.first_bad_offset = Some(offset);
+        }
+    }
+
+    /// Ends recovery at a frame that read intact but could not be used:
+    /// `intact` frames precede it, and it is earlier damage than whatever
+    /// the byte-level read of the file found.
+    fn stop_at(&mut self, intact: u32, stop: Stop) {
+        self.intact_frames = intact;
+        self.first_bad_offset = Some(stop.offset);
+        self.cause = Some(stop.cause);
     }
 }
 
@@ -2598,161 +1992,446 @@ pub struct SalvagedDump {
     pub report: SalvageReport,
 }
 
-/// One leniently-parsed frame: its decompressed payload, stored size and
-/// start offset in the file.
-struct SalvagedFrame {
+// --- the walk: the one reader behind load and salvage -------------------
+
+/// A frame that read intact: its payload (decompressed, or a v5 log
+/// frame's columnar blob), stored size and start offset in its file.
+struct WalkedFrame {
     payload: Vec<u8>,
     stored: u64,
     offset: u64,
 }
 
-/// Lenient parse of one log file: every leading frame that validates, plus
-/// where and why parsing stopped.
-struct SalvagedFile {
-    frames: Vec<SalvagedFrame>,
-    first_bad_offset: Option<u64>,
-    cause: Option<DumpError>,
+/// Damage inside a frame that read intact — it failed to decode, to pair,
+/// or to match its image hash: the frame's offset and the typed cause.
+struct Stop {
+    offset: u64,
+    cause: DumpError,
 }
 
-impl SalvagedFile {
-    fn empty(cause: DumpError, offset: Option<u64>) -> Self {
-        SalvagedFile {
-            frames: Vec::new(),
-            first_bad_offset: offset,
-            cause: Some(cause),
-        }
-    }
+/// What the walk recovered from one thread's log files.
+struct ThreadWalk {
+    /// How much of the FLL file read intact, and the first damage in it.
+    fll: FileSalvage,
+    /// The same for the MRL file.
+    mrl: FileSalvage,
+    /// The first intact frame pair that failed to decode or pair, and
+    /// whether its MRL frame (rather than its FLL frame) is at fault.
+    stop: Option<(bool, Stop)>,
+    /// The manifest entry of what was recovered: counts, byte totals,
+    /// digests and image presence of the intact intervals.
+    recovered: ThreadManifest,
+    /// The intact intervals, oldest first.
+    checkpoints: Vec<DumpedCheckpoint>,
+    /// The thread's program image, when its file validated.
+    image: Option<Arc<Program>>,
 }
 
-/// Reads as many leading frames of a log file as validate, instead of
-/// rejecting the file on the first problem like [`read_log_file`]. Frame
-/// integrity relies on the same per-frame checksums the strict path uses;
-/// nothing that fails a checksum is ever recovered.
-#[allow(clippy::too_many_arguments)]
-fn salvage_log_file(
-    dir: &Path,
+/// What the walk recovered from one image file, read once however many
+/// threads share it.
+struct ImageWalk {
+    /// The first thread that embeds it (named in the file header).
+    owner: ThreadId,
+    /// How much of the file read intact, and the first damage in it.
+    account: FileSalvage,
+    /// Raw and stored size of the image frame, when it read intact.
+    sizes: Option<(u64, u64)>,
+    /// The frame read intact but failed its hash or did not decode.
+    stop: Option<Stop>,
+    program: Option<Arc<Program>>,
+}
+
+/// One pass over a dump directory.
+struct Walk {
+    manifest: DumpManifest,
+    threads: Vec<ThreadWalk>,
+    images: Vec<ImageWalk>,
+}
+
+/// Validates a log or image file header — magic, version, thread id — and
+/// returns the frame count it declares, or the damage and its offset.
+fn read_header(
+    r: &mut ByteReader<'_>,
     file: &str,
     magic: [u8; 4],
     version: u32,
-    codec: CodecId,
     thread: ThreadId,
-    expect_frames: u32,
-    columnar: bool,
-) -> SalvagedFile {
-    let path = dir.join(file);
-    let bytes = match fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(e) => return SalvagedFile::empty(io_err(&path, e), None),
-    };
-    let mut r = ByteReader::new(&bytes);
-    let truncated = || DumpError::Truncated { file: file.into() };
-    match r.take(4) {
-        Some(m) if m == magic => {}
-        Some(_) => return SalvagedFile::empty(DumpError::BadMagic { file: file.into() }, Some(0)),
-        None => return SalvagedFile::empty(truncated(), Some(0)),
-    }
-    let Some(file_version) = r.u32() else {
-        return SalvagedFile::empty(truncated(), Some(r.position()));
-    };
-    if !(DUMP_VERSION_V1..=DUMP_VERSION).contains(&file_version) {
-        return SalvagedFile::empty(
-            DumpError::UnsupportedVersion {
+) -> Result<u32, (DumpError, u64)> {
+    let truncated = |at| (DumpError::Truncated { file: file.into() }, at);
+    let inconsistent = |detail, at| {
+        (
+            DumpError::Inconsistent {
                 file: file.into(),
-                version: file_version,
+                detail,
             },
-            Some(4),
-        );
+            at,
+        )
+    };
+    if r.take(4).ok_or_else(|| truncated(0))? != magic {
+        return Err((DumpError::BadMagic { file: file.into() }, 0));
+    }
+    let file_version = r.u32().ok_or_else(|| truncated(4))?;
+    if !(DUMP_VERSION_V1..=DUMP_VERSION).contains(&file_version) {
+        let e = DumpError::UnsupportedVersion {
+            file: file.into(),
+            version: file_version,
+        };
+        return Err((e, 4));
     }
     if file_version != version {
-        return SalvagedFile::empty(
-            DumpError::Inconsistent {
-                file: file.into(),
-                detail: format!("file is format v{file_version}, manifest declares v{version}"),
-            },
-            Some(4),
-        );
+        let detail = format!("file is format v{file_version}, manifest declares v{version}");
+        return Err(inconsistent(detail, 4));
     }
-    let Some(file_thread) = r.u32() else {
-        return SalvagedFile::empty(truncated(), Some(r.position()));
-    };
-    if ThreadId(file_thread) != thread {
-        return SalvagedFile::empty(
-            DumpError::Inconsistent {
-                file: file.into(),
-                detail: format!("file claims thread {file_thread}, manifest expects {thread}"),
-            },
-            Some(8),
-        );
+    let file_thread = ThreadId(r.u32().ok_or_else(|| truncated(8))?);
+    if file_thread != thread {
+        let detail = format!("file claims {file_thread}, manifest expects {thread}");
+        return Err(inconsistent(detail, 8));
     }
-    let Some(file_frames) = r.u32() else {
-        return SalvagedFile::empty(truncated(), Some(r.position()));
+    r.u32().ok_or_else(|| truncated(12))
+}
+
+/// Reads every leading frame of a log or image file that validates and
+/// accounts for the rest: where the first damage sits and its typed cause.
+/// `expect_frames` is the manifest's count — the thread's checkpoints for
+/// its FLL/MRL files, 1 for an image. Nothing that fails a checksum is
+/// ever returned.
+fn read_file(
+    dir: &Path,
+    file: String,
+    magic: [u8; 4],
+    manifest: &DumpManifest,
+    thread: ThreadId,
+    expect_frames: u32,
+) -> (FileSalvage, Vec<WalkedFrame>) {
+    let mut account = FileSalvage {
+        file: file.clone(),
+        declared_frames: expect_frames,
+        intact_frames: 0,
+        first_bad_offset: None,
+        cause: None,
     };
-    let mut cause = None;
-    let mut first_bad_offset = None;
+    let path = dir.join(&file);
+    let bytes = match fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            account.cause = Some(io_err(&path, e));
+            return (account, Vec::new());
+        }
+    };
+    let mut r = ByteReader::new(&bytes);
+    let file_frames = match read_header(&mut r, &file, magic, manifest.version, thread) {
+        Ok(frames) => frames,
+        Err((cause, at)) => {
+            account.damage(cause, at);
+            return (account, Vec::new());
+        }
+    };
     if file_frames != expect_frames {
-        // Keep parsing up to the smaller count, but the disagreement itself
+        // Keep reading up to the smaller count, but the disagreement itself
         // is damage worth reporting.
-        cause = Some(DumpError::Inconsistent {
-            file: file.into(),
-            detail: format!("file holds {file_frames} frames, manifest expects {expect_frames}"),
-        });
-        first_bad_offset = Some(12);
-    }
-    let limit = file_frames.min(expect_frames);
-    let mut frames = Vec::with_capacity(limit as usize);
-    for i in 0..limit {
-        let offset = r.position();
-        let parsed = if columnar {
-            read_frame_v5(&mut r, file, i, codec)
-        } else if version >= 3 {
-            read_frame_v3(&mut r, file, i, codec)
-        } else if version == DUMP_VERSION_V2 {
-            read_frame_v2(&mut r, file, i, codec)
-        } else {
-            read_frame_v1(&mut r, file, i).map(|payload| {
-                let stored = payload.len() as u64;
-                (payload, stored)
-            })
+        let detail = format!("file holds {file_frames} frames, manifest expects {expect_frames}");
+        let cause = DumpError::Inconsistent {
+            file: file.clone(),
+            detail,
         };
-        match parsed {
-            Ok((payload, stored)) => frames.push(SalvagedFrame {
+        account.damage(cause, 12);
+    }
+    let columnar = manifest.version >= DUMP_VERSION_V5 && magic != IMAGE_FILE_MAGIC;
+    let mut frames = Vec::with_capacity(file_frames.min(expect_frames) as usize);
+    for i in 0..file_frames.min(expect_frames) {
+        let offset = r.position();
+        match read_frame(&mut r, &file, i, manifest.version, manifest.codec, columnar) {
+            Ok((payload, stored)) => frames.push(WalkedFrame {
                 payload,
                 stored,
                 offset,
             }),
-            Err(e) => {
-                if cause.is_none() {
-                    cause = Some(e);
-                    first_bad_offset = Some(offset);
-                }
+            Err(cause) => {
+                account.damage(cause, offset);
                 break;
             }
         }
     }
-    if cause.is_none() && !r.is_exhausted() {
-        // All declared frames intact but junk follows: recoverable content
-        // is unaffected, the damage is still reported.
-        first_bad_offset = Some(r.position());
-        cause = Some(DumpError::TrailingBytes { file: file.into() });
+    account.intact_frames = frames.len() as u32;
+    if account.cause.is_none() && !r.is_exhausted() {
+        // Every declared frame is intact but bytes follow. Distinguish
+        // garbage from the sneakier forgery where whole well-formed frames
+        // were appended: the manifest's frame count must match the frames
+        // actually present even when the extras checksum cleanly.
+        let at = r.position();
+        let cause = match count_clean_extra_frames(&mut r, &file, manifest.codec) {
+            0 => DumpError::TrailingBytes { file },
+            extra => DumpError::Inconsistent {
+                file,
+                detail: format!(
+                    "file holds {} well-formed frame(s), manifest declares {file_frames}",
+                    u64::from(file_frames) + extra
+                ),
+            },
+        };
+        account.damage(cause, at);
     }
-    SalvagedFile {
-        frames,
-        first_bad_offset,
-        cause,
+    (account, frames)
+}
+
+/// Decodes one interval's intact FLL and MRL frames and checks that they
+/// belong to `thread` and to each other. On failure, also says whether the
+/// MRL frame (rather than the FLL frame) is at fault.
+fn decode_pair(
+    fll: &[u8],
+    mrl: &[u8],
+    fll_file: &str,
+    mrl_file: &str,
+    thread: ThreadId,
+    i: u32,
+    columnar: bool,
+) -> Result<(FirstLoadLog, MemoryRaceLog), (bool, DumpError)> {
+    let corrupt = |file: &str, detail: String| DumpError::CorruptLog {
+        file: file.into(),
+        frame: i,
+        detail,
+    };
+    let fll = if columnar {
+        decode_fll_columnar(fll).map_err(|e| columnar_log_error(fll_file, i, e))
+    } else {
+        FirstLoadLog::from_bytes(fll).map_err(|e| corrupt(fll_file, e.to_string()))
     }
+    .map_err(|e| (false, e))?;
+    let mrl = if columnar {
+        decode_mrl_columnar(mrl).map_err(|e| columnar_log_error(mrl_file, i, e))
+    } else {
+        MemoryRaceLog::from_bytes(mrl)
+            .ok_or_else(|| corrupt(mrl_file, "memory race log failed to decode".into()))
+    }
+    .map_err(|e| (true, e))?;
+    if fll.header.thread != thread {
+        let detail = format!(
+            "frame {i} belongs to {}, expected {thread}",
+            fll.header.thread
+        );
+        return Err((
+            false,
+            DumpError::Inconsistent {
+                file: fll_file.into(),
+                detail,
+            },
+        ));
+    }
+    if mrl.header.checkpoint != fll.header.checkpoint || mrl.header.thread != fll.header.thread {
+        let detail = format!(
+            "frame {i} pairs {} {} with FLL {} {}",
+            mrl.header.thread, mrl.header.checkpoint, fll.header.thread, fll.header.checkpoint
+        );
+        return Err((
+            true,
+            DumpError::Inconsistent {
+                file: mrl_file.into(),
+                detail,
+            },
+        ));
+    }
+    Ok((fll, mrl))
+}
+
+/// Reads one image file and checks its frame against the content hash the
+/// manifest entry `t` (its first embedder) declares.
+fn read_image(dir: &Path, manifest: &DumpManifest, t: &ThreadManifest) -> ImageWalk {
+    let (account, frames) = read_file(dir, t.image_file(), IMAGE_FILE_MAGIC, manifest, t.thread, 1);
+    let mut image = ImageWalk {
+        owner: t.thread,
+        account,
+        sizes: None,
+        stop: None,
+        program: None,
+    };
+    let Some(frame) = frames.first() else {
+        return image;
+    };
+    image.sizes = Some((frame.payload.len() as u64, frame.stored));
+    let file = &image.account.file;
+    let hash = t
+        .image_hash
+        .map(|expected| (expected, fnv1a(&frame.payload)));
+    let checked = match hash {
+        Some((expected, actual)) if actual != expected => Err(DumpError::ChecksumMismatch {
+            file: file.clone(),
+            frame: Some(0),
+            expected,
+            actual,
+        }),
+        _ => decode_image(&frame.payload).map_err(|e| DumpError::CorruptLog {
+            file: file.clone(),
+            frame: 0,
+            detail: format!("program image failed to decode: {e}"),
+        }),
+    };
+    match checked {
+        Ok(program) => image.program = Some(Arc::new(program)),
+        Err(cause) => {
+            image.stop = Some(Stop {
+                offset: frame.offset,
+                cause,
+            })
+        }
+    }
+    image
+}
+
+/// Reads a whole dump directory: every intact prefix of intervals per
+/// thread — an interval survives when both of its log frames pass their
+/// checksums, decode, and pair correctly — and every image file that
+/// validates, recording all damage instead of failing on it. Only an
+/// unusable manifest is an error.
+fn walk(dir: &Path) -> Result<Walk, DumpError> {
+    let manifest = DumpManifest::load(dir)?;
+    let columnar = manifest.version >= DUMP_VERSION_V5;
+    let mut threads = Vec::with_capacity(manifest.threads.len());
+    let mut images: Vec<ImageWalk> = Vec::new();
+    for t in &manifest.threads {
+        let (fll, fll_frames) = read_file(
+            dir,
+            t.fll_file(),
+            FLL_FILE_MAGIC,
+            &manifest,
+            t.thread,
+            t.checkpoints,
+        );
+        let (mrl, mrl_frames) = read_file(
+            dir,
+            t.mrl_file(),
+            MRL_FILE_MAGIC,
+            &manifest,
+            t.thread,
+            t.checkpoints,
+        );
+        let mut recovered = ThreadManifest {
+            thread: t.thread,
+            checkpoints: 0,
+            instructions: 0,
+            fll_bytes: 0,
+            mrl_bytes: 0,
+            fll_stored_bytes: 0,
+            mrl_stored_bytes: 0,
+            has_image: false,
+            image_raw_bytes: 0,
+            image_stored_bytes: 0,
+            image_hash: None,
+            digests: Vec::new(),
+        };
+        let mut checkpoints = Vec::with_capacity(fll_frames.len().min(mrl_frames.len()));
+        let mut stop = None;
+        for (i, (ff, mf)) in fll_frames.iter().zip(&mrl_frames).enumerate() {
+            let i = i as u32;
+            let decoded = decode_pair(
+                &ff.payload,
+                &mf.payload,
+                &fll.file,
+                &mrl.file,
+                t.thread,
+                i,
+                columnar,
+            );
+            let (fll_log, mrl_log) = match decoded {
+                Ok(pair) => pair,
+                Err((at_mrl, cause)) => {
+                    let offset = if at_mrl { mf.offset } else { ff.offset };
+                    stop = Some((at_mrl, Stop { offset, cause }));
+                    break;
+                }
+            };
+            // Checked: frames are attacker-controlled (FNV is not a MAC), and
+            // an overflowing sum must not panic or wrap past the manifest
+            // cross-check.
+            let Some(instructions) = recovered.instructions.checked_add(fll_log.instructions)
+            else {
+                let cause = DumpError::Inconsistent {
+                    file: fll.file.clone(),
+                    detail: "declared per-interval instruction counts overflow".into(),
+                };
+                stop = Some((
+                    false,
+                    Stop {
+                        offset: ff.offset,
+                        cause,
+                    },
+                ));
+                break;
+            };
+            recovered.instructions = instructions;
+            // Each version's raw-size semantics: row-serialized sizes in v5
+            // (the payloads are columnar blobs), payload sizes before.
+            if columnar {
+                recovered.fll_bytes += fll_log.serialized_len();
+                recovered.mrl_bytes += mrl_log.serialized_len();
+            } else {
+                recovered.fll_bytes += ff.payload.len() as u64;
+                recovered.mrl_bytes += mf.payload.len() as u64;
+            }
+            recovered.fll_stored_bytes += ff.stored;
+            recovered.mrl_stored_bytes += mf.stored;
+            checkpoints.push(DumpedCheckpoint {
+                fll: fll_log,
+                mrl: mrl_log,
+                digest: t.digests[i as usize],
+            });
+        }
+        let image = if t.has_image {
+            let file = t.image_file();
+            match images.iter().find(|i| i.account.file == file) {
+                Some(shared) => shared.program.clone(),
+                None => {
+                    images.push(read_image(dir, &manifest, t));
+                    images.last().and_then(|i| i.program.clone())
+                }
+            }
+        } else {
+            None
+        };
+        recovered.checkpoints = checkpoints.len() as u32;
+        recovered.digests = t.digests[..checkpoints.len()].to_vec();
+        if image.is_some() {
+            recovered.has_image = true;
+            recovered.image_raw_bytes = t.image_raw_bytes;
+            recovered.image_stored_bytes = t.image_stored_bytes;
+            recovered.image_hash = t.image_hash;
+        }
+        threads.push(ThreadWalk {
+            fll,
+            mrl,
+            stop,
+            recovered,
+            checkpoints,
+            image,
+        });
+    }
+    Ok(Walk {
+        manifest,
+        threads,
+        images,
+    })
+}
+
+/// `Ok` when a value recovered from `file` is the one the manifest declares.
+fn check_declared(file: &str, what: &str, recovered: u64, declared: u64) -> Result<(), DumpError> {
+    if recovered == declared {
+        return Ok(());
+    }
+    Err(DumpError::Inconsistent {
+        file: file.into(),
+        detail: format!("recovered {recovered} {what}, manifest declares {declared}"),
+    })
 }
 
 impl CrashDump {
     /// Loads whatever is recoverable from a damaged dump directory.
     ///
     /// Where [`CrashDump::load`] rejects a dump on the first problem, this
-    /// recovers every *intact prefix* of checkpoint intervals per thread:
-    /// an interval survives when both of its log frames pass their
-    /// checksums, decode, and pair correctly. Embedded program images are
-    /// recovered when their file validates. The returned dump's manifest is
-    /// adjusted to the recovered content so replay and verification work
-    /// unchanged, and the [`SalvageReport`] states per file how many frames
-    /// survived, where the first damage sits, and the typed cause.
+    /// keeps what the walk recovered: every *intact prefix* of checkpoint
+    /// intervals per thread, and every embedded program image whose file
+    /// validates. The returned dump's manifest is adjusted to the recovered
+    /// content so replay and verification work unchanged, and the
+    /// [`SalvageReport`] states per file how many frames survived, where
+    /// the first damage sits, and the typed cause.
     ///
     /// # Errors
     ///
@@ -2761,265 +2440,40 @@ impl CrashDump {
     /// about what the dump contained, so there is nothing to salvage
     /// against. Everything else degrades into the report.
     pub fn load_salvage(dir: &Path) -> Result<SalvagedDump, DumpError> {
-        let manifest = DumpManifest::load(dir)?;
+        let Walk {
+            manifest,
+            threads,
+            mut images,
+        } = walk(dir)?;
         let mut report = SalvageReport::default();
-        let mut threads = Vec::with_capacity(manifest.threads.len());
-        let mut adjusted = Vec::with_capacity(manifest.threads.len());
-        // Shared v4 image files: salvage each file once, share the result.
-        let mut image_cache: Vec<(String, Option<Arc<Program>>)> = Vec::new();
-        let image_owner = |file: &str| {
-            manifest
-                .threads
-                .iter()
-                .find(|t| t.has_image && t.image_file() == file)
-                .map(|t| t.thread)
-        };
-        let columnar = manifest.version >= DUMP_VERSION_V5;
-        for t in &manifest.threads {
-            let fll_file = t.fll_file();
-            let mrl_file = t.mrl_file();
-            let fll = salvage_log_file(
-                dir,
-                &fll_file,
-                FLL_FILE_MAGIC,
-                manifest.version,
-                manifest.codec,
-                t.thread,
-                t.checkpoints,
-                columnar,
-            );
-            let mrl = salvage_log_file(
-                dir,
-                &mrl_file,
-                MRL_FILE_MAGIC,
-                manifest.version,
-                manifest.codec,
-                t.thread,
-                t.checkpoints,
-                columnar,
-            );
-            let mut fll_intact = fll.frames.len() as u32;
-            let mut mrl_intact = mrl.frames.len() as u32;
-            let (mut fll_cause, mut fll_off) = (fll.cause, fll.first_bad_offset);
-            let (mut mrl_cause, mut mrl_off) = (mrl.cause, mrl.first_bad_offset);
-            let mut checkpoints = Vec::new();
-            let mut instructions = 0u64;
-            let (mut fll_bytes, mut fll_stored) = (0u64, 0u64);
-            let (mut mrl_bytes, mut mrl_stored) = (0u64, 0u64);
-            // An interval is recovered only when *both* frames decode and
-            // pair; a decode or pairing failure is earlier damage than
-            // whatever byte-level cause the per-file pass may have found.
-            for i in 0..fll.frames.len().min(mrl.frames.len()) {
-                let ff = &fll.frames[i];
-                let mf = &mrl.frames[i];
-                let parsed_fll = if columnar {
-                    decode_fll_columnar(&ff.payload)
-                        .map_err(|e| columnar_log_error(&fll_file, i as u32, e))
-                } else {
-                    FirstLoadLog::from_bytes(&ff.payload).map_err(|e| DumpError::CorruptLog {
-                        file: fll_file.clone(),
-                        frame: i as u32,
-                        detail: e.to_string(),
-                    })
-                };
-                let decoded_fll = match parsed_fll {
-                    Ok(log) => log,
-                    Err(e) => {
-                        fll_intact = i as u32;
-                        fll_off = Some(ff.offset);
-                        fll_cause = Some(e);
-                        break;
-                    }
-                };
-                let parsed_mrl = if columnar {
-                    decode_mrl_columnar(&mf.payload)
-                        .map_err(|e| columnar_log_error(&mrl_file, i as u32, e))
-                } else {
-                    MemoryRaceLog::from_bytes(&mf.payload).ok_or_else(|| DumpError::CorruptLog {
-                        file: mrl_file.clone(),
-                        frame: i as u32,
-                        detail: "memory race log failed to decode".into(),
-                    })
-                };
-                let decoded_mrl = match parsed_mrl {
-                    Ok(log) => log,
-                    Err(e) => {
-                        mrl_intact = i as u32;
-                        mrl_off = Some(mf.offset);
-                        mrl_cause = Some(e);
-                        break;
-                    }
-                };
-                if decoded_fll.header.thread != t.thread {
-                    fll_intact = i as u32;
-                    fll_off = Some(ff.offset);
-                    fll_cause = Some(DumpError::Inconsistent {
-                        file: fll_file.clone(),
-                        detail: format!(
-                            "frame {i} belongs to {}, expected {}",
-                            decoded_fll.header.thread, t.thread
-                        ),
-                    });
-                    break;
-                }
-                if decoded_mrl.header.checkpoint != decoded_fll.header.checkpoint
-                    || decoded_mrl.header.thread != decoded_fll.header.thread
-                {
-                    mrl_intact = i as u32;
-                    mrl_off = Some(mf.offset);
-                    mrl_cause = Some(DumpError::Inconsistent {
-                        file: mrl_file.clone(),
-                        detail: format!(
-                            "frame {i} pairs {} {} with FLL {} {}",
-                            decoded_mrl.header.thread,
-                            decoded_mrl.header.checkpoint,
-                            decoded_fll.header.thread,
-                            decoded_fll.header.checkpoint
-                        ),
-                    });
-                    break;
-                }
-                let Some(total) = instructions.checked_add(decoded_fll.instructions) else {
-                    fll_intact = i as u32;
-                    fll_off = Some(ff.offset);
-                    fll_cause = Some(DumpError::Inconsistent {
-                        file: fll_file.clone(),
-                        detail: "declared per-interval instruction counts overflow".into(),
-                    });
-                    break;
-                };
-                instructions = total;
-                // The adjusted manifest keeps each version's raw-size
-                // semantics: row-serialized sizes in v5 (the payloads are
-                // columnar blobs), payload sizes otherwise.
-                if columnar {
-                    fll_bytes += decoded_fll.serialized_len();
-                    mrl_bytes += decoded_mrl.serialized_len();
-                } else {
-                    fll_bytes += ff.payload.len() as u64;
-                    mrl_bytes += mf.payload.len() as u64;
-                }
-                fll_stored += ff.stored;
-                mrl_stored += mf.stored;
-                checkpoints.push(DumpedCheckpoint {
-                    fll: decoded_fll,
-                    mrl: decoded_mrl,
-                    digest: t.digests[i],
-                });
+        let mut adjusted = Vec::with_capacity(threads.len());
+        let mut dumps = Vec::with_capacity(threads.len());
+        for (t, w) in manifest.threads.iter().zip(threads) {
+            let (mut fll, mut mrl) = (w.fll, w.mrl);
+            if let Some((at_mrl, stop)) = w.stop {
+                let file = if at_mrl { &mut mrl } else { &mut fll };
+                file.stop_at(w.recovered.checkpoints, stop);
             }
-            let intervals = checkpoints.len() as u32;
+            let intervals = w.recovered.checkpoints;
             report.intact_intervals += u64::from(intervals);
             report.lost_intervals += u64::from(t.checkpoints.saturating_sub(intervals));
-            report.files.push(FileSalvage {
-                file: fll_file,
-                declared_frames: t.checkpoints,
-                intact_frames: fll_intact,
-                first_bad_offset: fll_off,
-                cause: fll_cause,
-            });
-            report.files.push(FileSalvage {
-                file: mrl_file,
-                declared_frames: t.checkpoints,
-                intact_frames: mrl_intact,
-                first_bad_offset: mrl_off,
-                cause: mrl_cause,
-            });
-            let image = if t.has_image {
-                let image_file = t.image_file();
-                match image_cache.iter().find(|(f, _)| *f == image_file) {
-                    Some((_, cached)) => cached.clone(),
-                    None => {
-                        let owner = image_owner(&image_file).unwrap_or(t.thread);
-                        let salvaged = salvage_log_file(
-                            dir,
-                            &image_file,
-                            IMAGE_FILE_MAGIC,
-                            manifest.version,
-                            manifest.codec,
-                            owner,
-                            1,
-                            false,
-                        );
-                        let mut intact = salvaged.frames.len().min(1) as u32;
-                        let mut cause = salvaged.cause;
-                        let mut offset = salvaged.first_bad_offset;
-                        let mut program = None;
-                        if let Some(frame) = salvaged.frames.first() {
-                            let hash_ok = match t.image_hash {
-                                Some(expected) => {
-                                    let actual = fnv1a(&frame.payload);
-                                    if actual != expected {
-                                        intact = 0;
-                                        offset = Some(frame.offset);
-                                        cause = Some(DumpError::ChecksumMismatch {
-                                            file: image_file.clone(),
-                                            frame: Some(0),
-                                            expected,
-                                            actual,
-                                        });
-                                    }
-                                    actual == expected
-                                }
-                                None => true,
-                            };
-                            if hash_ok {
-                                match decode_image(&frame.payload) {
-                                    Ok(p) => program = Some(Arc::new(p)),
-                                    Err(e) => {
-                                        intact = 0;
-                                        offset = Some(frame.offset);
-                                        cause = Some(DumpError::CorruptLog {
-                                            file: image_file.clone(),
-                                            frame: 0,
-                                            detail: format!("program image failed to decode: {e}"),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        report.files.push(FileSalvage {
-                            file: image_file.clone(),
-                            declared_frames: 1,
-                            intact_frames: intact,
-                            first_bad_offset: offset,
-                            cause,
-                        });
-                        if program.is_none() {
-                            report.lost_images += 1;
-                        }
-                        image_cache.push((image_file, program.clone()));
-                        program
-                    }
+            report.files.extend([fll, mrl]);
+            if let Some(i) = images.iter().position(|i| i.owner == t.thread) {
+                let image = images.swap_remove(i);
+                let mut account = image.account;
+                if let Some(stop) = image.stop {
+                    account.stop_at(0, stop);
                 }
-            } else {
-                None
-            };
-            adjusted.push(ThreadManifest {
+                report.files.push(account);
+                if image.program.is_none() {
+                    report.lost_images += 1;
+                }
+            }
+            adjusted.push(w.recovered);
+            dumps.push(ThreadDump {
                 thread: t.thread,
-                checkpoints: intervals,
-                instructions,
-                fll_bytes,
-                mrl_bytes,
-                fll_stored_bytes: fll_stored,
-                mrl_stored_bytes: mrl_stored,
-                has_image: image.is_some(),
-                image_raw_bytes: if image.is_some() {
-                    t.image_raw_bytes
-                } else {
-                    0
-                },
-                image_stored_bytes: if image.is_some() {
-                    t.image_stored_bytes
-                } else {
-                    0
-                },
-                image_hash: if image.is_some() { t.image_hash } else { None },
-                digests: t.digests[..intervals as usize].to_vec(),
-            });
-            threads.push(ThreadDump {
-                thread: t.thread,
-                image,
-                checkpoints,
+                image: w.image,
+                checkpoints: w.checkpoints,
             });
         }
         let dump = CrashDump {
@@ -3027,7 +2481,7 @@ impl CrashDump {
                 threads: adjusted,
                 ..manifest
             },
-            threads,
+            threads: dumps,
         };
         Ok(SalvagedDump { dump, report })
     }
@@ -3139,6 +2593,7 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
     use crate::fll::TerminationCause;
+    use crate::io::StdIo;
     use crate::recorder::ThreadRecorder;
     use bugnet_cpu::ArchState;
     use bugnet_types::{ProcessId, Word};
@@ -3147,6 +2602,24 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("bugnet-dump-test-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A committed dump fixture under the repository's `tests/fixtures`.
+    fn fixture(name: &str) -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name)
+    }
+
+    /// A scratch copy of a committed fixture, safe to corrupt.
+    fn temp_copy(fixture_name: &str, name: &str) -> std::path::PathBuf {
+        let dir = temp_dir(name);
+        fs::create_dir_all(&dir).unwrap();
+        for entry in fs::read_dir(fixture(fixture_name)).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
         dir
     }
 
@@ -3194,7 +2667,7 @@ mod tests {
     fn dump_round_trips_through_disk() {
         let dir = temp_dir("roundtrip");
         let store = store_with_logs(2, 3);
-        let written = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let written = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         assert_eq!(written.threads.len(), 2);
         assert_eq!(written.total_checkpoints(), 6);
 
@@ -3222,7 +2695,7 @@ mod tests {
     fn verify_reports_stats() {
         let dir = temp_dir("verify");
         let store = store_with_logs(1, 2);
-        write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let report = verify_dump(&dir).unwrap();
         assert_eq!(report.threads, 1);
         assert_eq!(report.checkpoints, 2);
@@ -3245,7 +2718,7 @@ mod tests {
     fn manifest_bit_flip_is_a_checksum_mismatch() {
         let dir = temp_dir("manifest-flip");
         let store = store_with_logs(1, 1);
-        write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -3266,7 +2739,7 @@ mod tests {
     fn log_frame_bit_flips_are_typed_errors() {
         let dir = temp_dir("frame-flip");
         let store = store_with_logs(1, 1);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let original = fs::read(&path).unwrap();
         // Flip every byte past the 16-byte file header + 4-byte frame
@@ -3297,7 +2770,7 @@ mod tests {
     fn truncated_files_are_rejected() {
         let dir = temp_dir("truncate");
         let store = store_with_logs(1, 2);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         for file in [
             MANIFEST_FILE.to_string(),
             manifest.threads[0].fll_file(),
@@ -3323,7 +2796,7 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let dir = temp_dir("trailing");
         let store = store_with_logs(1, 1);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let mut bytes = fs::read(&path).unwrap();
         bytes.push(0xAB);
@@ -3337,7 +2810,7 @@ mod tests {
     fn unsupported_version_is_rejected() {
         let dir = temp_dir("version");
         let store = store_with_logs(1, 1);
-        write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
@@ -3360,7 +2833,7 @@ mod tests {
         let store = store_with_logs(1, 1);
         let mut m = meta();
         m.workload = "x".repeat(MAX_STRING_BYTES as usize + 100) + "é";
-        write_dump(&dir, &m, &store, |_| None).unwrap();
+        write_dump(&dir, &m, &store, |_| None, &mut StdIo::new()).unwrap();
         // The dump written at crash time must load back by its own loader.
         let dump = CrashDump::load(&dir).unwrap();
         assert_eq!(dump.manifest.workload.len(), MAX_STRING_BYTES as usize);
@@ -3369,48 +2842,47 @@ mod tests {
 
     #[test]
     fn v1_dumps_still_load_and_report_identity_codec() {
-        let dir = temp_dir("v1-compat");
-        let store = store_with_logs(2, 2);
-        let written = write_dump_v1(&dir, &meta(), &store).unwrap();
-        assert_eq!(written.version, DUMP_VERSION_V1);
-        assert_eq!(written.codec, CodecId::Identity);
-        let dump = CrashDump::load(&dir).unwrap();
-        assert_eq!(dump.manifest, written);
+        let dump = CrashDump::load(&fixture("golden-v1")).unwrap();
+        assert_eq!(dump.manifest.version, DUMP_VERSION_V1);
+        assert_eq!(dump.manifest.codec, CodecId::Identity);
         // v1 has no codec layer: stored == raw.
         for t in &dump.manifest.threads {
             assert_eq!(t.fll_stored_bytes, t.fll_bytes);
             assert_eq!(t.mrl_stored_bytes, t.mrl_bytes);
         }
-        for (td, t) in dump.threads.iter().zip(store.threads()) {
-            for (cp, orig) in td.checkpoints.iter().zip(store.thread_logs(t)) {
+        // The same recording as the v2 fixture decodes to the same logs.
+        let v2 = CrashDump::load(&fixture("golden-v2")).unwrap();
+        assert_eq!(dump.threads.len(), v2.threads.len());
+        for (td, reference) in dump.threads.iter().zip(&v2.threads) {
+            for (cp, orig) in td.checkpoints.iter().zip(&reference.checkpoints) {
                 assert_eq!(cp.fll, orig.fll);
                 assert_eq!(cp.mrl, orig.mrl);
             }
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
-
     #[test]
     fn v2_lz_dump_is_smaller_than_v1() {
-        let dir_v1 = temp_dir("size-v1");
-        let dir_v2 = temp_dir("size-v2");
-        let store = store_with_logs(2, 3);
-        write_dump_v1(&dir_v1, &meta(), &store).unwrap();
-        write_dump_v2(&dir_v2, &meta(), &store).unwrap();
-        let total = |dir: &std::path::Path| -> u64 {
+        // The v1 and v2 writers are gone; the committed fixtures hold the
+        // same recording in both formats.
+        assert_eq!(
+            CrashDump::load(&fixture("golden-v2"))
+                .unwrap()
+                .manifest
+                .codec,
+            CodecId::Lz77
+        );
+        let total = |dir: &Path| -> u64 {
             fs::read_dir(dir)
                 .unwrap()
                 .map(|e| e.unwrap().metadata().unwrap().len())
                 .sum()
         };
-        let v1 = total(&dir_v1);
-        let v2 = total(&dir_v2);
+        let v1 = total(&fixture("golden-v1"));
+        let v2 = total(&fixture("golden-v2"));
         assert!(
             v2 < v1,
             "v2 dump ({v2} bytes) must be smaller than v1 ({v1})"
         );
-        fs::remove_dir_all(&dir_v1).unwrap();
-        fs::remove_dir_all(&dir_v2).unwrap();
     }
 
     #[test]
@@ -3427,25 +2899,21 @@ mod tests {
             rec.end_interval(TerminationCause::IntervalFull, &ArchState::default())
                 .unwrap(),
         );
-        let dir = temp_dir("identity-v2");
-        let written = write_dump_v2(&dir, &meta(), &store).unwrap();
+        // Written as v5: the v2 writer is gone, the identity codec is not.
+        let dir = temp_dir("identity");
+        let written = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
+        assert_eq!(written.version, DUMP_VERSION);
         assert_eq!(written.codec, CodecId::Identity);
         let dump = CrashDump::load(&dir).unwrap();
         assert_eq!(dump.manifest.codec, CodecId::Identity);
-        // Identity stores each frame raw plus the container header (one FLL
-        // and one MRL frame here).
-        let m = &dump.manifest.threads[0];
-        let header = bugnet_compress::CONTAINER_HEADER_BYTES as u64;
-        assert_eq!(m.fll_stored_bytes, m.fll_bytes + header);
-        assert_eq!(m.mrl_stored_bytes, m.mrl_bytes + header);
+        assert_eq!(dump.manifest, written);
         fs::remove_dir_all(&dir).unwrap();
     }
-
     #[test]
     fn appended_clean_frame_is_a_frame_count_inconsistency() {
         let dir = temp_dir("extra-frame");
         let store = store_with_logs(1, 2);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let mut bytes = fs::read(&path).unwrap();
         // Duplicate the first frame (length prefix + columnar blob +
@@ -3487,7 +2955,14 @@ mod tests {
         let dir = temp_dir("image-roundtrip");
         let store = store_with_logs(2, 2);
         let program = test_program();
-        let written = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let written = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         assert_eq!(written.version, DUMP_VERSION);
         assert_eq!(written.embedded_images(), 2);
         assert!(written.is_self_contained());
@@ -3521,9 +2996,13 @@ mod tests {
         let dir = temp_dir("image-partial");
         let store = store_with_logs(2, 1);
         let program = test_program();
-        let written = write_dump(&dir, &meta(), &store, |t| {
-            (t == ThreadId(0)).then(|| Arc::clone(&program))
-        })
+        let written = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |t| (t == ThreadId(0)).then(|| Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
         .unwrap();
         assert_eq!(written.embedded_images(), 1);
         assert!(!written.is_self_contained());
@@ -3539,7 +3018,14 @@ mod tests {
         let dir = temp_dir("image-flip");
         let store = store_with_logs(1, 1);
         let program = test_program();
-        let manifest = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let manifest = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         let path = dir.join(manifest.threads[0].image_file());
         let original = fs::read(&path).unwrap();
         // Exhaustive: every bit of every byte. This is what forced the v3
@@ -3577,7 +3063,14 @@ mod tests {
         let dir = temp_dir("image-extra-frame");
         let store = store_with_logs(1, 1);
         let program = test_program();
-        let manifest = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let manifest = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         let path = dir.join(manifest.threads[0].image_file());
         let mut bytes = fs::read(&path).unwrap();
         let first_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
@@ -3600,7 +3093,14 @@ mod tests {
         let dir = temp_dir("image-missing");
         let store = store_with_logs(1, 1);
         let program = test_program();
-        let manifest = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let manifest = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         fs::remove_file(dir.join(manifest.threads[0].image_file())).unwrap();
         assert!(matches!(
             CrashDump::load(&dir).unwrap_err(),
@@ -3632,8 +3132,14 @@ mod tests {
             segments,
         ));
         let dir = temp_dir("image-oversized");
-        let err = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&oversized)))
-            .expect_err("oversized image must be rejected at write time");
+        let err = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&oversized)),
+            &mut StdIo::new(),
+        )
+        .expect_err("oversized image must be rejected at write time");
         match &err {
             DumpError::Inconsistent { file, detail } => {
                 assert!(file.starts_with("image-"), "{err}");
@@ -3652,8 +3158,14 @@ mod tests {
         collapsing.add_symbol(format!("{long}b"), Addr::new(0x200));
         let collapsing = Arc::new(collapsing);
         let dir = temp_dir("image-collapse");
-        let err = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&collapsing)))
-            .expect_err("symbol-collapsing image must be rejected at write time");
+        let err = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&collapsing)),
+            &mut StdIo::new(),
+        )
+        .expect_err("symbol-collapsing image must be rejected at write time");
         assert!(
             matches!(&err, DumpError::Inconsistent { detail, .. }
                 if detail.contains("round-trip")),
@@ -3669,7 +3181,14 @@ mod tests {
         let dir = temp_dir("image-replay-pref");
         let store = store_with_logs(1, 1);
         let program = test_program();
-        write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         let dump = CrashDump::load(&dir).unwrap();
         let mut fallback_calls = 0;
         // The synthetic logs here do not replay against the test program
@@ -3683,31 +3202,17 @@ mod tests {
         if let Ok(report) = &result {
             assert!(report.unreplayable_threads.is_empty());
         }
-        // replay_with ignores the embedded image: with no override programs
+        // An override ignores the embedded image: with no override programs
         // the thread is unreplayable.
-        let report = dump.replay_with(|_| None).unwrap();
+        let report = dump
+            .replay_with(ReplayRequest {
+                programs: ProgramSource::Override(|_| None),
+                from: None,
+                stats: None,
+                tracer: None,
+            })
+            .unwrap();
         assert_eq!(report.unreplayable_threads, vec![ThreadId(0)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_dump_v2_still_produces_loadable_v2_dumps() {
-        let dir = temp_dir("v2-compat");
-        let store = store_with_logs(2, 2);
-        let written = write_dump_v2(&dir, &meta(), &store).unwrap();
-        assert_eq!(written.version, DUMP_VERSION_V2);
-        assert_eq!(written.embedded_images(), 0);
-        let dump = CrashDump::load(&dir).unwrap();
-        assert_eq!(dump.manifest, written);
-        assert!(dump.threads.iter().all(|t| t.image.is_none()));
-        // A v2 dump and a v3 dump of the same store hold identical frames;
-        // v3 only adds the image sections and manifest fields.
-        for (td, t) in dump.threads.iter().zip(store.threads()) {
-            for (cp, orig) in td.checkpoints.iter().zip(store.thread_logs(t)) {
-                assert_eq!(cp.fll, orig.fll);
-                assert_eq!(cp.mrl, orig.mrl);
-            }
-        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3718,7 +3223,7 @@ mod tests {
         // CorruptLog claiming "frame 0 is corrupt".
         let dir = temp_dir("manifest-field");
         let store = store_with_logs(1, 1);
-        write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let original = fs::read(&path).unwrap();
         // The codec byte sits right after magic (8) + version (4).
@@ -3752,9 +3257,8 @@ mod tests {
         // frame corruption (CorruptLog), not file truncation. Exercised on
         // a v2 dump: in v3 the stored-bytes checksum trips first (also a
         // typed error, tested elsewhere).
-        let dir = temp_dir("frame-length-forgery");
-        let store = store_with_logs(1, 1);
-        let manifest = write_dump_v2(&dir, &meta(), &store).unwrap();
+        let dir = temp_copy("golden-v2", "frame-length-forgery");
+        let manifest = DumpManifest::load(&dir).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let original = fs::read(&path).unwrap();
         // Shrink the first frame's length prefix below the container header
@@ -3781,7 +3285,14 @@ mod tests {
         let dir = temp_dir("v4-dedup");
         let store = store_with_logs(3, 2);
         let program = test_program();
-        let written = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let written = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         assert_eq!(written.version, DUMP_VERSION);
         assert_eq!(written.embedded_images(), 3);
         // All three threads run the same binary: one content-addressed file.
@@ -3825,13 +3336,19 @@ mod tests {
         let mut other = (*test_program()).clone();
         other.add_symbol("extra", Addr::new(0x300));
         let b = Arc::new(other);
-        let written = write_dump(&dir, &meta(), &store, |t| {
-            Some(if t == ThreadId(0) {
-                Arc::clone(&a)
-            } else {
-                Arc::clone(&b)
-            })
-        })
+        let written = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |t| {
+                Some(if t == ThreadId(0) {
+                    Arc::clone(&a)
+                } else {
+                    Arc::clone(&b)
+                })
+            },
+            &mut StdIo::new(),
+        )
         .unwrap();
         assert_eq!(written.unique_images(), 2);
         assert_ne!(written.threads[0].image_hash, written.threads[1].image_hash);
@@ -3843,23 +3360,33 @@ mod tests {
 
     #[test]
     fn write_dump_v3_still_produces_loadable_v3_dumps() {
-        let dir = temp_dir("v3-compat");
-        let store = store_with_logs(2, 1);
-        let program = test_program();
-        let written = write_dump_v3(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
-        assert_eq!(written.version, DUMP_VERSION_V3);
+        // The v3 writer is gone; the committed fixture pins its layout.
+        let dir = fixture("golden-v3");
+        let dump = CrashDump::load(&dir).unwrap();
+        assert_eq!(dump.manifest.version, DUMP_VERSION_V3);
         // v3 has no content addressing: per-thread files, no hashes.
-        assert_eq!(written.unique_images(), 2);
-        for t in &written.threads {
+        assert_eq!(dump.manifest.unique_images(), dump.manifest.threads.len());
+        for t in &dump.manifest.threads {
             assert_eq!(t.image_hash, None);
             assert!(dir.join(t.image_file()).exists());
         }
         assert!(dir.join("image-0.bni").exists());
-        assert!(dir.join("image-1.bni").exists());
-        let dump = CrashDump::load(&dir).unwrap();
-        assert_eq!(dump.manifest, written);
         assert!(dump.is_self_contained());
-        fs::remove_dir_all(&dir).unwrap();
+    }
+    #[test]
+    fn write_dump_v2_still_produces_loadable_v2_dumps() {
+        // The v2 writer is gone; the committed fixture pins its layout.
+        let dump = CrashDump::load(&fixture("golden-v2")).unwrap();
+        assert_eq!(dump.manifest.version, DUMP_VERSION_V2);
+        assert_eq!(dump.manifest.embedded_images(), 0);
+        assert!(dump.threads.iter().all(|t| t.image.is_none()));
+        // v3 only adds the image sections and manifest fields: the same
+        // recording decodes to the same logs.
+        let v3 = CrashDump::load(&fixture("golden-v3")).unwrap();
+        assert_eq!(dump.threads.len(), v3.threads.len());
+        for (td, reference) in dump.threads.iter().zip(&v3.threads) {
+            assert_eq!(td.checkpoints, reference.checkpoints);
+        }
     }
 
     #[test]
@@ -3867,7 +3394,14 @@ mod tests {
         let dir = temp_dir("salvage-clean");
         let store = store_with_logs(2, 3);
         let program = test_program();
-        write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         let strict = CrashDump::load(&dir).unwrap();
         let salvaged = CrashDump::load_salvage(&dir).unwrap();
         assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
@@ -3882,7 +3416,7 @@ mod tests {
     fn salvage_recovers_the_intact_prefix_of_a_truncated_log() {
         let dir = temp_dir("salvage-trunc");
         let store = store_with_logs(1, 3);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let original = fs::read(&path).unwrap();
         // Truncate at every possible byte offset; salvage must never panic,
@@ -3921,7 +3455,7 @@ mod tests {
         // 4-byte length prefix + container + 8-byte stored checksum.
         let dir = temp_dir("salvage-exact");
         let store = store_with_logs(1, 3);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let original = fs::read(&path).unwrap();
         let mut boundaries = vec![16u64];
@@ -3966,7 +3500,7 @@ mod tests {
         // intact count.
         let dir = temp_dir("salvage-pair");
         let store = store_with_logs(1, 3);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let mrl_path = dir.join(manifest.threads[0].mrl_file());
         let original = fs::read(&mrl_path).unwrap();
         // Keep header + first frame of the MRL.
@@ -3998,7 +3532,14 @@ mod tests {
         let dir = temp_dir("salvage-missing");
         let store = store_with_logs(2, 2);
         let program = test_program();
-        let manifest = write_dump(&dir, &meta(), &store, |_| Some(Arc::clone(&program))).unwrap();
+        let manifest = write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&program)),
+            &mut StdIo::new(),
+        )
+        .unwrap();
         // Destroy the (shared) image file and thread 1's FLL entirely.
         fs::remove_file(dir.join(manifest.threads[0].image_file())).unwrap();
         fs::remove_file(dir.join(manifest.threads[1].fll_file())).unwrap();
@@ -4027,7 +3568,7 @@ mod tests {
         // forged length could otherwise smuggle bytes).
         let dir = temp_dir("salvage-flip");
         let store = store_with_logs(1, 3);
-        let manifest = write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         let path = dir.join(manifest.threads[0].fll_file());
         let original = fs::read(&path).unwrap();
         // Second frame starts after header + first frame.
@@ -4051,10 +3592,45 @@ mod tests {
     }
 
     #[test]
+    fn salvage_reports_an_appended_frame_as_a_frame_count_inconsistency() {
+        // Salvage and load read through the same walk, so a cleanly
+        // checksummed frame appended to a log file is the frame-count
+        // mismatch load reports, not mere trailing bytes.
+        let dir = temp_dir("salvage-extra-frame");
+        let store = store_with_logs(1, 2);
+        let manifest = write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
+        let path = dir.join(manifest.threads[0].fll_file());
+        let mut bytes = fs::read(&path).unwrap();
+        let first_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let frame = bytes[16..20 + first_len + 8].to_vec();
+        let end = bytes.len() as u64;
+        bytes.extend_from_slice(&frame);
+        fs::write(&path, &bytes).unwrap();
+        let salvaged = CrashDump::load_salvage(&dir).unwrap();
+        let fll = salvaged
+            .report
+            .files
+            .iter()
+            .find(|f| f.file.ends_with(".fll"))
+            .unwrap();
+        assert_eq!(fll.intact_frames, 2);
+        assert_eq!(fll.first_bad_offset, Some(end));
+        match &fll.cause {
+            Some(DumpError::Inconsistent { detail, .. }) => {
+                assert!(detail.contains("well-formed frame"), "{detail}")
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+        // Nothing the manifest declares was lost.
+        assert_eq!(salvaged.report.intact_intervals, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn salvage_without_a_manifest_is_fatal() {
         let dir = temp_dir("salvage-no-manifest");
         let store = store_with_logs(1, 1);
-        write_dump(&dir, &meta(), &store, |_| None).unwrap();
+        write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
         fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
         let err = CrashDump::load_salvage(&dir).unwrap_err();
         assert!(matches!(err, DumpError::Io { .. }), "{err}");
@@ -4069,7 +3645,7 @@ mod tests {
         let store = store_with_logs(1, 1);
         let dir = base.join("crash");
         let mut io = FaultIo::new(StdIo::new(), 2, FaultKind::Enospc);
-        let err = write_dump_with_io(&dir, &meta(), &store, |_| None, &mut io).unwrap_err();
+        let err = write_dump(&dir, &meta(), &store, |_| None, &mut io).unwrap_err();
         match &err {
             DumpError::Io { op, source, .. } => {
                 assert_eq!(*op, IoOp::WriteFile);
@@ -4080,6 +3656,35 @@ mod tests {
         assert!(err.to_string().contains("write"), "{err}");
         assert!(!dir.exists());
         fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn verify_rejects_a_forged_record_count_instead_of_aborting() {
+        // A frame's checksums are unkeyed FNV, so a forger can make any
+        // log load; verify must then fail typed, not reserve 2^40 records.
+        use crate::bitstream::BitStream;
+        use crate::fll::FllPayloadStats;
+        let mut dump = CrashDump::load(&fixture("golden-v2")).unwrap();
+        let original = &dump.threads[0].checkpoints[1].fll;
+        let forged = FirstLoadLog::new(
+            original.header,
+            original.codec(),
+            BitStream::from_bytes(Vec::new(), 0),
+            FllPayloadStats {
+                records: 1 << 40,
+                ..FllPayloadStats::default()
+            },
+            original.instructions,
+            original.loads_executed,
+            original.termination,
+            original.fault,
+        );
+        dump.threads[0].checkpoints[1].fll = forged;
+        let err = dump.verify().unwrap_err();
+        assert!(
+            matches!(err, DumpError::CorruptLog { frame: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

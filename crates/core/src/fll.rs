@@ -236,6 +236,9 @@ pub struct LoadRecord {
     pub value: EncodedValue,
 }
 
+/// The fewest bits one record can take: its LC-Type and LV-Type bits.
+const MIN_RECORD_BITS: u64 = 2;
+
 /// Error produced when decoding a corrupt or truncated FLL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FllDecodeError {
@@ -455,7 +458,14 @@ impl FirstLoadLog {
     /// Returns [`FllDecodeError::Truncated`] if the stream ends early.
     pub fn decode_records(&self) -> Result<Vec<LoadRecord>, FllDecodeError> {
         let mut reader = self.records_reader();
-        let mut out = Vec::with_capacity(self.payload.records as usize);
+        // Every record spends at least its two type bits, so the stream
+        // bounds the reservation even when the declared count is forged
+        // (`FirstLoadLog::new` takes any count).
+        let capacity = self
+            .payload
+            .records
+            .min(self.stream.bit_len() / MIN_RECORD_BITS);
+        let mut out = Vec::with_capacity(capacity as usize);
         while let Some(record) = reader.next_record()? {
             out.push(record);
         }
@@ -533,7 +543,8 @@ impl FirstLoadLog {
     /// # Errors
     ///
     /// Returns [`FllDecodeError::Truncated`] if the buffer is too short or
-    /// structurally inconsistent.
+    /// structurally inconsistent, including a record count its stream
+    /// cannot hold.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FllDecodeError> {
         let stream = BitStream::from_bytes(bytes.to_vec(), bytes.len() as u64 * 8);
         let mut r = BitReader::new(&stream);
@@ -578,6 +589,10 @@ impl FirstLoadLog {
         // the bits actually present before allocating (read_bytes below
         // still catches a shortfall in the padding byte).
         if stream_bits > r.remaining() {
+            return Err(FllDecodeError::Truncated);
+        }
+        // Nor may the log declare more records than that stream can hold.
+        if payload.records > stream_bits / MIN_RECORD_BITS {
             return Err(FllDecodeError::Truncated);
         }
         let mut stream_bytes = vec![0u8; stream_bits.div_ceil(8) as usize];
@@ -678,6 +693,31 @@ mod tests {
             timestamp: Timestamp(77),
             arch: ArchState::default(),
         }
+    }
+
+    #[test]
+    fn record_count_beyond_the_stream_is_rejected_not_allocated() {
+        // An empty stream that declares 2^40 records: a decoder trusting
+        // the count would reserve terabytes before reading a single bit.
+        let forged = FirstLoadLog::new(
+            header(),
+            codec(),
+            BitStream::from_bytes(Vec::new(), 0),
+            FllPayloadStats {
+                records: 1 << 40,
+                ..FllPayloadStats::default()
+            },
+            1000,
+            0,
+            TerminationCause::IntervalFull,
+            None,
+        );
+        let bytes = forged.to_bytes();
+        assert_eq!(
+            FirstLoadLog::from_bytes(&bytes),
+            Err(FllDecodeError::Truncated)
+        );
+        assert_eq!(forged.decode_records(), Err(FllDecodeError::Truncated));
     }
 
     fn make_log(records: &[(u64, EncodedValue)]) -> FirstLoadLog {

@@ -74,9 +74,9 @@ pub use columnar::{
 pub use dictionary::ValueDictionary;
 pub use digest::ExecutionDigest;
 pub use dump::{
-    verify_dump, write_dump, write_dump_v2, write_dump_v4, BisectDivergence, BisectReport,
-    CrashDump, DumpError, DumpFormat, DumpManifest, DumpMeta, DumpOptions, DumpReplayReport,
-    DumpVerifyReport, SalvageReport, SalvagedDump,
+    verify_dump, write_dump, BisectDivergence, BisectReport, CrashDump, DumpError, DumpManifest,
+    DumpMeta, DumpOptions, DumpReplayReport, DumpVerifyReport, ProgramSource, ReplayRequest,
+    SalvageReport, SalvagedDump,
 };
 pub use fll::{FirstLoadLog, FllHeader, TerminationCause};
 pub use hardware::BugNetHardware;

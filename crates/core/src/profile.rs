@@ -25,7 +25,7 @@ use bugnet_isa::Program;
 use bugnet_trace::{TraceEvent, TraceSession};
 use bugnet_types::{Addr, CheckpointId, ThreadId};
 
-use crate::dump::CrashDump;
+use crate::dump::{CrashDump, ProgramSource};
 use crate::replayer::{ReplayError, Replayer};
 
 /// Nanoseconds of virtual trace time per replayed instruction: one
@@ -140,9 +140,10 @@ fn symbolize(pc: Addr, table: &[(u64, &str)]) -> Option<String> {
 /// replayed at all.
 pub fn profile_dump(
     dump: &CrashDump,
-    mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+    fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     options: &ProfileOptions,
 ) -> Result<DumpProfile, ReplayError> {
+    let mut source = ProgramSource::Embedded(fallback);
     let every = options.sample_every.max(1);
     let mut profile = DumpProfile::default();
     let mut samples: HashMap<u64, u64> = HashMap::new();
@@ -150,7 +151,7 @@ pub fn profile_dump(
     let mut tick = 0u64;
 
     for t in &dump.threads {
-        let Some(program) = t.image.clone().or_else(|| fallback(t.thread)) else {
+        let Some(program) = source.resolve(t) else {
             profile.unreplayable_threads.push(t.thread);
             continue;
         };

@@ -4,9 +4,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bugnet_compress::CodecId;
-use bugnet_core::dump::{
-    self, DumpError, DumpFault, DumpFormat, DumpManifest, DumpMeta, DumpOptions,
-};
+use bugnet_core::dump::{self, DumpError, DumpFault, DumpManifest, DumpMeta, DumpOptions};
 use bugnet_core::fll::TerminationCause;
 use bugnet_core::io::{
     clean_orphaned_staging, DumpIo, InstrumentedIo, IoStats, SharedDumpIo, StdIo, TracedIo,
@@ -511,13 +509,12 @@ impl Machine {
     }
 
     /// Writes the retained log window with explicit [`DumpOptions`] — the
-    /// one entry point behind [`Machine::write_crash_dump`] (which passes
-    /// the defaults) and the CLI's `dump --format/--codec/--no-embed-image`
-    /// flags. Selecting a codec different from the store's re-seals the
-    /// retained window with that codec at dump time (the retained *set* is
-    /// unchanged — eviction is driven by raw log sizes, which codecs don't
-    /// affect); [`DumpFormat::V2`] ignores image embedding since the layout
-    /// has no image sections.
+    /// machine's one dump path; [`Machine::write_crash_dump`] and the
+    /// automatic crash-time dump pass the defaults.
+    ///
+    /// The backend is [`RecordingOptions::dump_io`] (the real filesystem by
+    /// default), wrapped in the telemetry and trace observers when those
+    /// are attached; orphaned staging litter is swept first.
     ///
     /// # Errors
     ///
@@ -528,91 +525,23 @@ impl Machine {
         opts: &DumpOptions,
     ) -> Result<DumpManifest, DumpError> {
         let store = self.log_store.as_ref().ok_or(DumpError::NoRecorder)?;
-        let resealed;
-        let dump_store = match opts.codec {
-            Some(codec) if codec != store.codec() => {
-                resealed = self.reseal_store(store, codec);
-                &resealed
-            }
-            _ => store,
-        };
         let embed = opts.embed_image.unwrap_or(self.embed_image);
-        let format = opts.format;
-        self.dump_via(
-            dir,
-            store,
-            dump_store,
-            embed,
-            move |io, dir, meta, s, image_of| match format {
-                DumpFormat::V5 => dump::write_dump_with_io(dir, meta, s, image_of, io),
-                DumpFormat::V4 => dump::write_dump_v4_with_io(dir, meta, s, image_of, io),
-                DumpFormat::V3 => dump::write_dump_v3_with_io(dir, meta, s, image_of, io),
-                DumpFormat::V2 => dump::write_dump_v2_with_io(dir, meta, s, io),
-            },
-        )
-    }
-
-    /// Re-seals every retained interval with `codec` into a scratch store
-    /// for a codec-overridden dump. Raw log sizes (what eviction compares
-    /// against capacity) are codec-independent and the source store already
-    /// fit its budget, so no further eviction fires and the retained set is
-    /// preserved exactly.
-    fn reseal_store(&self, store: &LogStore, codec: CodecId) -> LogStore {
-        let cfg = self
-            .bugnet_cfg
-            .as_ref()
-            .expect("log store implies a recorder config");
-        let mut scratch = LogStore::with_shards(cfg, codec, 1);
-        for thread in store.threads() {
-            for sealed in store.thread_logs(thread) {
-                scratch.push(sealed.logs.clone());
-            }
-        }
-        scratch
-    }
-
-    /// Replaces the [`DumpIo`] backend crash dumps are written through (see
-    /// [`RecordingOptions::dump_io`]). Lets the fault-injection tests reuse
-    /// one recorded run across many injected-failure dump attempts.
-    pub fn set_dump_io(&mut self, io: SharedDumpIo) {
-        self.dump_io = Some(io);
-    }
-
-    /// Shared plumbing of the dump writers: resolve the backend, sweep
-    /// orphaned staging litter, then run the format-specific writer.
-    /// `meta_store` is the machine's own store (its eviction counters feed
-    /// the manifest); `dump_store` is what gets written — usually the same
-    /// store, or the re-sealed scratch copy of a codec-overridden dump.
-    fn dump_via(
-        &self,
-        dir: &Path,
-        meta_store: &LogStore,
-        dump_store: &LogStore,
-        embed: bool,
-        write: impl Fn(
-            &mut dyn DumpIo,
-            &Path,
-            &DumpMeta,
-            &LogStore,
-            &mut dyn FnMut(ThreadId) -> Option<Arc<Program>>,
-        ) -> Result<DumpManifest, DumpError>,
-    ) -> Result<DumpManifest, DumpError> {
-        let meta = self.dump_meta(meta_store);
-        let mut image_of = |thread: ThreadId| embed.then(|| self.program_of(thread)).flatten();
-        let mut inner = |io: &mut dyn DumpIo| {
+        let meta = self.dump_meta(store);
+        let write = |io: &mut dyn DumpIo| {
             // Best-effort: litter from a crashed prior run must never block
             // writing this crash's dump.
             let _ = clean_orphaned_staging(io, dir);
-            write(io, dir, &meta, dump_store, &mut image_of)
+            let image_of = |thread: ThreadId| embed.then(|| self.program_of(thread)).flatten();
+            dump::write_dump(dir, &meta, store, image_of, io)
         };
         // Observability wrappers stack outside-in: trace spans time the
         // whole operation including stats bookkeeping; either layer alone
         // also works. Neither changes the bytes that reach the backend.
-        let mut observed = |io: &mut dyn DumpIo| match &self.telemetry {
-            Some(registry) => inner(&mut InstrumentedIo::new(io, IoStats::register(registry))),
-            None => inner(io),
+        let observed = |io: &mut dyn DumpIo| match &self.telemetry {
+            Some(registry) => write(&mut InstrumentedIo::new(io, IoStats::register(registry))),
+            None => write(io),
         };
-        let mut run = |io: &mut dyn DumpIo| match &self.trace {
+        let run = |io: &mut dyn DumpIo| match &self.trace {
             Some(session) => observed(&mut TracedIo::new(io, session.thread("dump-io"))),
             None => observed(io),
         };
@@ -623,6 +552,13 @@ impl Machine {
             }
             None => run(&mut StdIo::new()),
         }
+    }
+
+    /// Replaces the [`DumpIo`] backend crash dumps are written through (see
+    /// [`RecordingOptions::dump_io`]). Lets the fault-injection tests reuse
+    /// one recorded run across many injected-failure dump attempts.
+    pub fn set_dump_io(&mut self, io: SharedDumpIo) {
+        self.dump_io = Some(io);
     }
 
     /// The dump metadata for the machine's current state: recorder config,
@@ -1297,7 +1233,7 @@ mod tests {
 
     #[test]
     fn trace_round_trip_covers_record_dump_and_replay_stages() {
-        use bugnet_core::dump::CrashDump;
+        use bugnet_core::dump::{CrashDump, ProgramSource, ReplayRequest};
         use bugnet_trace::{json, TraceSession};
         let dir = std::env::temp_dir().join(format!("bugnet-tracee2e-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1317,7 +1253,12 @@ mod tests {
         let dump = CrashDump::load(&dir).unwrap();
         let mut replay_tracer = session.thread("replay");
         let report = dump
-            .replay_traced(|_| None, None, &mut replay_tracer)
+            .replay_with(ReplayRequest {
+                programs: ProgramSource::Embedded(|_| None),
+                from: None,
+                stats: None,
+                tracer: Some(&mut replay_tracer),
+            })
             .unwrap();
         assert!(report.all_match());
 
@@ -1360,39 +1301,18 @@ mod tests {
         assert_eq!(dump.manifest.codec, CodecId::Lz77);
         assert!(dump.is_self_contained());
 
-        // Format + codec overridden: a v2 identity dump from an LZ store.
-        let d2 = base.join("v2-identity");
-        let manifest = machine
-            .write_crash_dump_with(
-                &d2,
-                &DumpOptions {
-                    format: DumpFormat::V2,
-                    codec: Some(CodecId::Identity),
-                    embed_image: None,
-                },
-            )
-            .unwrap();
-        assert_eq!(manifest.version, dump::DUMP_VERSION_V2);
-        assert_eq!(manifest.codec, CodecId::Identity);
-        let dump2 = CrashDump::load(&d2).unwrap();
-        // Re-sealing changes bytes on disk, not the recorded content.
-        let report = dump2.replay(|t| machine.program_of(t)).unwrap();
-        assert!(report.all_match(), "{:?}", report.divergences());
-
         // Embed override beats the machine's (default-on) setting.
-        let d3 = base.join("v3-noembed");
+        let d3 = base.join("noembed");
         machine
             .write_crash_dump_with(
                 &d3,
                 &DumpOptions {
-                    format: DumpFormat::V3,
-                    codec: None,
                     embed_image: Some(false),
                 },
             )
             .unwrap();
         let dump3 = CrashDump::load(&d3).unwrap();
-        assert_eq!(dump3.manifest.version, dump::DUMP_VERSION_V3);
+        assert_eq!(dump3.manifest.version, dump::DUMP_VERSION);
         assert!(!dump3.is_self_contained());
 
         std::fs::remove_dir_all(&base).unwrap();

@@ -11,16 +11,18 @@
 //!   layout on disk, and the salvaged prefix replays cleanly;
 //! * multithreaded dumps store one content-addressed image for threads
 //!   sharing a program, and salvage degrades image loss to the registry
-//!   fallback instead of refusing the dump.
+//!   fallback instead of refusing the dump;
+//! * strict load and salvage read every format through the same walk, so
+//!   they agree on whether a damaged dump is intact and on what it holds.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use bugnet::core::dump::{CrashDump, DumpError};
+use bugnet::core::dump::{CrashDump, DumpError, MANIFEST_FILE};
 use bugnet::core::io::{FaultIo, FaultKind, SharedDumpIo, StdIo};
 use bugnet::sim::{Machine, MachineBuilder};
-use bugnet::types::BugNetConfig;
+use bugnet::types::{BugNetConfig, SplitMix64};
 use bugnet::workloads::registry;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -219,4 +221,104 @@ fn orphaned_staging_directories_are_swept_by_the_next_dump() {
     assert!(!orphan.exists(), "orphan must be swept before the commit");
     CrashDump::load(&dir).unwrap();
     fs::remove_dir_all(&base).unwrap();
+}
+
+/// The dump file a load error names.
+fn blamed_file(err: &DumpError) -> String {
+    match err {
+        DumpError::Io { path, .. } => Path::new(path)
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default(),
+        DumpError::BadMagic { file }
+        | DumpError::UnsupportedVersion { file, .. }
+        | DumpError::Truncated { file }
+        | DumpError::TrailingBytes { file }
+        | DumpError::ChecksumMismatch { file, .. }
+        | DumpError::CorruptLog { file, .. }
+        | DumpError::Inconsistent { file, .. } => file.clone(),
+        DumpError::CorruptManifest { .. } => MANIFEST_FILE.into(),
+        DumpError::NoRecorder => panic!("a load never needs a recorder"),
+    }
+}
+
+/// Checks the one-reader invariant on the dump in `dir`: strict load
+/// succeeds exactly when salvage reports it clean, and then both return the
+/// same dump; when load fails, salvage marks the file load blames as
+/// damaged, unless both fail on the manifest.
+fn assert_load_and_salvage_agree(dir: &Path, case: &str) {
+    let strict = CrashDump::load(dir);
+    let salvaged = match CrashDump::load_salvage(dir) {
+        Ok(salvaged) => salvaged,
+        Err(salvage_err) => {
+            let err = strict.expect_err("salvage failed, so strict load must fail too");
+            assert_eq!(
+                blamed_file(&err),
+                MANIFEST_FILE,
+                "{case}: {err} / {salvage_err}"
+            );
+            return;
+        }
+    };
+    match strict {
+        Ok(dump) => {
+            assert!(
+                salvaged.report.is_clean(),
+                "{case}: load succeeded but salvage lost data: {:?}",
+                salvaged.report
+            );
+            assert!(dump == salvaged.dump, "{case}: load and salvage disagree");
+        }
+        Err(err) => {
+            assert!(
+                !salvaged.report.is_clean(),
+                "{case}: load failed ({err}) but salvage reports the dump clean"
+            );
+            let file = blamed_file(&err);
+            let account = salvaged.report.files.iter().find(|f| f.file == file);
+            assert!(
+                account.is_some_and(|f| !f.is_clean()),
+                "{case}: load blames {file} ({err}) but salvage reports it intact"
+            );
+        }
+    }
+}
+
+#[test]
+fn strict_load_and_salvage_agree_on_every_format() {
+    let mut rng = SplitMix64::new(0xA6_4EE5);
+    for version in 1..=5 {
+        let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/golden-v{version}"));
+        let dir = temp_dir(&format!("agree-v{version}"));
+        fs::create_dir_all(&dir).unwrap();
+        let mut names: Vec<_> = fs::read_dir(&fixture)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        for name in &names {
+            fs::copy(fixture.join(name), dir.join(name)).unwrap();
+        }
+        assert_load_and_salvage_agree(&dir, &format!("v{version} pristine"));
+        for name in &names {
+            let path = dir.join(name);
+            let original = fs::read(&path).unwrap();
+            let name = name.to_string_lossy();
+            for _ in 0..32 {
+                let bit = rng.next_range(original.len() as u64 * 8);
+                let mut flipped = original.clone();
+                flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+                fs::write(&path, &flipped).unwrap();
+                assert_load_and_salvage_agree(&dir, &format!("v{version} {name} bit {bit}"));
+            }
+            for _ in 0..8 {
+                let cut = rng.next_range(original.len() as u64) as usize;
+                fs::write(&path, &original[..cut]).unwrap();
+                assert_load_and_salvage_agree(&dir, &format!("v{version} {name} cut {cut}"));
+            }
+            fs::write(&path, &original).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

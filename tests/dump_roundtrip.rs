@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpError, DumpFormat, DumpOptions, DUMP_VERSION_V5,
+    verify_dump, CrashDump, DumpError, DUMP_VERSION_V1, DUMP_VERSION_V4, DUMP_VERSION_V5,
 };
 use bugnet::sim::{MachineBuilder, RecordingOptions};
 use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
@@ -34,6 +34,27 @@ fn record_dump(spec: &str, dir: &Path, interval: u64) {
     if machine.crash_dump().is_none() {
         machine.write_crash_dump(dir).expect("dump writes");
     }
+}
+
+/// A committed dump fixture. Only v5 is still written, so these bytes are
+/// the only v1–v4 dumps there are.
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// Size of the file `name` in the dump directory `dir`.
+fn file_bytes(dir: &Path, name: &str) -> u64 {
+    fs::metadata(dir.join(name)).unwrap().len()
+}
+
+/// Total size of every file in the dump directory `dir`.
+fn dump_bytes(dir: &Path) -> u64 {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
 }
 
 /// Loads, verifies and replays a dump; returns whether everything checked
@@ -115,87 +136,40 @@ fn multithreaded_dump_round_trips() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Builds a machine, runs the workload, and returns it (with a flushed log
-/// store) for direct store-level dump experiments.
-fn recorded_machine(spec: &str, interval: u64) -> bugnet::sim::Machine {
-    let workload = registry::resolve(spec).expect("spec resolves");
-    let mut machine = MachineBuilder::new()
-        .bugnet(BugNetConfig::default().with_checkpoint_interval(interval))
-        .workload_spec(spec)
-        .build_with_workload(&workload);
-    machine.run_to_completion();
-    machine
-}
-
 #[test]
 fn legacy_v1_dumps_still_load_and_replay() {
-    use bugnet::core::dump::{write_dump_v1, DumpMeta, DUMP_VERSION_V1};
-    use bugnet::types::Timestamp;
-    let spec = "spec:gzip:30000:1";
-    let dir = temp_dir("v1-replay");
-    let machine = recorded_machine(spec, 5_000);
-    let meta = DumpMeta {
-        workload: spec.to_string(),
-        config: machine.bugnet_config().unwrap().clone(),
-        created: Timestamp(0),
-        fault: None,
-        evicted_checkpoints: 0,
-        telemetry: None,
-    };
-    let written = write_dump_v1(&dir, &meta, machine.log_store().unwrap()).unwrap();
-    assert_eq!(written.version, DUMP_VERSION_V1);
+    let dir = fixture("golden-v1");
     let dump = CrashDump::load(&dir).expect("v1 dump loads");
     assert_eq!(dump.manifest.version, DUMP_VERSION_V1);
+    // v1 predates image embedding: replay goes through the registry.
+    assert!(!dump.is_self_contained());
     assert!(
-        load_verify_replay(spec, &dir).expect("clean v1 dump"),
+        load_verify_replay(&dump.manifest.workload, &dir).expect("clean v1 dump"),
         "v1 replay must reproduce the recorded execution"
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn v2_dumps_are_strictly_smaller_than_v1_on_the_acceptance_workloads() {
-    use bugnet::core::dump::{write_dump_v1, DumpMeta};
-    use bugnet::types::Timestamp;
-    for (spec, interval) in [
-        ("spec:gzip:30000:1", 5_000),
-        ("mt:racy_counter:2:400", 50_000),
-    ] {
-        let machine = recorded_machine(spec, interval);
-        let meta = DumpMeta {
-            workload: spec.to_string(),
-            config: machine.bugnet_config().unwrap().clone(),
-            created: Timestamp(0),
-            fault: None,
-            evicted_checkpoints: 0,
-            telemetry: None,
-        };
-        let dir_v1 = temp_dir(&format!("size-v1-{interval}"));
-        let dir_v2 = temp_dir(&format!("size-v2-{interval}"));
-        write_dump_v1(&dir_v1, &meta, machine.log_store().unwrap()).unwrap();
-        machine
-            .write_crash_dump_with(
-                &dir_v2,
-                &DumpOptions {
-                    format: DumpFormat::V2,
-                    ..DumpOptions::default()
-                },
-            )
-            .unwrap();
-        let total = |dir: &Path| -> u64 {
-            fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().metadata().unwrap().len())
-                .sum()
-        };
-        let (v1, v2) = (total(&dir_v1), total(&dir_v2));
-        assert!(
-            v2 < v1,
-            "{spec}: v2 dump ({v2} bytes) must be strictly smaller than v1 ({v1})"
-        );
-        fs::remove_dir_all(&dir_v1).unwrap();
-        fs::remove_dir_all(&dir_v2).unwrap();
+    // The v1 and v2 writers are gone; the committed fixtures hold one
+    // recording of the gzip acceptance workload in each format. The v2
+    // codec layer must shrink every log file, not just the total.
+    let (dir_v1, dir_v2) = (fixture("golden-v1"), fixture("golden-v2"));
+    let manifest = CrashDump::load(&dir_v2).expect("v2 loads").manifest;
+    for t in &manifest.threads {
+        for name in [t.fll_file(), t.mrl_file()] {
+            let (v1, v2) = (file_bytes(&dir_v1, &name), file_bytes(&dir_v2, &name));
+            assert!(
+                v2 < v1,
+                "{name}: v2 ({v2} bytes) must be strictly smaller than v1 ({v1})"
+            );
+        }
     }
+    let (v1, v2) = (dump_bytes(&dir_v1), dump_bytes(&dir_v2));
+    assert!(
+        v2 < v1,
+        "v2 dump ({v2} bytes) must be strictly smaller than v1 ({v1})"
+    );
 }
 
 #[test]
@@ -324,48 +298,29 @@ fn uninstrumented_dumps_embed_no_telemetry() {
 fn v5_dumps_replay_digest_identical_to_v4_and_are_smaller() {
     // The columnar transform is a wire-layout change only: the decoded
     // logs, the recorded digests and the replayed digests must all be
-    // byte-identical between v4 and v5 dumps of the same run — and on the
-    // acceptance workload the columnar layout must actually shrink the dump.
-    let spec = "spec:gzip:30000:1";
-    let machine = recorded_machine(spec, 5_000);
-    let dir_v4 = temp_dir("v4-vs-v5-v4");
-    let dir_v5 = temp_dir("v4-vs-v5-v5");
-    for (dir, format) in [(&dir_v4, DumpFormat::V4), (&dir_v5, DumpFormat::V5)] {
-        machine
-            .write_crash_dump_with(
-                dir,
-                &DumpOptions {
-                    format,
-                    ..DumpOptions::default()
-                },
-            )
-            .unwrap();
-    }
+    // identical between the v4 and v5 fixtures of the same run — and the
+    // columnar layout must actually shrink the dump.
+    let (dir_v4, dir_v5) = (fixture("golden-v4"), fixture("golden-v5"));
     let v4 = CrashDump::load(&dir_v4).expect("v4 loads");
     let v5 = CrashDump::load(&dir_v5).expect("v5 loads");
+    assert_eq!(v4.manifest.version, DUMP_VERSION_V4);
     assert_eq!(v5.manifest.version, DUMP_VERSION_V5);
     assert_eq!(v4.threads.len(), v5.threads.len());
     for (t4, t5) in v4.threads.iter().zip(&v5.threads) {
         assert_eq!(t4.checkpoints, t5.checkpoints, "decoded logs must match");
     }
+    for (m4, m5) in v4.manifest.threads.iter().zip(&v5.manifest.threads) {
+        assert_eq!(m4.digests, m5.digests, "recorded digests must match");
+    }
     let r4 = v4.replay(|_| None).expect("v4 replays");
     let r5 = v5.replay(|_| None).expect("v5 replays");
     assert!(r4.all_match() && r5.all_match());
     assert_eq!(r4, r5, "per-interval replay reports must be identical");
-
-    let total = |dir: &Path| -> u64 {
-        fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
-            .sum()
-    };
-    let (b4, b5) = (total(&dir_v4), total(&dir_v5));
+    let (b4, b5) = (dump_bytes(&dir_v4), dump_bytes(&dir_v5));
     assert!(
         b5 < b4,
         "v5 dump ({b5} bytes) must be smaller than v4 ({b4})"
     );
-    fs::remove_dir_all(&dir_v4).unwrap();
-    fs::remove_dir_all(&dir_v5).unwrap();
 }
 
 #[test]
@@ -392,6 +347,45 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
         .replay_from(CheckpointId(last.0 + 1), |_| None)
         .expect("empty seek");
     assert!(past.intervals.is_empty());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn one_replay_request_combines_seek_override_and_observers() {
+    use bugnet::core::dump::{ProgramSource, ReplayRequest, ReplayStats};
+    use bugnet::telemetry::{MetricValue, Registry};
+    use bugnet::trace::TraceSession;
+    let spec = "spec:gzip:30000:1";
+    let dir = temp_dir("replay-request");
+    record_dump(spec, &dir, 5_000);
+    let dump = CrashDump::load(&dir).expect("load passes");
+    let n = dump.threads[0].checkpoints.len();
+    let from = dump.threads[0].checkpoints[n / 2].fll.header.checkpoint;
+    let workload = registry::resolve(spec).unwrap();
+    let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
+    let metrics = Registry::default();
+    let stats = ReplayStats::register(&metrics);
+    let session = TraceSession::with_capacity("replay-request", 1 << 10);
+    let mut tracer = session.thread("replay");
+    let report = dump
+        .replay_with(ReplayRequest {
+            programs: ProgramSource::Override(|t: ThreadId| programs.get(t.0 as usize).cloned()),
+            from: Some(from),
+            stats: Some(&stats),
+            tracer: Some(&mut tracer),
+        })
+        .expect("replays");
+    assert!(report.all_match(), "{:?}", report.divergences());
+    // Seek, override and both observers apply to one pass: the report is
+    // the plain seek's, and each observer counts exactly the tail.
+    assert_eq!(report, dump.replay_from(from, |_| None).unwrap());
+    let replayed = (n - n / 2) as u64;
+    assert_eq!(report.intervals.len() as u64, replayed);
+    match metrics.snapshot().entries.get("replay_intervals_total") {
+        Some(MetricValue::Counter(count)) => assert_eq!(*count, replayed),
+        other => panic!("replay_intervals_total missing or mistyped: {other:?}"),
+    }
+    assert_eq!(session.emitted_events(), replayed);
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,15 +1,16 @@
 //! Golden-dump compatibility tests: small dumps in every supported format
-//! (v2, v3, v4 and v5) are committed to the repository, and these tests
-//! prove the current tree still loads, verifies and replays them. Format
-//! work (v6 and whatever comes after) can therefore never silently break
+//! (v1 to v5) are committed to the repository, and these tests prove the
+//! current tree still loads, verifies and replays them. Only v5 is still
+//! written, so these bytes are the only v1–v4 dumps there are. Format work
+//! (v6 and whatever comes after) can therefore never silently break
 //! loading of old dumps — the failure shows up here, in CI, against bytes
 //! that predate the change.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpFormat, DumpOptions, DUMP_VERSION_V2, DUMP_VERSION_V3,
-    DUMP_VERSION_V4, DUMP_VERSION_V5,
+    verify_dump, CrashDump, DUMP_VERSION_V1, DUMP_VERSION_V2, DUMP_VERSION_V3, DUMP_VERSION_V4,
+    DUMP_VERSION_V5,
 };
 use bugnet::types::{BugNetConfig, ThreadId};
 use bugnet::workloads::registry;
@@ -17,6 +18,10 @@ use bugnet::workloads::registry;
 /// Workload and recorder parameters the committed fixtures were written with.
 const GOLDEN_SPEC: &str = "spec:gzip:8000:1";
 const GOLDEN_INTERVAL: u64 = 2_000;
+
+fn fixture_dir_v1() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-v1")
+}
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-v2")
@@ -176,7 +181,7 @@ fn committed_v5_dump_still_loads_verifies_and_replays() {
 fn v5_writer_reproduces_the_committed_fixture() {
     let out = std::env::temp_dir().join(format!("bugnet-golden-v5-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    regenerate(DumpFormat::V5, &out);
+    regenerate(&out);
     let names = |dir: &std::path::Path| {
         let mut names: Vec<_> = std::fs::read_dir(dir)
             .expect("dump directory lists")
@@ -202,38 +207,69 @@ fn v5_writer_reproduces_the_committed_fixture() {
     std::fs::remove_dir_all(&out).expect("temp dump removes");
 }
 
-/// Writes the v2 fixture. Run manually (once, or after an *intentional*
-/// format-v2 change, which should be impossible — v2 is frozen):
-///
-/// ```text
-/// cargo test --test golden_dump -- --ignored regenerate_golden_fixture
-/// ```
+/// The five fixtures are one recording (GOLDEN_SPEC, interval
+/// GOLDEN_INTERVAL) written in each format, so they must agree on
+/// everything but their layout: the decoded logs, the recorded digests and
+/// the replay, interval for interval. v1 and v2 carry no image and replay
+/// through the registry fallback; v3 to v5 replay from their embedded
+/// images. Each format change also had to pay for itself on disk: the v2
+/// codec layer shrank v1, and the v5 columnar frames shrank v4.
 #[test]
-#[ignore = "writes the committed fixture; run manually"]
-fn regenerate_golden_fixture() {
-    regenerate(DumpFormat::V2, &fixture_dir());
-}
-
-/// Writes the v3 fixture. Same rules as the v2 one: v3 bytes are frozen.
-///
-/// ```text
-/// cargo test --test golden_dump -- --ignored regenerate_golden_fixture_v3
-/// ```
-#[test]
-#[ignore = "writes the committed fixture; run manually"]
-fn regenerate_golden_fixture_v3() {
-    regenerate(DumpFormat::V3, &fixture_dir_v3());
-}
-
-/// Writes the v4 fixture. Same rules as the v2 one: v4 bytes are frozen.
-///
-/// ```text
-/// cargo test --test golden_dump -- --ignored regenerate_golden_fixture_v4
-/// ```
-#[test]
-#[ignore = "writes the committed fixture; run manually"]
-fn regenerate_golden_fixture_v4() {
-    regenerate(DumpFormat::V4, &fixture_dir_v4());
+fn all_five_formats_decode_and_replay_identically() {
+    let dirs = [
+        fixture_dir_v1(),
+        fixture_dir(),
+        fixture_dir_v3(),
+        fixture_dir_v4(),
+        fixture_dir_v5(),
+    ];
+    let dumps: Vec<CrashDump> = dirs
+        .iter()
+        .map(|dir| CrashDump::load(dir).expect("golden dump loads"))
+        .collect();
+    let versions: Vec<u32> = dumps.iter().map(|d| d.manifest.version).collect();
+    assert_eq!(
+        versions,
+        [
+            DUMP_VERSION_V1,
+            DUMP_VERSION_V2,
+            DUMP_VERSION_V3,
+            DUMP_VERSION_V4,
+            DUMP_VERSION_V5
+        ]
+    );
+    let workload = registry::resolve(GOLDEN_SPEC).expect("spec resolves");
+    let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
+    let v5 = &dumps[4];
+    let reference = v5.replay(|_| None).expect("v5 replays");
+    assert!(reference.all_match(), "{:?}", reference.divergences());
+    for (dump, dir) in dumps.iter().zip(&dirs) {
+        let name = dir.display();
+        assert_eq!(dump.manifest.workload, GOLDEN_SPEC, "{name}");
+        assert_eq!(dump.threads.len(), v5.threads.len(), "{name}");
+        for (t, t5) in dump.threads.iter().zip(&v5.threads) {
+            assert_eq!(t.checkpoints, t5.checkpoints, "{name}: decoded logs differ");
+        }
+        for (m, m5) in dump.manifest.threads.iter().zip(&v5.manifest.threads) {
+            assert_eq!(m.digests, m5.digests, "{name}: recorded digests differ");
+        }
+        let embedded = dump.manifest.version >= DUMP_VERSION_V3;
+        assert_eq!(dump.is_self_contained(), embedded, "{name}");
+        let replay = dump
+            .replay(|t: ThreadId| programs.get(t.0 as usize).cloned())
+            .expect("golden dump replays");
+        assert_eq!(replay, reference, "{name}: replay reports differ");
+    }
+    let size = |dir: &Path| -> u64 {
+        std::fs::read_dir(dir)
+            .expect("fixture lists")
+            .map(|e| e.expect("entry").metadata().expect("metadata").len())
+            .sum()
+    };
+    let (v1, v2) = (size(&dirs[0]), size(&dirs[1]));
+    assert!(v1 > v2, "v1 ({v1} bytes) must be larger than v2 ({v2})");
+    let (v4, v5) = (size(&dirs[3]), size(&dirs[4]));
+    assert!(v4 > v5, "v4 ({v4} bytes) must be larger than v5 ({v5})");
 }
 
 /// Writes the v5 fixture. v5 is the current default format; regenerate only
@@ -245,11 +281,11 @@ fn regenerate_golden_fixture_v4() {
 #[test]
 #[ignore = "writes the committed fixture; run manually"]
 fn regenerate_golden_fixture_v5() {
-    regenerate(DumpFormat::V5, &fixture_dir_v5());
+    regenerate(&fixture_dir_v5());
 }
 
-/// Records [`GOLDEN_SPEC`] and writes its dump in `format` into `dir`.
-fn regenerate(format: DumpFormat, dir: &std::path::Path) {
+/// Records [`GOLDEN_SPEC`] and writes its dump into `dir`.
+fn regenerate(dir: &Path) {
     use bugnet::sim::MachineBuilder;
     let workload = registry::resolve(GOLDEN_SPEC).unwrap();
     let mut machine = MachineBuilder::new()
@@ -257,17 +293,9 @@ fn regenerate(format: DumpFormat, dir: &std::path::Path) {
         .workload_spec(GOLDEN_SPEC)
         .build_with_workload(&workload);
     machine.run_to_completion();
-    let manifest = machine
-        .write_crash_dump_with(
-            dir,
-            &DumpOptions {
-                format,
-                ..DumpOptions::default()
-            },
-        )
-        .unwrap();
+    let manifest = machine.write_crash_dump(dir).unwrap();
     println!(
-        "wrote golden {format:?} fixture to {}: {} checkpoint(s)",
+        "wrote golden v5 fixture to {}: {} checkpoint(s)",
         dir.display(),
         manifest.total_checkpoints()
     );
