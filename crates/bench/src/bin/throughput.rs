@@ -60,30 +60,31 @@
 //!   are informational (fsync cost is hardware-dependent), so the
 //!   staging/fsync overhead is measured rather than guessed.
 //! * `recorder_instrumented_loads_per_sec` / `telemetry_overhead_frac` —
-//!   the recorder microbench repeated with a telemetry [`Registry`]
-//!   attached, in nine back-to-back pairs with the uninstrumented run,
+//!   the recorder microbench repeated with a probe over a telemetry
+//!   [`Registry`], in nine back-to-back pairs with the uninstrumented run,
 //!   alternating which goes first; the fraction is one minus the median
 //!   of the per-pair rate ratios. The overhead
 //!   fraction is gated by `bench_check` at an absolute ceiling
 //!   (`--max-overhead`, default 0.03): always-on instrumentation that
 //!   costs more than 3% of recorder throughput fails CI.
 //! * `recorder_traced_loads_per_sec` / `trace_overhead_frac` — the same
-//!   A/B comparison with a `bugnet_trace` session attached instead of a
-//!   telemetry registry (the recorder emits one span per sealed interval).
+//!   A/B comparison with the probe over a `bugnet_trace` session instead
+//!   (the recorder emits one span per sealed interval).
 //!   Gated separately by `bench_check --max-trace-overhead` (default
 //!   0.03): opt-in tracing that taxes the recording hot path fails CI.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use bugnet_bench::ExperimentOptions;
 use bugnet_compress::{codec, CodecId};
 use bugnet_core::bitstream::{BitReader, BitWriter};
 use bugnet_core::columnar::{decode_fll_columnar, encode_fll_columnar};
 use bugnet_core::fll::{FirstLoadLog, TerminationCause};
-use bugnet_core::recorder::{LogStore, RecorderStats, ThreadRecorder, ThreadStoreHandle};
+use bugnet_core::recorder::{LogStore, ThreadRecorder, ThreadStoreHandle};
 use bugnet_core::{Replayer, ValueDictionary};
 use bugnet_sim::{Machine, MachineBuilder};
-use bugnet_telemetry::{Histogram, MetricValue, Registry};
+use bugnet_telemetry::{Histogram, MetricValue, Probe, Registry};
 use bugnet_trace::TraceSession;
 use bugnet_types::{Addr, BugNetConfig, ProcessId, SplitMix64, ThreadId, Timestamp, Word};
 use bugnet_workloads::spec::SpecProfile;
@@ -127,28 +128,17 @@ fn load_stream(len: usize) -> Vec<(Addr, Word, bool)> {
     load_stream_seeded(len, 0x70AD)
 }
 
-/// Drives one recorder over a load stream, returning the finished FLLs.
-fn record_stream(loads: &[(Addr, Word, bool)], interval: u64, thread: u32) -> Vec<FirstLoadLog> {
-    record_stream_with(loads, interval, thread, None, None)
-}
-
-/// [`record_stream`] with an optional telemetry registry and/or trace
-/// session attached — the instrumented arms of the self-overhead benchmarks.
-fn record_stream_with(
+/// Drives one recorder observed by `probe` (off, except in the
+/// self-overhead arms) over a load stream, returning the finished FLLs.
+fn record_stream(
     loads: &[(Addr, Word, bool)],
     interval: u64,
     thread: u32,
-    telemetry: Option<&Registry>,
-    trace: Option<&TraceSession>,
+    probe: Probe,
 ) -> Vec<FirstLoadLog> {
     let cfg = BugNetConfig::default().with_checkpoint_interval(interval);
     let mut recorder = ThreadRecorder::new(cfg, ProcessId(1), ThreadId(thread));
-    if let Some(registry) = telemetry {
-        recorder.attach_telemetry(RecorderStats::register(registry));
-    }
-    if let Some(session) = trace {
-        recorder.attach_trace(session.thread("bench-recorder"));
-    }
+    recorder.attach_probe(probe);
     let mut flls = Vec::new();
     recorder.begin_interval(Default::default(), Timestamp(0));
     for &(addr, value, first) in loads {
@@ -168,7 +158,7 @@ fn record_stream_with(
 }
 
 fn bench_recorder(loads: &[(Addr, Word, bool)], interval: u64) -> (Vec<Metric>, f64) {
-    let (flls, record_secs) = time(|| record_stream(loads, interval, 0));
+    let (flls, record_secs) = time(|| record_stream(loads, interval, 0, Probe::off()));
 
     let total_records: u64 = flls.iter().map(|f| f.records()).sum();
     let (decoded, decode_secs) = time(|| {
@@ -481,7 +471,7 @@ fn bench_dump_write(machine: &Machine, samples: usize) -> Vec<Metric> {
         let (manifest, secs) = time(|| machine.write_crash_dump(&dir).expect("dump writes"));
         intervals += manifest.total_checkpoints();
         total += secs;
-        hist.record_duration(Duration::from_secs_f64(secs));
+        hist.record((secs * 1e9) as u64);
     }
     let snap = hist.snapshot();
     assert_eq!(snap.count, samples as u64);
@@ -524,14 +514,17 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn overhead_pairs(
     loads: &[(Addr, Word, bool)],
     interval: u64,
-    telemetry: Option<&Registry>,
-    trace: Option<&TraceSession>,
+    telemetry: Option<&Arc<Registry>>,
+    trace: Option<&Arc<TraceSession>>,
 ) -> (f64, f64) {
     let run = |instrumented: bool| {
         let (flls, secs) = if instrumented {
-            time(|| record_stream_with(loads, interval, 0, telemetry, trace))
+            time(|| {
+                let probe = Probe::new(telemetry.cloned(), trace.cloned(), "bench-recorder");
+                record_stream(loads, interval, 0, probe)
+            })
         } else {
-            time(|| record_stream(loads, interval, 0))
+            time(|| record_stream(loads, interval, 0, Probe::off()))
         };
         assert!(!flls.is_empty());
         secs
@@ -553,61 +546,40 @@ fn overhead_pairs(
     (rate, (1.0 - median(ratios)).max(0.0))
 }
 
-/// Self-overhead section: the recorder microbench with and without a
-/// telemetry [`Registry`] attached, in alternating pairs (see
-/// [`overhead_pairs`]). The hot path batches its counts in the interval
-/// state and flushes to the shared counters once per sealed interval, so
-/// the measured fraction should sit near zero; the `bench_check
-/// --max-overhead` ceiling (0.03) turns "near zero" into an enforced
+/// Self-overhead sections: the recorder microbench with and without a
+/// probe over a telemetry [`Registry`] (`telemetry_overhead_frac`) and over
+/// a [`TraceSession`] (`trace_overhead_frac`), each in alternating pairs
+/// (see [`overhead_pairs`]). The probe is touched once per sealed interval
+/// — one span plus the batched totals — never per load, so both fractions
+/// should sit near zero; `bench_check --max-overhead` and
+/// `--max-trace-overhead` (0.03 each) turn "near zero" into an enforced
 /// contract.
-fn bench_telemetry_overhead(loads: &[(Addr, Word, bool)], interval: u64) -> Vec<Metric> {
-    let registry = Registry::default();
-    let (rate, overhead) = overhead_pairs(loads, interval, Some(&registry), None);
-    // The instrumented arm must actually have instrumented: the registry
-    // saw every load of every pair.
+fn bench_probe_overhead(loads: &[(Addr, Word, bool)], interval: u64) -> Vec<Metric> {
+    let registry = Arc::new(Registry::default());
+    let (instrumented_rate, telemetry) = overhead_pairs(loads, interval, Some(&registry), None);
+    let session = Arc::new(TraceSession::with_capacity("bench-trace-overhead", 1 << 12));
+    let (traced_rate, trace) = overhead_pairs(loads, interval, None, Some(&session));
+    // Each instrumented arm must actually have observed: the registry saw
+    // every load of every pair, and the closed intervals emitted spans.
     match registry.snapshot().entries.get("recorder_loads_seen_total") {
         Some(MetricValue::Counter(seen)) => {
             assert_eq!(*seen, (loads.len() * OVERHEAD_PAIRS) as u64);
         }
         other => panic!("recorder_loads_seen_total missing or mistyped: {other:?}"),
     }
-    vec![
-        Metric {
-            name: "recorder_instrumented_loads_per_sec",
-            value: rate,
-        },
-        Metric {
-            name: "telemetry_overhead_frac",
-            value: overhead,
-        },
-    ]
-}
-
-/// Trace self-overhead section: the recorder microbench with and without a
-/// [`TraceSession`] attached — the same paired A/B shape as
-/// [`bench_telemetry_overhead`]. The recorder emits one span per sealed
-/// interval into a lock-free per-thread ring, so the per-load hot path is
-/// untouched and the fraction should sit near zero; `bench_check
-/// --max-trace-overhead` (0.03) enforces it.
-fn bench_trace_overhead(loads: &[(Addr, Word, bool)], interval: u64) -> Vec<Metric> {
-    let session = TraceSession::with_capacity("bench-trace-overhead", 1 << 12);
-    let (rate, overhead) = overhead_pairs(loads, interval, None, Some(&session));
-    // The traced arm must actually have traced: every closed interval of
-    // every pair emitted a span.
     assert!(
         session.emitted_events() > 0,
-        "traced arm emitted no events — attach_trace wiring broken"
+        "traced arm emitted no events — probe wiring broken"
     );
-    vec![
-        Metric {
-            name: "recorder_traced_loads_per_sec",
-            value: rate,
-        },
-        Metric {
-            name: "trace_overhead_frac",
-            value: overhead,
-        },
+    [
+        ("recorder_instrumented_loads_per_sec", instrumented_rate),
+        ("telemetry_overhead_frac", telemetry),
+        ("recorder_traced_loads_per_sec", traced_rate),
+        ("trace_overhead_frac", trace),
     ]
+    .into_iter()
+    .map(|(name, value)| Metric { name, value })
+    .collect()
 }
 
 fn bench_machine(instructions: u64, interval: u64) -> (Vec<Metric>, Vec<FirstLoadLog>, Machine) {
@@ -654,8 +626,7 @@ fn main() {
     let mut metrics = Vec::new();
     let (recorder_metrics, records) = bench_recorder(&loads, interval);
     metrics.extend(recorder_metrics);
-    metrics.extend(bench_telemetry_overhead(&loads, interval));
-    metrics.extend(bench_trace_overhead(&loads, interval));
+    metrics.extend(bench_probe_overhead(&loads, interval));
     metrics.extend(bench_mt_sweep(
         opts.pick(500_000, 5_000_000) as usize,
         interval,

@@ -23,13 +23,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use bugnet_compress::CodecId;
-use bugnet_core::dump::{CrashDump, DumpManifest, ProgramSource, ReplayRequest, ReplayStats};
+use bugnet_core::dump::{CrashDump, DumpManifest, ProgramSource, ReplayRequest};
 use bugnet_core::profile::{profile_dump, ProfileOptions};
 use bugnet_sim::{MachineBuilder, RecordingOptions};
-use bugnet_telemetry::{Registry, Snapshot};
+use bugnet_telemetry::{Probe, Registry, Snapshot};
 use bugnet_trace::TraceSession;
-use bugnet_types::{BugNetConfig, ByteSize, CheckpointId, ThreadId};
-use bugnet_workloads::{registry, ThreadSpec};
+use bugnet_types::{BugNetConfig, ByteSize, CheckpointId, ThreadId, MAX_DICTIONARY_ENTRIES};
+use bugnet_workloads::registry::{self, MAX_THREADS};
+use bugnet_workloads::ThreadSpec;
 
 mod report;
 
@@ -84,7 +85,9 @@ USAGE:
         prior crashed runs are swept first. --codec selects the back-end
         frame compressor (default: lz); --flush-workers seals intervals on
         N background threads and --shards sets the store's hand-off lane
-        count (recorded content is identical for any worker/shard count).
+        count (recorded content is identical for any worker/shard count;
+        both are at most 64, the most threads a workload has, and --dict
+        is at most 65536).
         Dumps are format v5: each log is stored as columnar, delta-encoded
         per-field streams and the program images are embedded
         content-addressed, so threads sharing one image store it once;
@@ -256,6 +259,17 @@ impl Args {
         }
     }
 
+    /// Removes `--name <N>` for a size the run allocates or spawns by
+    /// (`default` when absent): a value above `max` is a usage error.
+    fn size_option(&mut self, name: &str, default: usize, max: usize) -> Result<usize, CliError> {
+        match self.option_u64(name)? {
+            Some(v) if v > max as u64 => {
+                Err(CliError::usage(format!("{name} is at most {max}, got {v}")))
+            }
+            v => Ok(v.map_or(default, |v| v as usize)),
+        }
+    }
+
     /// Removes and returns the next positional (non-`--`) argument.
     fn next_positional(&mut self) -> Option<String> {
         let i = self.remaining.iter().position(|a| !a.starts_with("--"))?;
@@ -286,7 +300,7 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         .map(PathBuf::from)
         .ok_or_else(|| CliError::usage("dump requires --out <DIR>"))?;
     let interval = args.option_u64("--interval")?.unwrap_or(100_000);
-    let dict = args.option_u64("--dict")?.unwrap_or(64) as usize;
+    let dict = args.size_option("--dict", 64, MAX_DICTIONARY_ENTRIES)?;
     let max_instructions = args.option_u64("--max-instructions")?.unwrap_or(u64::MAX);
     let codec = match args.option("--codec")? {
         None => CodecId::Lz77,
@@ -294,8 +308,10 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
             CliError::usage(format!("--codec expects `identity` or `lz`, got `{name}`"))
         })?,
     };
-    let flush_workers = args.option_u64("--flush-workers")?.unwrap_or(0) as usize;
-    let store_shards = args.option_u64("--shards")?.unwrap_or(0) as usize;
+    // Thread `t` uses worker `t % workers` and lane `t % shards`, so more of
+    // either than a workload has threads would never get work.
+    let flush_workers = args.size_option("--flush-workers", 0, MAX_THREADS)?;
+    let store_shards = args.size_option("--shards", 0, MAX_THREADS)?;
     let embed_image = !args.flag("--no-embed-image");
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
@@ -559,12 +575,11 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
         }
         None => None,
     };
-    let telemetry = metrics_json.as_ref().map(|_| Registry::default());
-    let stats = telemetry.as_ref().map(ReplayStats::register);
+    let telemetry = metrics_json.as_ref().map(|_| Arc::new(Registry::default()));
     let trace = trace_out
         .as_ref()
-        .map(|_| TraceSession::with_capacity("bugnet-replay", 1 << 16));
-    let mut tracer = trace.as_ref().map(|s| s.thread("replay"));
+        .map(|_| Arc::new(TraceSession::with_capacity("bugnet-replay", 1 << 16)));
+    let probe = Probe::new(telemetry.clone(), trace.clone(), "replay");
     let dump = if salvage {
         let salvaged = CrashDump::load_salvage(&dir)
             .map_err(|e| CliError::data(format!("unsalvageable: {e}")))?;
@@ -640,8 +655,7 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
                 None => ProgramSource::Embedded(program_of),
             },
             from,
-            stats: stats.as_ref(),
-            tracer: tracer.as_mut(),
+            probe,
         })
         .map_err(|e| CliError::data(format!("replay failed: {e}")))?;
     if report.intervals.is_empty() && report.unreplayable_threads.is_empty() {
@@ -843,6 +857,25 @@ mod tests {
         assert!(!a.flag("--no-embed-image"));
         assert_eq!(a.next_positional().as_deref(), Some("out"));
         assert!(a.finish().is_ok());
+    }
+
+    #[test]
+    fn dump_sizes_above_their_ceilings_are_usage_errors() {
+        let out = std::env::temp_dir().join(format!("bugnet-cli-ceiling-{}", std::process::id()));
+        let out = out.to_str().unwrap();
+        for (flag, value) in [
+            ("--shards", "65"),
+            ("--shards", "100000000000"),
+            ("--flush-workers", "65"),
+            ("--dict", "65537"),
+            ("--dict", "100000000000"),
+        ] {
+            let mut a = args(&["--workload", "spec:gzip:1000:1", "--out", out, flag, value]);
+            let err = cmd_dump(&mut a).unwrap_err();
+            assert_eq!(err.code, 2, "{flag} {value}: {}", err.message);
+            assert!(err.message.contains(flag), "{}", err.message);
+            assert!(!Path::new(out).exists(), "{flag} {value} created {out}");
+        }
     }
 
     #[test]

@@ -431,6 +431,9 @@ pub fn join_fll(streams: &[(u8, Vec<u8>)]) -> Result<FirstLoadLog, ColumnarCodec
         dictionary_entries,
         dictionary_counter_bits,
     };
+    codec
+        .check()
+        .map_err(|what| ColumnarCodecError::Inconsistent { what })?;
     let process = ProcessId(get_u32(meta, &mut pos, S)?);
     let thread = ThreadId(get_u32(meta, &mut pos, S)?);
     let checkpoint = CheckpointId(get_u32(meta, &mut pos, S)?);

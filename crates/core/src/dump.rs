@@ -90,6 +90,7 @@ use bugnet_compress::{
     FrameError,
 };
 use bugnet_isa::{decode_image, encode_image, Program};
+use bugnet_telemetry::Probe;
 use bugnet_types::{Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, ThreadId, Timestamp};
 
 use crate::columnar::{decode_fll_columnar, decode_mrl_columnar, ColumnarCodecError};
@@ -1412,8 +1413,7 @@ impl CrashDump {
         self.replay_with(ReplayRequest {
             programs: ProgramSource::Embedded(fallback),
             from: None,
-            stats: None,
-            tracer: None,
+            probe: Probe::off(),
         })
     }
 
@@ -1434,8 +1434,7 @@ impl CrashDump {
         self.replay_with(ReplayRequest {
             programs: ProgramSource::Embedded(fallback),
             from: Some(from),
-            stats: None,
-            tracer: None,
+            probe: Probe::off(),
         })
     }
 
@@ -1529,7 +1528,7 @@ impl CrashDump {
 
     /// The general replay: resolves each thread's program as
     /// `request.programs` says, skips the intervals before `request.from`,
-    /// and feeds `request.stats` and `request.tracer` as it goes. Every
+    /// and feeds `request.probe` as it goes. Every
     /// replayed interval is checked against its recorded digest (and
     /// fault, where one ended it).
     ///
@@ -1538,13 +1537,12 @@ impl CrashDump {
     /// Returns the first [`ReplayError`] from an unreplayable interval.
     pub fn replay_with<F: FnMut(ThreadId) -> Option<Arc<Program>>>(
         &self,
-        request: ReplayRequest<'_, F>,
+        request: ReplayRequest<F>,
     ) -> Result<DumpReplayReport, ReplayError> {
         let ReplayRequest {
             mut programs,
             from,
-            stats,
-            mut tracer,
+            mut probe,
         } = request;
         let mut report = DumpReplayReport::default();
         for t in &self.threads {
@@ -1557,8 +1555,7 @@ impl CrashDump {
                 if from.is_some_and(|from| cp.fll.header.checkpoint < from) {
                     continue;
                 }
-                let started = stats.map(|_| std::time::Instant::now());
-                let trace_start = tracer.as_ref().map(|tr| tr.now());
+                let start = probe.now();
                 let replayed = replayer.replay_interval(&cp.fll)?;
                 let fault_reproduced = cp.fll.fault.map(|expected| {
                     replayed
@@ -1567,27 +1564,16 @@ impl CrashDump {
                         .unwrap_or(false)
                 });
                 let digest_match = cp.digest.matches(&replayed.digest);
-                if let (Some(stats), Some(started)) = (stats, started) {
-                    stats.interval_ns.record_duration(started.elapsed());
-                    stats.intervals.inc();
-                    stats.instructions.add(replayed.instructions);
-                    stats.loads_from_log.add(replayed.loads_from_log);
-                    if digest_match {
-                        stats.digest_matches.inc();
-                    } else {
-                        stats.digest_mismatches.inc();
-                    }
-                }
-                if let (Some(tr), Some(start)) = (tracer.as_deref_mut(), trace_start) {
-                    tr.span_since_arg(
-                        "interval",
-                        "replay",
-                        start,
-                        "instructions",
-                        replayed.instructions,
-                    );
+                if probe.is_on() {
+                    let instructions = Some(("instructions", replayed.instructions));
+                    probe.span("replay", "interval", start, instructions);
+                    probe.add("replay_intervals_total", 1);
+                    probe.add("replay_instructions_total", replayed.instructions);
+                    probe.add("replay_loads_from_log_total", replayed.loads_from_log);
+                    probe.add("replay_digest_matches_total", u64::from(digest_match));
+                    probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
                     if !digest_match {
-                        tr.instant("digest_mismatch", "replay");
+                        probe.instant("replay", "digest_mismatch");
                     }
                 }
                 report.intervals.push(DumpIntervalReplay {
@@ -1632,7 +1618,7 @@ impl<F: FnMut(ThreadId) -> Option<Arc<Program>>> ProgramSource<F> {
 
 /// One replay of a dump, for [`CrashDump::replay_with`]: where the programs
 /// come from, where in the window to start, and what observes it.
-pub struct ReplayRequest<'a, F> {
+pub struct ReplayRequest<F> {
     /// Per-thread program resolution.
     pub programs: ProgramSource<F>,
     /// Checkpoint-seeking time travel: replay only the intervals whose
@@ -1640,45 +1626,11 @@ pub struct ReplayRequest<'a, F> {
     /// [`replay_from`](CrashDump::replay_from)); `None` replays the whole
     /// window.
     pub from: Option<CheckpointId>,
-    /// Replay telemetry (interval latency, instruction and
-    /// digest-comparison counters) fed as the replay goes.
-    pub stats: Option<&'a ReplayStats>,
-    /// Timeline: one `interval` span (category `replay`, instruction-count
-    /// arg) per replayed interval, plus a `digest_mismatch` instant where
-    /// the replay diverges — the twin of `stats`' aggregates.
-    pub tracer: Option<&'a mut bugnet_trace::ThreadTracer>,
-}
-
-/// Telemetry handles for the dump replay path, registered under the
-/// `replay_*` metric names.
-#[derive(Debug, Clone)]
-pub struct ReplayStats {
-    /// Instructions replayed (`replay_instructions_total`).
-    pub instructions: Arc<bugnet_telemetry::Counter>,
-    /// Intervals replayed (`replay_intervals_total`).
-    pub intervals: Arc<bugnet_telemetry::Counter>,
-    /// Loads satisfied from the FLL (`replay_loads_from_log_total`).
-    pub loads_from_log: Arc<bugnet_telemetry::Counter>,
-    /// Digest comparisons that matched (`replay_digest_matches_total`).
-    pub digest_matches: Arc<bugnet_telemetry::Counter>,
-    /// Digest comparisons that diverged (`replay_digest_mismatches_total`).
-    pub digest_mismatches: Arc<bugnet_telemetry::Counter>,
-    /// Wall-clock latency of one interval replay (`replay_interval_ns`).
-    pub interval_ns: Arc<bugnet_telemetry::Histogram>,
-}
-
-impl ReplayStats {
-    /// Registers (or re-attaches to) the replay metrics in `registry`.
-    pub fn register(registry: &bugnet_telemetry::Registry) -> Self {
-        ReplayStats {
-            instructions: registry.counter("replay_instructions_total"),
-            intervals: registry.counter("replay_intervals_total"),
-            loads_from_log: registry.counter("replay_loads_from_log_total"),
-            digest_matches: registry.counter("replay_digest_matches_total"),
-            digest_mismatches: registry.counter("replay_digest_mismatches_total"),
-            interval_ns: registry.histogram("replay_interval_ns"),
-        }
-    }
+    /// Observes the replay: one `replay`/`interval` span per replayed
+    /// interval (instruction count attached, feeding `replay_interval_ns`),
+    /// a `digest_mismatch` instant where it diverges, and the `replay_*`
+    /// counters. [`Probe::off`] observes nothing.
+    pub probe: Probe,
 }
 
 /// Result of [`CrashDump::bisect`]: the per-thread digest-divergence
@@ -3208,8 +3160,7 @@ mod tests {
             .replay_with(ReplayRequest {
                 programs: ProgramSource::Override(|_| None),
                 from: None,
-                stats: None,
-                tracer: None,
+                probe: Probe::off(),
             })
             .unwrap();
         assert_eq!(report.unreplayable_threads, vec![ThreadId(0)]);

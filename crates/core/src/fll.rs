@@ -21,6 +21,7 @@ use std::fmt;
 use bugnet_cpu::ArchState;
 use bugnet_types::{
     Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, ProcessId, ThreadId, Timestamp, Word,
+    MAX_DICTIONARY_ENTRIES,
 };
 
 use crate::bitstream::{BitReader, BitStream, BitWriter};
@@ -194,6 +195,36 @@ impl FllCodec {
             checkpoint_id_bits: cfg.checkpoint_id_bits,
             dictionary_entries: cfg.dictionary_entries,
             dictionary_counter_bits: cfg.dictionary_counter_bits,
+        }
+    }
+
+    /// Checks the widths a decoded log declares before anything reads,
+    /// shifts or allocates with them: frame checksums are unkeyed, so a
+    /// forged log can declare anything. Returns what is out of range.
+    ///
+    /// # Errors
+    ///
+    /// A counter width outside 1..=8, a dictionary size outside
+    /// 1..=[`MAX_DICTIONARY_ENTRIES`], a rank width that is not the one that
+    /// size derives, or a field too wide for one 64-bit read (the reduced
+    /// L-Count must also leave room for its flag bit).
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let derived = BugNetConfig::default()
+            .with_dictionary_entries(self.dictionary_entries)
+            .dictionary_index_bits();
+        if !(1..=8).contains(&self.dictionary_counter_bits) {
+            Err("dictionary counter width outside 1..=8")
+        } else if !(1..=MAX_DICTIONARY_ENTRIES).contains(&self.dictionary_entries) {
+            Err("dictionary size outside 1..=65536")
+        } else if self.dict_index_bits != derived {
+            Err("dictionary rank width disagrees with the dictionary size")
+        } else if self.reduced_lcount_bits >= 64
+            || self.full_lcount_bits > 64
+            || self.checkpoint_id_bits > 64
+        {
+            Err("field width beyond 64 bits")
+        } else {
+            Ok(())
         }
     }
 
@@ -544,7 +575,8 @@ impl FirstLoadLog {
     ///
     /// Returns [`FllDecodeError::Truncated`] if the buffer is too short or
     /// structurally inconsistent, including a record count its stream
-    /// cannot hold.
+    /// cannot hold and codec widths no reader can use (see
+    /// `FllCodec::check`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FllDecodeError> {
         let stream = BitStream::from_bytes(bytes.to_vec(), bytes.len() as u64 * 8);
         let mut r = BitReader::new(&stream);
@@ -561,6 +593,7 @@ impl FirstLoadLog {
             dictionary_counter_bits: u32::from(widths[4]),
             dictionary_entries: u32::from_le_bytes(entries) as usize,
         };
+        codec.check().map_err(|_| FllDecodeError::Truncated)?;
         let header = FllHeader::decode_from(&mut r, codec.checkpoint_id_bits)
             .ok_or(FllDecodeError::Truncated)?;
         let instructions = r.read_bits(64).ok_or(FllDecodeError::Truncated)?;
@@ -693,6 +726,62 @@ mod tests {
             timestamp: Timestamp(77),
             arch: ArchState::default(),
         }
+    }
+
+    #[test]
+    fn forged_codec_widths_are_typed_errors_in_both_decoders() {
+        use crate::columnar::{join_fll, split_fll};
+        let mut enc = FllEncoder::new(codec());
+        enc.push(3, EncodedValue::Full(Word::new(7)));
+        enc.push(40, EncodedValue::DictRank(2));
+        let (stream, payload) = enc.finish();
+        let log = FirstLoadLog::new(
+            header(),
+            codec(),
+            stream,
+            payload,
+            100,
+            50,
+            TerminationCause::IntervalFull,
+            None,
+        );
+        // Byte offsets of the codec fields, the same in the row format and
+        // in the columnar meta stream: five widths, then the u32 size.
+        let forgeries: [(&str, usize, &[u8]); 7] = [
+            ("counter bits 0", 4, &[0]),
+            ("counter bits 9", 4, &[9]),
+            ("dictionary size 0", 5, &0u32.to_le_bytes()),
+            ("dictionary size u32::MAX", 5, &u32::MAX.to_le_bytes()),
+            ("rank width 7 for 64 entries", 2, &[7]),
+            ("reduced L-Count width 64", 0, &[64]),
+            ("C-ID width 65", 3, &[65]),
+        ];
+        for (what, at, patch) in forgeries {
+            let mut bytes = log.to_bytes();
+            bytes[at..at + patch.len()].copy_from_slice(patch);
+            assert_eq!(
+                FirstLoadLog::from_bytes(&bytes),
+                Err(FllDecodeError::Truncated),
+                "row format, {what}"
+            );
+            let mut streams = split_fll(&log).unwrap();
+            let meta = &mut streams
+                .iter_mut()
+                .find(|(id, _)| *id == crate::columnar::FLL_STREAM_META)
+                .unwrap()
+                .1;
+            meta[at..at + patch.len()].copy_from_slice(patch);
+            assert!(
+                matches!(
+                    join_fll(&streams),
+                    Err(crate::columnar::ColumnarCodecError::Inconsistent { .. })
+                ),
+                "columnar format, {what}"
+            );
+        }
+        // The unforged log still decodes both ways.
+        assert_eq!(FirstLoadLog::from_bytes(&log.to_bytes()).unwrap(), log);
+        assert_eq!(join_fll(&split_fll(&log).unwrap()).unwrap(), log);
     }
 
     #[test]

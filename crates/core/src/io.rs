@@ -40,6 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use bugnet_telemetry::Probe;
+
 /// The filesystem operations a dump writer performs, for typed error
 /// context ("which op died") and fault-injection targeting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,13 +58,15 @@ pub enum IoOp {
     RemoveDir,
     /// Listing a directory's entries.
     ListDir,
-    /// Reading a file back (the load side).
+    /// Reading a file back (the load side; error context only).
     Read,
 }
 
-impl fmt::Display for IoOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl IoOp {
+    /// The operation's short name: its `io`-category span name and the
+    /// `{op}` of its `io_{op}_ns` histogram.
+    fn name(self) -> &'static str {
+        match self {
             IoOp::CreateDir => "create_dir",
             IoOp::WriteFile => "write",
             IoOp::SyncDir => "sync",
@@ -70,7 +74,13 @@ impl fmt::Display for IoOp {
             IoOp::RemoveDir => "remove",
             IoOp::ListDir => "list",
             IoOp::Read => "read",
-        })
+        }
+    }
+}
+
+impl fmt::Display for IoOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -158,180 +168,61 @@ pub trait DumpIo: fmt::Debug {
 /// e.g. one fault plan observed by every dump attempt of a run.
 pub type SharedDumpIo = Arc<Mutex<dyn DumpIo + Send>>;
 
-/// Telemetry handles for the dump I/O path, resolved once per registry.
-/// Wrap any backend in [`InstrumentedIo`] to feed them: per-operation
-/// latency histograms, bytes written, transient (`EINTR`-style) errors the
-/// retry loop will absorb, and permanent failures.
-#[derive(Debug, Clone)]
-pub struct IoStats {
-    /// One latency histogram per [`IoOp`], indexed by `op_index`.
-    op_ns: [Arc<bugnet_telemetry::Histogram>; 7],
-    bytes_written: Arc<bugnet_telemetry::Counter>,
-    transient_errors: Arc<bugnet_telemetry::Counter>,
-    failures: Arc<bugnet_telemetry::Counter>,
-}
-
-/// The histogram slot an operation records into.
-fn op_index(op: IoOp) -> usize {
-    match op {
-        IoOp::CreateDir => 0,
-        IoOp::WriteFile => 1,
-        IoOp::SyncDir => 2,
-        IoOp::Rename => 3,
-        IoOp::RemoveDir => 4,
-        IoOp::ListDir => 5,
-        IoOp::Read => 6,
-    }
-}
-
-impl IoStats {
-    /// Registers (or re-resolves) the dump I/O metrics in `registry`.
-    pub fn register(registry: &bugnet_telemetry::Registry) -> Self {
-        let hist = |op: IoOp| registry.histogram(&format!("io_{op}_ns"));
-        IoStats {
-            op_ns: [
-                hist(IoOp::CreateDir),
-                hist(IoOp::WriteFile),
-                hist(IoOp::SyncDir),
-                hist(IoOp::Rename),
-                hist(IoOp::RemoveDir),
-                hist(IoOp::ListDir),
-                hist(IoOp::Read),
-            ],
-            bytes_written: registry.counter("io_bytes_written_total"),
-            transient_errors: registry.counter("io_transient_errors_total"),
-            failures: registry.counter("io_failures_total"),
-        }
-    }
-}
-
-/// A [`DumpIo`] middleware recording every operation into an [`IoStats`]:
-/// latency per op kind, bytes handed to `write_file`, and error counts
-/// (transient vs permanent). Wraps a borrowed backend so the dump writers
-/// can instrument whatever backend the caller supplied — including a
-/// fault-injecting one — without taking ownership.
+/// A [`DumpIo`] middleware observing every operation through a [`Probe`]:
+/// one `io`/`{op}` span per operation (feeding `io_{op}_ns`; writes carry
+/// their byte count), an `io_error` instant per failure, bytes handed to
+/// `write_file`, and error counts (transient `EINTR`-style errors the retry
+/// loop absorbs vs permanent failures). Wraps a borrowed backend so the
+/// dump writers can observe whatever backend the caller supplied —
+/// including a fault-injecting one — without taking ownership. It never
+/// changes the bytes that reach the backend.
 #[derive(Debug)]
-pub struct InstrumentedIo<'a> {
+pub struct ProbedIo<'a> {
     inner: &'a mut dyn DumpIo,
-    stats: IoStats,
+    probe: Probe,
 }
 
-impl<'a> InstrumentedIo<'a> {
-    /// Wraps `inner`, recording into `stats`.
-    pub fn new(inner: &'a mut dyn DumpIo, stats: IoStats) -> Self {
-        InstrumentedIo { inner, stats }
+impl<'a> ProbedIo<'a> {
+    /// Wraps `inner`, observing into `probe`.
+    pub fn new(inner: &'a mut dyn DumpIo, probe: Probe) -> Self {
+        ProbedIo { inner, probe }
     }
 
     fn observe<T>(
         &mut self,
         op: IoOp,
+        bytes: Option<u64>,
         f: impl FnOnce(&mut dyn DumpIo) -> io::Result<T>,
     ) -> io::Result<T> {
-        let started = std::time::Instant::now();
+        let start = self.probe.now();
         let result = f(self.inner);
-        self.stats.op_ns[op_index(op)].record_duration(started.elapsed());
-        if let Err(e) = &result {
-            if e.kind() == io::ErrorKind::Interrupted {
-                self.stats.transient_errors.inc();
-            } else {
-                self.stats.failures.inc();
+        let probe = &mut self.probe;
+        probe.span("io", op.name(), start, bytes.map(|b| ("bytes", b)));
+        let (transient, failed) = match &result {
+            Ok(_) => {
+                probe.add("io_bytes_written_total", bytes.unwrap_or(0));
+                (false, false)
             }
-        }
-        result
-    }
-}
-
-impl DumpIo for InstrumentedIo<'_> {
-    fn create_dir_all(&mut self, path: &Path) -> io::Result<()> {
-        self.observe(IoOp::CreateDir, |io| io.create_dir_all(path))
-    }
-
-    fn write_file(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let result = self.observe(IoOp::WriteFile, |io| io.write_file(path, bytes));
-        if result.is_ok() {
-            self.stats.bytes_written.add(bytes.len() as u64);
-        }
-        result
-    }
-
-    fn sync_dir(&mut self, path: &Path) -> io::Result<()> {
-        self.observe(IoOp::SyncDir, |io| io.sync_dir(path))
-    }
-
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        self.observe(IoOp::Rename, |io| io.rename(from, to))
-    }
-
-    fn remove_dir_all(&mut self, path: &Path) -> io::Result<()> {
-        self.observe(IoOp::RemoveDir, |io| io.remove_dir_all(path))
-    }
-
-    fn list_dir(&mut self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        self.observe(IoOp::ListDir, |io| io.list_dir(path))
-    }
-}
-
-/// The span name an operation traces under (its [`IoOp`] display name,
-/// as a static string for [`bugnet_trace::TraceEvent`]).
-fn op_span_name(op: IoOp) -> &'static str {
-    match op {
-        IoOp::CreateDir => "create_dir",
-        IoOp::WriteFile => "write",
-        IoOp::SyncDir => "sync",
-        IoOp::Rename => "rename",
-        IoOp::RemoveDir => "remove",
-        IoOp::ListDir => "list",
-        IoOp::Read => "read",
-    }
-}
-
-/// A [`DumpIo`] middleware emitting one timeline span (category `io`) per
-/// operation into a [`bugnet_trace::ThreadTracer`] — the trace twin of
-/// [`InstrumentedIo`], stackable with it (trace outside, stats inside, or
-/// either alone). Writes carry their byte count as a span argument.
-#[derive(Debug)]
-pub struct TracedIo<'a> {
-    inner: &'a mut dyn DumpIo,
-    tracer: bugnet_trace::ThreadTracer,
-}
-
-impl<'a> TracedIo<'a> {
-    /// Wraps `inner`, emitting spans into `tracer`.
-    pub fn new(inner: &'a mut dyn DumpIo, tracer: bugnet_trace::ThreadTracer) -> Self {
-        TracedIo { inner, tracer }
-    }
-
-    fn observe<T>(
-        &mut self,
-        op: IoOp,
-        arg: Option<u64>,
-        f: impl FnOnce(&mut dyn DumpIo) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let start = self.tracer.now();
-        let result = f(self.inner);
-        match arg {
-            Some(bytes) => {
-                self.tracer
-                    .span_since_arg(op_span_name(op), "io", start, "bytes", bytes);
+            Err(e) => {
+                probe.instant("io", "io_error");
+                let transient = e.kind() == io::ErrorKind::Interrupted;
+                (transient, !transient)
             }
-            None => self.tracer.span_since(op_span_name(op), "io", start),
-        }
-        if result.is_err() {
-            self.tracer.instant("io_error", "io");
-        }
+        };
+        probe.add("io_transient_errors_total", u64::from(transient));
+        probe.add("io_failures_total", u64::from(failed));
         result
     }
 }
 
-impl DumpIo for TracedIo<'_> {
+impl DumpIo for ProbedIo<'_> {
     fn create_dir_all(&mut self, path: &Path) -> io::Result<()> {
         self.observe(IoOp::CreateDir, None, |io| io.create_dir_all(path))
     }
 
     fn write_file(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.observe(IoOp::WriteFile, Some(bytes.len() as u64), |io| {
-            io.write_file(path, bytes)
-        })
+        let len = Some(bytes.len() as u64);
+        self.observe(IoOp::WriteFile, len, |io| io.write_file(path, bytes))
     }
 
     fn sync_dir(&mut self, path: &Path) -> io::Result<()> {

@@ -22,17 +22,15 @@
 
 use std::ops::Deref;
 use std::sync::mpsc;
-use std::sync::Arc;
 
 use bugnet_compress::{encode_streams, streams_info, CodecId};
 use bugnet_cpu::ArchState;
-use bugnet_telemetry::{Counter, Gauge, Histogram, Registry};
-use bugnet_trace::{ThreadTracer, TraceSession};
+use bugnet_telemetry::Probe;
 use bugnet_types::{
     Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, ProcessId, ThreadId, Timestamp, Word,
 };
 
-use crate::columnar::{fll_stream_name, mrl_stream_name, split_fll, split_mrl};
+use crate::columnar::{split_fll, split_mrl};
 use crate::dictionary::ValueDictionary;
 use crate::digest::ExecutionDigest;
 use crate::fll::{
@@ -94,27 +92,23 @@ pub struct SealedCheckpoint {
 impl SealedCheckpoint {
     /// Splits `logs` into columnar streams and compresses them with `codec`.
     pub fn seal(logs: CheckpointLogs, codec: CodecId) -> Self {
-        SealedCheckpoint::seal_observed(logs, codec, None)
+        SealedCheckpoint::seal_observed(logs, codec, &mut Probe::off())
     }
 
-    /// [`SealedCheckpoint::seal`] with optional telemetry: the whole seal is
-    /// spanned by the caller; this records the columnar split
-    /// (`codec_transform_ns`) and the codec runs (`codec_compress_ns`)
-    /// separately, plus raw/stored and per-stream byte counters.
-    fn seal_observed(logs: CheckpointLogs, codec: CodecId, stats: Option<&StoreStats>) -> Self {
-        let (fll_streams, mrl_streams) = {
-            let _span = stats.map(|s| s.codec_transform_ns.start_span());
-            let fll = split_fll(&logs.fll)
-                .expect("recorder-produced FLL decomposes into columnar streams");
-            (fll, split_mrl(&logs.mrl))
-        };
-        let (fll_frame, mrl_frame) = {
-            let _span = stats.map(|s| s.codec_compress_ns.start_span());
-            (
-                encode_streams(codec, &fll_streams),
-                encode_streams(codec, &mrl_streams),
-            )
-        };
+    /// [`SealedCheckpoint::seal`] observed by `probe`: a `store`/`seal` span
+    /// around the whole seal with its `codec`/`transform` (columnar split)
+    /// and `codec`/`compress` (codec runs) parts, plus raw/stored and
+    /// per-stream byte counters. The one place a seal is timed.
+    fn seal_observed(logs: CheckpointLogs, codec: CodecId, probe: &mut Probe) -> Self {
+        let start = probe.now();
+        let fll_streams =
+            split_fll(&logs.fll).expect("recorder-produced FLL decomposes into columnar streams");
+        let mrl_streams = split_mrl(&logs.mrl);
+        probe.span("codec", "transform", start, None);
+        let compress_start = probe.now();
+        let fll_frame = encode_streams(codec, &fll_streams);
+        let mrl_frame = encode_streams(codec, &mrl_streams);
+        probe.span("codec", "compress", compress_start, None);
         let sealed = SealedCheckpoint {
             fll_raw_bytes: logs.fll.serialized_len(),
             mrl_raw_bytes: logs.mrl.serialized_len(),
@@ -123,21 +117,20 @@ impl SealedCheckpoint {
             fll_frame,
             mrl_frame,
         };
-        if let Some(stats) = stats {
-            stats
-                .sealed_raw_bytes
-                .add(sealed.fll_raw_bytes + sealed.mrl_raw_bytes);
-            stats
-                .sealed_stored_bytes
-                .add(sealed.fll_stored_bytes() + sealed.mrl_stored_bytes());
-            for info in streams_info(&sealed.fll_frame).expect("just-encoded blob parses") {
-                if let Some(counter) = stats.fll_stream_bytes.get(info.id as usize) {
-                    counter.add(u64::from(info.stored_len));
-                }
-            }
-            for info in streams_info(&sealed.mrl_frame).expect("just-encoded blob parses") {
-                if let Some(counter) = stats.mrl_stream_bytes.get(info.id as usize) {
-                    counter.add(u64::from(info.stored_len));
+        let stored = sealed.fll_stored_bytes() + sealed.mrl_stored_bytes();
+        probe.span("store", "seal", start, Some(("stored_bytes", stored)));
+        if probe.registry().is_some() {
+            let raw = sealed.fll_raw_bytes + sealed.mrl_raw_bytes;
+            probe.add("store_sealed_raw_bytes_total", raw);
+            probe.add("store_sealed_stored_bytes_total", stored);
+            for (frame, names) in [
+                (&sealed.fll_frame, &FLL_STREAM_BYTES),
+                (&sealed.mrl_frame, &MRL_STREAM_BYTES),
+            ] {
+                for info in streams_info(frame).expect("just-encoded blob parses") {
+                    if let Some(&name) = names.get(info.id as usize) {
+                        probe.add(name, u64::from(info.stored_len));
+                    }
                 }
             }
         }
@@ -173,93 +166,24 @@ impl Deref for SealedCheckpoint {
     }
 }
 
-/// Telemetry handles for the per-thread recorder, resolved once against a
-/// [`Registry`] at attach time so the recording loop never touches the
-/// registry lock. Hot-path counts are tracked in the interval state and
-/// flushed here once per `end_interval` — the always-on overhead is a
-/// handful of counter adds per checkpoint interval, not per load.
-#[derive(Debug, Clone)]
-pub struct RecorderStats {
-    loads_seen: Arc<Counter>,
-    loads_logged: Arc<Counter>,
-    dict_hits: Arc<Counter>,
-    instructions: Arc<Counter>,
-    intervals: Arc<Counter>,
-    faults: Arc<Counter>,
-}
+/// `columnar_fll_<stream>_bytes_total`, indexed by FLL stream id (the
+/// names of [`crate::columnar::fll_stream_name`]).
+const FLL_STREAM_BYTES: [&str; 5] = [
+    "columnar_fll_meta_bytes_total",
+    "columnar_fll_lcount_bytes_total",
+    "columnar_fll_vtype_bytes_total",
+    "columnar_fll_rank_bytes_total",
+    "columnar_fll_value_bytes_total",
+];
 
-impl RecorderStats {
-    /// Registers (or re-resolves) the recorder metrics in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        RecorderStats {
-            loads_seen: registry.counter("recorder_loads_seen_total"),
-            loads_logged: registry.counter("recorder_loads_logged_total"),
-            dict_hits: registry.counter("recorder_dict_hits_total"),
-            instructions: registry.counter("recorder_instructions_total"),
-            intervals: registry.counter("recorder_intervals_total"),
-            faults: registry.counter("recorder_faults_total"),
-        }
-    }
-}
-
-/// Telemetry handles for the store's write path (sealing, hand-off lanes,
-/// reconcile, eviction), resolved once at attach time. Cloned into every
-/// [`ThreadStoreHandle`] so concurrent writers record without any shared
-/// lock — all handles are striped counters and lock-free histograms.
-#[derive(Debug, Clone)]
-pub struct StoreStats {
-    /// Full interval-seal latency (transform + compress), nanoseconds.
-    seal_ns: Arc<Histogram>,
-    /// Columnar-split portion of sealing (row logs → per-field streams).
-    codec_transform_ns: Arc<Histogram>,
-    /// Codec-only portion of sealing (the per-stream `encode_streams` runs).
-    codec_compress_ns: Arc<Histogram>,
-    sealed_raw_bytes: Arc<Counter>,
-    sealed_stored_bytes: Arc<Counter>,
-    /// Post-codec stored bytes per FLL columnar stream, indexed by stream id
-    /// (`columnar_fll_<stream>_bytes_total`).
-    fll_stream_bytes: Vec<Arc<Counter>>,
-    /// Post-codec stored bytes per MRL columnar stream, indexed by stream id.
-    mrl_stream_bytes: Vec<Arc<Counter>>,
-    /// Intervals per hand-off batch at flush time.
-    handoff_batch_intervals: Arc<Histogram>,
-    reconcile_ns: Arc<Histogram>,
-    reconciled_intervals: Arc<Counter>,
-    evicted_checkpoints: Arc<Counter>,
-    /// Intervals drained from each lane at the last reconcile (per shard).
-    lane_depth: Vec<Arc<Gauge>>,
-}
-
-impl StoreStats {
-    /// Registers (or re-resolves) the store metrics in `registry` for a
-    /// store with `shards` hand-off lanes.
-    pub fn register(registry: &Registry, shards: usize) -> Self {
-        StoreStats {
-            seal_ns: registry.histogram("store_seal_ns"),
-            codec_transform_ns: registry.histogram("codec_transform_ns"),
-            codec_compress_ns: registry.histogram("codec_compress_ns"),
-            sealed_raw_bytes: registry.counter("store_sealed_raw_bytes_total"),
-            sealed_stored_bytes: registry.counter("store_sealed_stored_bytes_total"),
-            fll_stream_bytes: (0..5u8)
-                .map(|i| {
-                    registry.counter(&format!("columnar_fll_{}_bytes_total", fll_stream_name(i)))
-                })
-                .collect(),
-            mrl_stream_bytes: (0..5u8)
-                .map(|i| {
-                    registry.counter(&format!("columnar_mrl_{}_bytes_total", mrl_stream_name(i)))
-                })
-                .collect(),
-            handoff_batch_intervals: registry.histogram("store_handoff_batch_intervals"),
-            reconcile_ns: registry.histogram("store_reconcile_ns"),
-            reconciled_intervals: registry.counter("store_reconciled_intervals_total"),
-            evicted_checkpoints: registry.counter("store_evicted_checkpoints_total"),
-            lane_depth: (0..shards)
-                .map(|i| registry.gauge(&format!("store_lane{i}_depth")))
-                .collect(),
-        }
-    }
-}
+/// `columnar_mrl_<stream>_bytes_total`, indexed by MRL stream id.
+const MRL_STREAM_BYTES: [&str; 5] = [
+    "columnar_mrl_meta_bytes_total",
+    "columnar_mrl_local_ic_bytes_total",
+    "columnar_mrl_rtid_bytes_total",
+    "columnar_mrl_rcid_bytes_total",
+    "columnar_mrl_ric_bytes_total",
+];
 
 #[derive(Debug)]
 struct IntervalState {
@@ -277,7 +201,7 @@ struct IntervalState {
     instructions: u64,
     fault: Option<FaultRecord>,
     digest: ExecutionDigest,
-    /// Trace-clock time the interval opened (0 when tracing is off).
+    /// Probe-clock time the interval opened (0 when the probe is off).
     start_ns: u64,
 }
 
@@ -296,10 +220,8 @@ pub struct ThreadRecorder {
     /// allocation (entry array + hash index) keeps `begin_interval` off the
     /// allocator on the hot recording path.
     spare_dictionary: Option<ValueDictionary>,
-    /// Telemetry sink, fed per-interval totals at `end_interval`.
-    stats: Option<RecorderStats>,
-    /// Timeline sink, fed one span per interval at `end_interval`.
-    tracer: Option<ThreadTracer>,
+    /// Fed once per `end_interval` (see [`ThreadRecorder::attach_probe`]).
+    probe: Probe,
 }
 
 impl ThreadRecorder {
@@ -315,26 +237,16 @@ impl ThreadRecorder {
             current: None,
             intervals_completed: 0,
             spare_dictionary: None,
-            stats: None,
-            tracer: None,
+            probe: Probe::off(),
         }
     }
 
-    /// Routes this recorder's per-interval totals (loads seen/logged,
-    /// dictionary hits, instructions, faults) into `stats`. Counts are
-    /// batched at interval end, so attaching telemetry does not touch the
-    /// per-load hot path.
-    pub fn attach_telemetry(&mut self, stats: RecorderStats) {
-        self.stats = Some(stats);
-    }
-
-    /// Routes this recorder's timeline onto `tracer`: one `interval` span
-    /// (category `recorder`, instruction count attached) per closed interval
-    /// and a `fault` instant when an interval ends in a fault. Like
-    /// telemetry, events are emitted only at `end_interval` — the per-load
-    /// hot path is untouched.
-    pub fn attach_trace(&mut self, tracer: ThreadTracer) {
-        self.tracer = Some(tracer);
+    /// Routes this recorder's observations into `probe`: per closed
+    /// interval, one `recorder`/`interval` span, a `fault` instant if a
+    /// fault ended it, and the batched `recorder_*` totals. All of it lands
+    /// at `end_interval`; the per-load hot path is untouched.
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The thread this recorder belongs to.
@@ -424,7 +336,7 @@ impl ThreadRecorder {
             instructions: 0,
             fault: None,
             digest: ExecutionDigest::new(),
-            start_ns: self.tracer.as_ref().map(|t| t.now()).unwrap_or_default(),
+            start_ns: self.probe.now(),
         });
         checkpoint
     }
@@ -527,28 +439,19 @@ impl ThreadRecorder {
     ) -> Option<CheckpointLogs> {
         let mut state = self.current.take()?;
         state.digest.record_final_state(final_state);
-        if let Some(tracer) = &mut self.tracer {
-            // The one trace touch per interval, mirroring the telemetry batch.
-            tracer.span_since_arg(
-                "interval",
-                "recorder",
-                state.start_ns,
-                "instructions",
-                state.instructions,
-            );
+        let probe = &mut self.probe;
+        if probe.is_on() {
+            // The one observation per interval: a span and batched totals.
+            let instructions = Some(("instructions", state.instructions));
+            probe.span("recorder", "interval", state.start_ns, instructions);
+            probe.add("recorder_loads_seen_total", state.loads_executed);
+            probe.add("recorder_loads_logged_total", state.loads_logged);
+            probe.add("recorder_dict_hits_total", state.dict_hits);
+            probe.add("recorder_instructions_total", state.instructions);
+            probe.add("recorder_intervals_total", 1);
+            probe.add("recorder_faults_total", u64::from(state.fault.is_some()));
             if state.fault.is_some() {
-                tracer.instant("fault", "recorder");
-            }
-        }
-        if let Some(stats) = &self.stats {
-            // The one telemetry touch per interval: batched totals.
-            stats.loads_seen.add(state.loads_executed);
-            stats.loads_logged.add(state.loads_logged);
-            stats.dict_hits.add(state.dict_hits);
-            stats.instructions.add(state.instructions);
-            stats.intervals.inc();
-            if state.fault.is_some() {
-                stats.faults.inc();
+                probe.instant("recorder", "fault");
             }
         }
         self.spare_dictionary = Some(state.dictionary);
@@ -645,12 +548,9 @@ pub struct ThreadStoreHandle {
     codec: CodecId,
     tx: mpsc::Sender<Vec<SealedCheckpoint>>,
     batch: Vec<SealedCheckpoint>,
-    /// Cloned from the store at mint time; all handles share lock-free
-    /// counters/histograms, so concurrent writers never contend here.
-    stats: Option<StoreStats>,
-    /// Per-handle timeline track minted from the store's trace session:
-    /// `seal` spans and `handoff` lane-send spans (category `store`).
-    tracer: Option<ThreadTracer>,
+    /// A sibling of the store's probe on this handle's `store-t<tid>` track
+    /// (`seal` and `handoff` spans; lock-free metrics, so no contention).
+    probe: Probe,
 }
 
 impl ThreadStoreHandle {
@@ -667,21 +567,7 @@ impl ThreadStoreHandle {
     /// Seals `logs` on the calling thread and buffers the result; a full
     /// batch is handed to the store in one send.
     pub fn push(&mut self, logs: CheckpointLogs) {
-        let codec = self.codec;
-        let trace_start = self.tracer.as_ref().map(|t| t.now());
-        let sealed = {
-            let _span = self.stats.as_ref().map(|s| s.seal_ns.start_span());
-            SealedCheckpoint::seal_observed(logs, codec, self.stats.as_ref())
-        };
-        if let (Some(tracer), Some(start)) = (&mut self.tracer, trace_start) {
-            tracer.span_since_arg(
-                "seal",
-                "store",
-                start,
-                "stored_bytes",
-                sealed.fll_stored_bytes() + sealed.mrl_stored_bytes(),
-            );
-        }
+        let sealed = SealedCheckpoint::seal_observed(logs, self.codec, &mut self.probe);
         self.push_sealed(sealed);
     }
 
@@ -707,15 +593,13 @@ impl ThreadStoreHandle {
     pub fn flush(&mut self) {
         if !self.batch.is_empty() {
             let batch = std::mem::take(&mut self.batch);
-            if let Some(stats) = &self.stats {
-                stats.handoff_batch_intervals.record(batch.len() as u64);
-            }
-            let trace_start = self.tracer.as_ref().map(|t| t.now());
             let intervals = batch.len() as u64;
+            self.probe
+                .record("store_handoff_batch_intervals", intervals);
+            let start = self.probe.now();
             let _ = self.tx.send(batch);
-            if let (Some(tracer), Some(start)) = (&mut self.tracer, trace_start) {
-                tracer.span_since_arg("handoff", "store", start, "intervals", intervals);
-            }
+            let arg = Some(("intervals", intervals));
+            self.probe.span("store", "handoff", start, arg);
         }
     }
 }
@@ -766,14 +650,9 @@ pub struct LogStore {
     evicted_checkpoints: u64,
     total_fll_bits: u64,
     total_mrl_bits: u64,
-    /// Telemetry sink; cloned into every minted [`ThreadStoreHandle`].
-    stats: Option<StoreStats>,
-    /// Trace session handles are minted from; kept so every
-    /// [`ThreadStoreHandle`] gets its own timeline track.
-    trace: Option<Arc<TraceSession>>,
-    /// The store's own track: serial-path `seal` spans and `reconcile`
-    /// spans (category `store`).
-    tracer: Option<ThreadTracer>,
+    /// Serial-path `seal` and ingesting `reconcile` spans, evictions; every
+    /// minted [`ThreadStoreHandle`] gets a sibling of it on its own track.
+    probe: Probe,
 }
 
 impl LogStore {
@@ -806,28 +685,16 @@ impl LogStore {
             evicted_checkpoints: 0,
             total_fll_bits: 0,
             total_mrl_bits: 0,
-            stats: None,
-            trace: None,
-            tracer: None,
+            probe: Probe::off(),
         }
     }
 
-    /// Routes this store's write-path telemetry (seal latency, hand-off
-    /// batch sizes, per-lane depth, reconcile latency, evictions) into
-    /// `registry`. Attach *before* minting [`ThreadStoreHandle`]s — handles
-    /// copy the stats at mint time.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.stats = Some(StoreStats::register(registry, self.lanes.len()));
-    }
-
-    /// Routes this store's timeline onto `session`: the store's own track
-    /// carries serial-path `seal` and `reconcile` spans, and every
-    /// [`ThreadStoreHandle`] minted afterwards gets a `store-t<tid>` track
-    /// with its `seal`/`handoff` spans. Attach *before* minting handles —
-    /// like telemetry, handles capture their track at mint time.
-    pub fn attach_trace(&mut self, session: &Arc<TraceSession>) {
-        self.tracer = Some(session.thread("store"));
-        self.trace = Some(Arc::clone(session));
+    /// Routes this store's write path (seal latency, hand-off batch sizes,
+    /// per-lane depth, reconcile latency, evictions) into `probe`. Attach
+    /// *before* minting [`ThreadStoreHandle`]s: each handle takes a
+    /// `store-t<tid>` sibling of the probe at mint time.
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The back-end codec this store seals intervals with.
@@ -840,6 +707,11 @@ impl LogStore {
         self.lanes.len()
     }
 
+    /// The hand-off lane `thread` writes through.
+    fn lane_of(&self, thread: ThreadId) -> usize {
+        thread.0 as usize % self.lanes.len()
+    }
+
     fn shard_index(&self, thread: ThreadId) -> Result<usize, usize> {
         self.shards.binary_search_by_key(&thread, |s| s.thread)
     }
@@ -850,7 +722,7 @@ impl LogStore {
     /// through it, then call [`LogStore::reconcile`] from the store's owner
     /// to make them visible.
     pub fn thread_handle(&mut self, thread: ThreadId) -> ThreadStoreHandle {
-        let idx = (thread.0 as usize) % self.lanes.len();
+        let idx = self.lane_of(thread);
         let lane = self.lanes[idx].get_or_insert_with(|| {
             let (tx, rx) = mpsc::channel();
             Lane { tx, rx }
@@ -860,17 +732,15 @@ impl LogStore {
             codec: self.codec,
             tx: lane.tx.clone(),
             batch: Vec::new(),
-            stats: self.stats.clone(),
-            tracer: self
-                .trace
-                .as_ref()
-                .map(|s| s.thread(format!("store-t{}", thread.0))),
+            probe: self.probe.sibling(format_args!("store-t{}", thread.0)),
         }
     }
 
     /// Drains every hand-off lane into the per-thread shards and applies the
     /// eviction policy once over the ingested whole. Returns how many
-    /// intervals were ingested.
+    /// intervals were ingested. Only a reconcile that ingests is observed
+    /// (a `store`/`reconcile` span and the per-lane depths): the machine
+    /// loop polls this every scheduling round.
     ///
     /// This is the synchronization point between concurrent writers and the
     /// store's readers: everything a [`ThreadStoreHandle`] flushed before
@@ -878,42 +748,34 @@ impl LogStore {
     /// evicting keeps the retained set a pure function of the pushed
     /// content, not of cross-thread arrival timing.
     pub fn reconcile(&mut self) -> usize {
-        let started = self.stats.as_ref().map(|_| std::time::Instant::now());
-        let trace_start = self.tracer.as_ref().map(|t| t.now());
+        let start = self.probe.now();
         let mut pending: Vec<SealedCheckpoint> = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let mut drained = 0u64;
-            if let Some(lane) = lane {
-                while let Ok(batch) = lane.rx.try_recv() {
-                    drained += batch.len() as u64;
-                    pending.extend(batch);
-                }
-            }
-            if let Some(stats) = &self.stats {
-                stats.lane_depth[i].set(drained as i64);
+        for lane in self.lanes.iter().flatten() {
+            while let Ok(batch) = lane.rx.try_recv() {
+                pending.extend(batch);
             }
         }
         let ingested = pending.len();
+        if ingested == 0 {
+            return 0;
+        }
+        if self.probe.is_on() {
+            let mut depths = vec![0; self.lanes.len()];
+            for sealed in &pending {
+                depths[self.lane_of(sealed.fll.header.thread)] += 1;
+            }
+            for (i, depth) in depths.into_iter().enumerate() {
+                self.probe.set_nth("store_lane{}_depth", i, depth);
+            }
+        }
         for sealed in pending {
             self.ingest(sealed);
         }
-        if ingested > 0 {
-            self.evict_to_capacity();
-        }
-        if let Some(stats) = &self.stats {
-            stats.reconciled_intervals.add(ingested as u64);
-            if let Some(started) = started {
-                stats.reconcile_ns.record_duration(started.elapsed());
-            }
-        }
-        // Only ingesting reconciles are timeline-worthy: the machine loop
-        // polls this every scheduling round, and a span per empty poll would
-        // drown the ring.
-        if ingested > 0 {
-            if let (Some(tracer), Some(start)) = (&mut self.tracer, trace_start) {
-                tracer.span_since_arg("reconcile", "store", start, "intervals", ingested as u64);
-            }
-        }
+        self.evict_to_capacity();
+        self.probe
+            .add("store_reconciled_intervals_total", ingested as u64);
+        let arg = Some(("intervals", ingested as u64));
+        self.probe.span("store", "reconcile", start, arg);
         ingested
     }
 
@@ -922,22 +784,7 @@ impl LogStore {
     /// convenience path; concurrent recording seals on the writer threads
     /// through [`LogStore::thread_handle`] instead.
     pub fn push(&mut self, logs: CheckpointLogs) {
-        let codec = self.codec;
-        let started = self.stats.as_ref().map(|_| std::time::Instant::now());
-        let trace_start = self.tracer.as_ref().map(|t| t.now());
-        let sealed = SealedCheckpoint::seal_observed(logs, codec, self.stats.as_ref());
-        if let (Some(stats), Some(started)) = (&self.stats, started) {
-            stats.seal_ns.record_duration(started.elapsed());
-        }
-        if let (Some(tracer), Some(start)) = (&mut self.tracer, trace_start) {
-            tracer.span_since_arg(
-                "seal",
-                "store",
-                start,
-                "stored_bytes",
-                sealed.fll_stored_bytes() + sealed.mrl_stored_bytes(),
-            );
-        }
+        let sealed = SealedCheckpoint::seal_observed(logs, self.codec, &mut self.probe);
         self.push_sealed(sealed);
     }
 
@@ -989,11 +836,12 @@ impl LogStore {
     }
 
     fn evict_to_capacity(&mut self) {
+        let mut discarded = 0;
         loop {
             let over_fll = self.total_fll_size() > self.fll_capacity;
             let over_mrl = self.total_mrl_size() > self.mrl_capacity;
             if !over_fll && !over_mrl {
-                return;
+                break;
             }
             // Discard the globally oldest checkpoint, but never the only
             // checkpoint a thread has (keep at least one per thread so a
@@ -1019,13 +867,12 @@ impl LogStore {
                     self.total_fll_bits -= fll_bits;
                     self.total_mrl_bits -= mrl_bits;
                     self.evicted_checkpoints += 1;
-                    if let Some(stats) = &self.stats {
-                        stats.evicted_checkpoints.inc();
-                    }
+                    discarded += 1;
                 }
-                None => return,
+                None => break,
             }
         }
+        self.probe.add("store_evicted_checkpoints_total", discarded);
     }
 
     /// Sealed logs currently retained for `thread`, oldest first. The
@@ -1128,6 +975,37 @@ mod tests {
         assert_eq!(logs.fll.termination, TerminationCause::Interrupt);
         // Next interval gets the next C-ID.
         assert_eq!(r.begin_interval(arch(), Timestamp(2)), CheckpointId(1));
+    }
+
+    #[test]
+    fn sealing_counts_stored_bytes_per_named_columnar_stream() {
+        use crate::columnar::{fll_stream_name, mrl_stream_name};
+        use bugnet_telemetry::{MetricValue, Registry};
+        let mut r = recorder(100);
+        r.begin_interval(arch(), Timestamp(1));
+        r.record_load(Addr::new(0x1000), Word::new(5), true);
+        let logs = r
+            .end_interval(TerminationCause::Interrupt, &arch())
+            .unwrap();
+        let registry = std::sync::Arc::new(Registry::new());
+        let mut probe = Probe::new(Some(registry.clone()), None, "t");
+        let sealed = SealedCheckpoint::seal_observed(logs, CodecId::Lz77, &mut probe);
+        let entries = registry.snapshot().entries;
+        let streams = |kind: &str, name: fn(u8) -> &'static str| -> u64 {
+            (0..5)
+                .map(
+                    |i| match entries.get(&format!("columnar_{kind}_{}_bytes_total", name(i))) {
+                        Some(MetricValue::Counter(n)) => *n,
+                        other => panic!("{kind} stream {i}: {other:?}"),
+                    },
+                )
+                .sum()
+        };
+        // Every stream is counted under its own name, and the streams are
+        // what the two frames store beyond their container headers.
+        let stored = sealed.fll_stored_bytes() + sealed.mrl_stored_bytes();
+        let counted = streams("fll", fll_stream_name) + streams("mrl", mrl_stream_name);
+        assert!(counted > 0 && counted < stored, "{counted} of {stored}");
     }
 
     #[test]

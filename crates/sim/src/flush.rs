@@ -30,13 +30,11 @@
 //! threads in id order); with eviction they remain digest-equal on replay.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bugnet_compress::CodecId;
 use bugnet_core::recorder::{CheckpointLogs, LogStore, ThreadStoreHandle};
-use bugnet_telemetry::{Counter, Gauge, Histogram, Registry};
-use bugnet_trace::{ThreadTracer, TraceSession};
+use bugnet_telemetry::Probe;
 use bugnet_types::ThreadId;
 
 /// Work items routed to the sealing workers. Adoption of a thread's store
@@ -50,21 +48,6 @@ enum Job {
     Seal(Box<CheckpointLogs>),
     /// Flush every owned handle to the store lanes, then acknowledge.
     Barrier(mpsc::Sender<()>),
-    /// Adopt the worker's timeline tracer. Workers spawn in
-    /// [`FlushPipeline::new`], before any tracing session exists, so the
-    /// tracer is delivered over the job channel like everything else.
-    Trace(ThreadTracer),
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Job::Adopt(h) => write!(f, "Adopt({:?})", h.thread()),
-            Job::Seal(logs) => write!(f, "Seal({:?})", logs.fll.header.thread),
-            Job::Barrier(_) => write!(f, "Barrier"),
-            Job::Trace(_) => write!(f, "Trace"),
-        }
-    }
 }
 
 /// A pool of background threads sealing finished checkpoint intervals and
@@ -84,41 +67,29 @@ pub struct FlushPipeline {
     submitted: u64,
     /// Intervals the store has reconciled through `drain_ready`/`flush`.
     reconciled: u64,
-    /// Telemetry handles, if a registry was attached.
-    stats: Option<FlushStats>,
-}
-
-/// Telemetry handles for the flush pipeline, registered under the
-/// `flush_*` metric names.
-#[derive(Debug, Clone)]
-struct FlushStats {
-    /// Intervals submitted but not yet reconciled (`flush_in_flight`;
-    /// the gauge's high watermark is the deepest the pipeline ever got).
-    in_flight: Arc<Gauge>,
-    /// Intervals handed to the workers (`flush_submitted_total`).
-    submitted: Arc<Counter>,
-    /// Intervals reconciled into the store (`flush_reconciled_total`).
-    reconciled: Arc<Counter>,
-    /// Wall-clock latency of a blocking barrier (`flush_barrier_ns`).
-    barrier_ns: Arc<Histogram>,
-    /// Intervals routed to each worker (`flush_worker{i}_submitted_total`):
-    /// the thread-affinity load balance across the pool.
-    worker_submitted: Vec<Arc<Counter>>,
+    /// The owner's probe: the `flush_*` flow metrics (`in_flight` gauge,
+    /// submitted/reconciled and per-worker submitted counters) and the
+    /// `flush`/`barrier` span.
+    probe: Probe,
 }
 
 impl FlushPipeline {
     /// Spawns `workers` sealing threads (clamped to at least one) that seal
     /// with `codec` (which must be the store's codec — the machine wires
-    /// both from one knob).
-    pub fn new(workers: usize, codec: CodecId) -> Self {
+    /// both from one knob). `probe` observes the pipeline's flow on the
+    /// owner's side; each worker starts with a `flush-worker-{i}` sibling
+    /// that times its `seal_job`s. Seal latency itself is observed by the
+    /// store handles the workers write through.
+    pub fn new(workers: usize, codec: CodecId, probe: Probe) -> Self {
         let workers = workers.max(1);
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let (tx, rx) = mpsc::channel::<Job>();
+            let worker_probe = probe.sibling(format_args!("flush-worker-{i}"));
             let handle = std::thread::Builder::new()
                 .name(format!("bugnet-flush-{i}"))
-                .spawn(move || Self::worker_loop(rx))
+                .spawn(move || Self::worker_loop(rx, worker_probe))
                 .expect("spawning a flush worker thread");
             senders.push(tx);
             handles.push(handle);
@@ -130,64 +101,31 @@ impl FlushPipeline {
             adopted: Vec::new(),
             submitted: 0,
             reconciled: 0,
-            stats: None,
+            probe,
         }
     }
 
-    /// Attaches pipeline telemetry to `registry` (`flush_*` metrics). Seal
-    /// latency itself is recorded by the store handles the workers write
-    /// through, so this only covers pipeline-level flow.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.stats = Some(FlushStats {
-            in_flight: registry.gauge("flush_in_flight"),
-            submitted: registry.counter("flush_submitted_total"),
-            reconciled: registry.counter("flush_reconciled_total"),
-            barrier_ns: registry.histogram("flush_barrier_ns"),
-            worker_submitted: (0..self.senders.len())
-                .map(|i| registry.counter(&format!("flush_worker{i}_submitted_total")))
-                .collect(),
-        });
-    }
-
-    /// Mints one timeline track per worker (`flush-worker-{i}`) and ships
-    /// the tracers to the running workers. `seal_job` spans and `barrier`
-    /// instants land on those tracks from then on.
-    pub fn attach_trace(&mut self, session: &TraceSession) {
-        for (i, sender) in self.senders.iter().enumerate() {
-            sender
-                .send(Job::Trace(session.thread(format!("flush-worker-{i}"))))
-                .expect("flush workers outlive the pipeline");
-        }
-    }
-
-    fn worker_loop(rx: mpsc::Receiver<Job>) {
+    fn worker_loop(rx: mpsc::Receiver<Job>, mut probe: Probe) {
         let mut owned: Vec<ThreadStoreHandle> = Vec::new();
-        let mut tracer: Option<ThreadTracer> = None;
         while let Ok(job) = rx.recv() {
             match job {
                 Job::Adopt(handle) => owned.push(handle),
                 Job::Seal(logs) => {
-                    let start = tracer.as_ref().map(|t| t.now());
+                    let start = probe.now();
                     let tid = logs.fll.header.thread;
                     let handle = owned
                         .iter_mut()
                         .find(|h| h.thread() == tid)
                         .expect("interval submitted before its handle was adopted");
                     handle.push(*logs);
-                    if let (Some(t), Some(start)) = (tracer.as_mut(), start) {
-                        t.span_since("seal_job", "flush", start);
-                    }
+                    probe.span("flush", "seal_job", start, None);
                 }
                 Job::Barrier(ack) => {
                     for handle in owned.iter_mut() {
                         handle.flush();
                     }
-                    if let Some(t) = tracer.as_mut() {
-                        t.instant("barrier", "flush");
-                    }
                     let _ = ack.send(());
                 }
-                Job::Trace(t) => tracer = Some(t),
             }
         }
         // Channel closed: `owned` drops here, flushing residual batches into
@@ -228,11 +166,11 @@ impl FlushPipeline {
         self.senders[worker]
             .send(Job::Seal(Box::new(logs)))
             .expect("flush workers outlive the pipeline");
-        if let Some(stats) = &self.stats {
-            stats.submitted.inc();
-            stats.worker_submitted[worker].inc();
-            stats.in_flight.set(self.in_flight() as i64);
-        }
+        let in_flight = self.in_flight() as i64;
+        let probe = &mut self.probe;
+        probe.add("flush_submitted_total", 1);
+        probe.add_nth("flush_worker{}_submitted_total", worker, 1);
+        probe.set("flush_in_flight", in_flight);
     }
 
     /// Non-blocking drain: reconciles whatever sealed batches the workers
@@ -240,10 +178,11 @@ impl FlushPipeline {
     /// loop so the store tracks the execution closely without stalling it.
     pub fn drain_ready(&mut self, store: &mut LogStore) {
         let drained = store.reconcile() as u64;
-        self.reconciled += drained;
-        if let Some(stats) = &self.stats {
-            stats.reconciled.add(drained);
-            stats.in_flight.set(self.in_flight() as i64);
+        if drained > 0 {
+            self.reconciled += drained;
+            let in_flight = self.in_flight() as i64;
+            self.probe.add("flush_reconciled_total", drained);
+            self.probe.set("flush_in_flight", in_flight);
         }
     }
 
@@ -251,7 +190,7 @@ impl FlushPipeline {
     /// sealed, handed off, and reconciled into `store`. Called before
     /// anything reads the store (end of a run, crash-dump writing).
     pub fn flush(&mut self, store: &mut LogStore) {
-        let started = self.stats.as_ref().map(|_| std::time::Instant::now());
+        let start = self.probe.now();
         let (ack_tx, ack_rx) = mpsc::channel();
         for sender in &self.senders {
             sender
@@ -263,9 +202,7 @@ impl FlushPipeline {
             ack_rx.recv().expect("flush workers outlive the pipeline");
         }
         self.drain_ready(store);
-        if let (Some(stats), Some(started)) = (&self.stats, started) {
-            stats.barrier_ns.record_duration(started.elapsed());
-        }
+        self.probe.span("flush", "barrier", start, None);
         debug_assert_eq!(
             self.submitted, self.reconciled,
             "flush barrier lost intervals"
@@ -312,7 +249,7 @@ mod tests {
         let cfg = BugNetConfig::default();
         let mut serial = LogStore::with_codec(&cfg, CodecId::Lz77);
         let mut parallel = LogStore::with_codec(&cfg, CodecId::Lz77);
-        let mut pipeline = FlushPipeline::new(4, CodecId::Lz77);
+        let mut pipeline = FlushPipeline::new(4, CodecId::Lz77, Probe::off());
         for i in 0..40u64 {
             let l = logs((i % 3) as u32, i, 20 + (i as u32 % 50));
             serial.push(l.clone());
@@ -331,7 +268,7 @@ mod tests {
     fn drain_ready_never_blocks_and_preserves_per_thread_order() {
         let cfg = BugNetConfig::default();
         let mut store = LogStore::with_codec(&cfg, CodecId::Lz77);
-        let mut pipeline = FlushPipeline::new(2, CodecId::Lz77);
+        let mut pipeline = FlushPipeline::new(2, CodecId::Lz77, Probe::off());
         for i in 0..10u64 {
             pipeline.submit(&mut store, logs(0, i, 10));
             pipeline.drain_ready(&mut store);
@@ -348,7 +285,7 @@ mod tests {
     fn more_threads_than_workers_share_workers_without_mixing_order() {
         let cfg = BugNetConfig::default();
         let mut store = LogStore::with_codec(&cfg, CodecId::Lz77);
-        let mut pipeline = FlushPipeline::new(2, CodecId::Lz77);
+        let mut pipeline = FlushPipeline::new(2, CodecId::Lz77, Probe::off());
         // 5 threads onto 2 workers: per-thread order must still hold.
         for ts in 0..8u64 {
             for t in 0..5u32 {
@@ -368,7 +305,7 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let pipeline = FlushPipeline::new(0, CodecId::Identity);
+        let pipeline = FlushPipeline::new(0, CodecId::Identity, Probe::off());
         assert_eq!(pipeline.workers(), 1);
         assert_eq!(pipeline.codec(), CodecId::Identity);
     }

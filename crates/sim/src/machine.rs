@@ -6,10 +6,8 @@ use std::sync::Arc;
 use bugnet_compress::CodecId;
 use bugnet_core::dump::{self, DumpError, DumpFault, DumpManifest, DumpMeta, DumpOptions};
 use bugnet_core::fll::TerminationCause;
-use bugnet_core::io::{
-    clean_orphaned_staging, DumpIo, InstrumentedIo, IoStats, SharedDumpIo, StdIo, TracedIo,
-};
-use bugnet_core::recorder::{CheckpointLogs, LogStore, RecorderStats, ThreadRecorder};
+use bugnet_core::io::{clean_orphaned_staging, DumpIo, ProbedIo, SharedDumpIo, StdIo};
+use bugnet_core::recorder::{CheckpointLogs, LogStore, ThreadRecorder};
 use bugnet_core::stats::LogSizeReport;
 use bugnet_core::{estimate_overhead, OverheadInputs, OverheadReport};
 use bugnet_cpu::{Cpu, Fault, MemoryPort, StepEvent};
@@ -20,6 +18,7 @@ use bugnet_memsys::{
     AccessKind, CacheHierarchy, CacheStats, CoherenceAction, Directory, DmaEngine, FirstAccess,
     SparseMemory,
 };
+use bugnet_telemetry::Probe;
 use bugnet_types::{
     Addr, BugNetConfig, ByteSize, CoreId, MachineConfig, ProcessId, SplitMix64, ThreadId,
     Timestamp, Word,
@@ -162,14 +161,8 @@ impl MachineBuilder {
         machine.embed_image = opts.embed_image;
         machine.dump_io = opts.dump_io;
         if opts.flush_workers > 0 && machine.log_store.is_some() {
-            let mut pipeline = FlushPipeline::new(opts.flush_workers, opts.codec);
-            if let Some(registry) = &machine.telemetry {
-                pipeline.attach_telemetry(registry);
-            }
-            if let Some(session) = &machine.trace {
-                pipeline.attach_trace(session);
-            }
-            machine.pipeline = Some(pipeline);
+            let probe = machine.probe.sibling("flush");
+            machine.pipeline = Some(FlushPipeline::new(opts.flush_workers, opts.codec, probe));
         }
         machine
     }
@@ -272,8 +265,10 @@ pub struct Machine {
     dump_dir: Option<PathBuf>,
     embed_image: bool,
     dump_io: Option<SharedDumpIo>,
-    telemetry: Option<Arc<bugnet_telemetry::Registry>>,
-    trace: Option<Arc<bugnet_trace::TraceSession>>,
+    /// Built from [`RecordingOptions::telemetry`] and
+    /// [`RecordingOptions::trace`]; every observed layer (recorders, store,
+    /// flush pipeline, dump I/O) gets a sibling of it on its own track.
+    probe: Probe,
     crash_dump: Option<Result<DumpManifest, DumpError>>,
 }
 
@@ -286,6 +281,7 @@ impl Machine {
         opts: &RecordingOptions,
     ) -> Self {
         let process = ProcessId(1);
+        let probe = Probe::new(opts.telemetry.clone(), opts.trace.clone(), "machine");
         let mut memory = SparseMemory::new();
         let mut threads = Vec::new();
         let mut recorders = Vec::new();
@@ -307,7 +303,9 @@ impl Machine {
                 last_scheduled: 0,
             });
             if let Some(bn) = &bugnet_cfg {
-                recorders.push(ThreadRecorder::new(bn.clone(), process, id));
+                let mut recorder = ThreadRecorder::new(bn.clone(), process, id);
+                recorder.attach_probe(probe.sibling(format_args!("recorder-t{i}")));
+                recorders.push(recorder);
             }
         }
         let cores = (0..cfg.cores)
@@ -322,29 +320,11 @@ impl Machine {
         } else {
             opts.store_shards
         };
-        let mut log_store = bugnet_cfg
-            .as_ref()
-            .map(|cfg| LogStore::with_shards(cfg, opts.codec, shards));
-        if let Some(registry) = &opts.telemetry {
-            // Attach before any store handles are minted: handles clone the
-            // store's telemetry at creation time.
-            if let Some(store) = log_store.as_mut() {
-                store.attach_telemetry(registry);
-            }
-            for recorder in &mut recorders {
-                recorder.attach_telemetry(RecorderStats::register(registry));
-            }
-        }
-        if let Some(session) = &opts.trace {
-            // Same ordering rule as telemetry: handles capture their track
-            // at mint time, so the store learns about the session first.
-            if let Some(store) = log_store.as_mut() {
-                store.attach_trace(session);
-            }
-            for (i, recorder) in recorders.iter_mut().enumerate() {
-                recorder.attach_trace(session.thread(format!("recorder-t{i}")));
-            }
-        }
+        let log_store = bugnet_cfg.as_ref().map(|cfg| {
+            let mut store = LogStore::with_shards(cfg, opts.codec, shards);
+            store.attach_probe(probe.sibling("store"));
+            store
+        });
         Machine {
             directory: Directory::new(cfg.cache.l1.block_bytes),
             dma: DmaEngine::new(),
@@ -365,8 +345,7 @@ impl Machine {
             dump_dir: None,
             embed_image: true,
             dump_io: None,
-            telemetry: opts.telemetry.clone(),
-            trace: opts.trace.clone(),
+            probe,
             crash_dump: None,
             memory,
             cfg,
@@ -376,13 +355,13 @@ impl Machine {
     /// The metrics registry the machine records into, if one was attached
     /// via [`RecordingOptions::telemetry`].
     pub fn telemetry(&self) -> Option<&Arc<bugnet_telemetry::Registry>> {
-        self.telemetry.as_ref()
+        self.probe.registry()
     }
 
     /// The tracing session the machine emits timeline events into, if one
     /// was attached via [`RecordingOptions::trace`].
     pub fn trace(&self) -> Option<&Arc<bugnet_trace::TraceSession>> {
-        self.trace.as_ref()
+        self.probe.session()
     }
 
     /// The machine configuration.
@@ -513,8 +492,8 @@ impl Machine {
     /// automatic crash-time dump pass the defaults.
     ///
     /// The backend is [`RecordingOptions::dump_io`] (the real filesystem by
-    /// default), wrapped in the telemetry and trace observers when those
-    /// are attached; orphaned staging litter is swept first.
+    /// default), observed through a `dump-io` probe; orphaned staging
+    /// litter is swept first.
     ///
     /// # Errors
     ///
@@ -527,23 +506,13 @@ impl Machine {
         let store = self.log_store.as_ref().ok_or(DumpError::NoRecorder)?;
         let embed = opts.embed_image.unwrap_or(self.embed_image);
         let meta = self.dump_meta(store);
-        let write = |io: &mut dyn DumpIo| {
+        let run = |io: &mut dyn DumpIo| {
+            let io = &mut ProbedIo::new(io, self.probe.sibling("dump-io"));
             // Best-effort: litter from a crashed prior run must never block
             // writing this crash's dump.
             let _ = clean_orphaned_staging(io, dir);
             let image_of = |thread: ThreadId| embed.then(|| self.program_of(thread)).flatten();
             dump::write_dump(dir, &meta, store, image_of, io)
-        };
-        // Observability wrappers stack outside-in: trace spans time the
-        // whole operation including stats bookkeeping; either layer alone
-        // also works. Neither changes the bytes that reach the backend.
-        let observed = |io: &mut dyn DumpIo| match &self.telemetry {
-            Some(registry) => write(&mut InstrumentedIo::new(io, IoStats::register(registry))),
-            None => write(io),
-        };
-        let run = |io: &mut dyn DumpIo| match &self.trace {
-            Some(session) => observed(&mut TracedIo::new(io, session.thread("dump-io"))),
-            None => observed(io),
         };
         match &self.dump_io {
             Some(shared) => {
@@ -581,7 +550,7 @@ impl Machine {
             created: Timestamp(self.clock),
             fault,
             evicted_checkpoints: store.evicted_checkpoints(),
-            telemetry: self.telemetry.as_ref().map(|r| r.snapshot()),
+            telemetry: self.telemetry().map(|r| r.snapshot()),
         }
     }
 
@@ -1251,13 +1220,11 @@ mod tests {
         machine.write_crash_dump(&dir).expect("dump writes");
 
         let dump = CrashDump::load(&dir).unwrap();
-        let mut replay_tracer = session.thread("replay");
         let report = dump
             .replay_with(ReplayRequest {
                 programs: ProgramSource::Embedded(|_| None),
                 from: None,
-                stats: None,
-                tracer: Some(&mut replay_tracer),
+                probe: Probe::new(None, Some(Arc::clone(&session)), "replay"),
             })
             .unwrap();
         assert!(report.all_match());
@@ -1278,6 +1245,73 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn metrics_and_timeline_agree_span_for_span() {
+        use bugnet_core::dump::{CrashDump, ProgramSource, ReplayRequest};
+        use bugnet_telemetry::{MetricValue, Registry};
+        use bugnet_trace::{EventKind, TraceSession};
+        use std::collections::BTreeMap;
+        let base = std::env::temp_dir().join(format!("bugnet-agree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let workloads = [
+            ("racy", mt::racy_counter(2, 400)),
+            ("gzip", SpecProfile::gzip().build_workload(30_000, 1)),
+        ];
+        for (name, workload) in workloads {
+            let registry = Arc::new(Registry::default());
+            let session = Arc::new(TraceSession::with_capacity("agree", 1 << 16));
+            let mut machine = MachineBuilder::new()
+                .bugnet(bugnet_cfg(1_000))
+                .recording(RecordingOptions {
+                    flush_workers: 2,
+                    telemetry: Some(Arc::clone(&registry)),
+                    trace: Some(Arc::clone(&session)),
+                    ..RecordingOptions::default()
+                })
+                .build_with_workload(&workload);
+            machine.run_to_completion();
+            let dir = base.join(name);
+            machine.write_crash_dump(&dir).expect("dump writes");
+            let report = CrashDump::load(&dir)
+                .unwrap()
+                .replay_with(ReplayRequest {
+                    programs: ProgramSource::Embedded(|_| None),
+                    from: None,
+                    probe: Probe::new(Some(registry.clone()), Some(session.clone()), "replay"),
+                })
+                .unwrap();
+            assert!(report.all_match());
+            assert_eq!(session.dropped_events(), 0, "{name}: ring too small");
+
+            let mut spans: BTreeMap<String, u64> = BTreeMap::new();
+            for (_, _, events) in session.snapshot() {
+                for e in events {
+                    if let EventKind::Span { .. } = e.kind {
+                        *spans.entry(format!("{}_{}_ns", e.cat, e.name)).or_default() += 1;
+                    }
+                }
+            }
+            let histograms: BTreeMap<String, u64> = registry
+                .snapshot()
+                .entries
+                .into_iter()
+                .filter_map(|(metric, value)| match value {
+                    MetricValue::Histogram(h) if metric.ends_with("_ns") => Some((metric, h.count)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(histograms, spans, "{name}: the two sinks disagree");
+            for expected in [
+                "recorder_interval_ns",
+                "codec_compress_ns",
+                "flush_barrier_ns",
+            ] {
+                assert!(spans.contains_key(expected), "{name}: no {expected}");
+            }
+        }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Fixed log2-bucket latency histograms and monotonic span guards.
+//! Fixed log2-bucket latency histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-use bugnet_trace::clock;
 
 use crate::snapshot::HistSnapshot;
 
@@ -74,26 +71,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a span duration (as nanoseconds, saturating).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Starts a monotonic span that records into this histogram on drop.
-    /// Stamped against [`bugnet_trace::clock`], so histogram spans and
-    /// timeline trace events share one timebase.
-    pub fn start_span(&self) -> TimedScope<'_> {
-        TimedScope {
-            hist: self,
-            start_ns: clock::monotonic_ns(),
-        }
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Freezes the distribution into a value-only snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
         let count = self.count.load(Ordering::Relaxed);
@@ -117,28 +94,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
             buckets,
         }
-    }
-}
-
-/// A monotonic span: measures from creation to drop and records the
-/// elapsed nanoseconds into its histogram. Use for interval-seal, store
-/// reconcile, dump-I/O and codec timings.
-#[derive(Debug)]
-pub struct TimedScope<'h> {
-    hist: &'h Histogram,
-    start_ns: u64,
-}
-
-impl TimedScope<'_> {
-    /// Nanoseconds elapsed so far (the span keeps running).
-    pub fn elapsed_ns(&self) -> u64 {
-        clock::monotonic_ns().saturating_sub(self.start_ns)
-    }
-}
-
-impl Drop for TimedScope<'_> {
-    fn drop(&mut self) {
-        self.hist.record(self.elapsed_ns());
     }
 }
 
@@ -236,16 +191,6 @@ mod tests {
             );
         }
         assert_eq!(s.quantile(1.0), s.max as f64);
-    }
-
-    #[test]
-    fn timed_scope_records_a_positive_span_on_drop() {
-        let h = Histogram::new();
-        {
-            let span = h.start_span();
-            std::hint::black_box(span.elapsed_ns());
-        }
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

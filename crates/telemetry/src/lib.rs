@@ -14,8 +14,10 @@
 //! * [`Histogram`] — fixed log2-bucket latency distribution recording
 //!   nanoseconds; quantiles (p50/p95/p99) are interpolated within the
 //!   matching power-of-two bucket, and exact min/max/sum ride along.
-//! * [`TimedScope`] — a monotonic span guard: created against a
-//!   histogram, records its elapsed nanoseconds on drop.
+//! * [`Probe`] — the one observation seam: a per-thread handle whose
+//!   `span` call feeds a latency histogram *and* the `bugnet_trace`
+//!   timeline from one clock reading, and through which counters, gauges
+//!   and value histograms reach the registry.
 //! * [`Registry`] — named-metric registry shared `Arc`-style between the
 //!   sim, the CLI and the bench harness; [`Registry::snapshot`] freezes a
 //!   consistent-enough view with delta semantics, JSON and
@@ -27,9 +29,11 @@
 //! bench-gated self-overhead stays under 3% of `recorder_loads_per_sec`.
 
 mod hist;
+mod probe;
 mod snapshot;
 
-pub use hist::{Histogram, TimedScope, HIST_BUCKETS};
+pub use hist::{Histogram, HIST_BUCKETS};
+pub use probe::Probe;
 pub use snapshot::{HistSnapshot, MetricValue, Snapshot, SnapshotDecodeError, SnapshotJsonError};
 
 use std::collections::BTreeMap;
@@ -71,11 +75,6 @@ impl Counter {
     pub fn add(&self, n: u64) {
         let slot = STRIPE.with(|s| *s);
         self.stripes[slot].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// The current total across all stripes.
@@ -133,9 +132,9 @@ enum Metric {
 }
 
 /// A named-metric registry. One registry is shared (via `Arc`) by every
-/// instrumented layer of a run; lookups happen once at attach time, after
-/// which the hot path touches only the returned `Arc<Counter>` /
-/// `Arc<Histogram>` handles — the registry lock is never on the hot path.
+/// instrumented layer of a run; each [`Probe`] looks a name up once and
+/// caches the returned `Arc<Counter>` / `Arc<Histogram>` handle, so the
+/// registry lock is never on the hot path.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn counter_accumulates_and_reads_back() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.value(), 42);
     }
@@ -240,7 +239,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..per_thread {
-                        c.inc();
+                        c.add(1);
                     }
                 })
             })

@@ -5,30 +5,31 @@
 //!
 //! Where `bugnet_telemetry` aggregates (counters and histograms answer "how
 //! much / how slow overall"), this crate keeps *time-ordered* events so a
-//! recording or replay run can be inspected on a timeline. The design
-//! contract matches telemetry's: everything hangs off an optional handle,
-//! `None` costs nothing on the hot path, and recording threads never block —
-//! each [`ThreadTracer`] owns a bounded single-writer ring that overwrites
-//! its oldest events under pressure and counts what it dropped.
+//! recording or replay run can be inspected on a timeline. Recording
+//! threads never block: each [`ThreadTracer`] owns a bounded single-writer
+//! ring that overwrites its oldest events under pressure and counts what it
+//! dropped. Instrumented layers do not time spans here themselves:
+//! `bugnet_telemetry::Probe` stamps each span once and feeds both its
+//! latency histogram and this timeline from that one reading.
 //!
 //! # Usage
 //!
 //! ```
 //! use std::sync::Arc;
-//! use bugnet_trace::TraceSession;
+//! use bugnet_trace::{clock, TraceEvent, TraceSession};
 //!
 //! let session = Arc::new(TraceSession::new("bugnet"));
 //! let mut tracer = session.thread("recorder-t0");
-//! let start = bugnet_trace::clock::monotonic_ns();
+//! let start = clock::monotonic_ns();
 //! // ... do the work being traced ...
-//! tracer.span_since("interval", "recorder", start);
-//! tracer.instant("fault", "recorder");
+//! let dur = clock::monotonic_ns() - start;
+//! tracer.emit(TraceEvent::span("interval", "recorder", start, dur));
 //! let json = session.to_chrome_json();
 //! assert!(json.contains("\"interval\""));
 //! ```
 //!
 //! Span names are short snake_case verbs/nouns; the `cat` field names the
-//! emitting subsystem (`recorder`, `store`, `flush`, `io`, `replay`,
+//! emitting subsystem (`recorder`, `store`, `codec`, `flush`, `io`, `replay`,
 //! `profile`) and is what Perfetto filters on.
 
 pub mod chrome;
@@ -155,63 +156,9 @@ pub struct ThreadTracer {
 }
 
 impl ThreadTracer {
-    /// Current trace-clock time; pair with [`ThreadTracer::span_since`].
-    pub fn now(&self) -> u64 {
-        clock::monotonic_ns()
-    }
-
-    /// Emits a span that started at `start_ns` (a prior [`ThreadTracer::now`])
-    /// and ends now.
-    pub fn span_since(&mut self, name: &'static str, cat: &'static str, start_ns: u64) {
-        let end = clock::monotonic_ns();
-        self.emit(TraceEvent::span(
-            name,
-            cat,
-            start_ns,
-            end.saturating_sub(start_ns),
-        ));
-    }
-
-    /// [`ThreadTracer::span_since`] with one argument attached.
-    pub fn span_since_arg(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        start_ns: u64,
-        key: &'static str,
-        value: u64,
-    ) {
-        let end = clock::monotonic_ns();
-        self.emit(
-            TraceEvent::span(name, cat, start_ns, end.saturating_sub(start_ns))
-                .with_arg(key, value),
-        );
-    }
-
-    /// Emits an instant at the current time.
-    pub fn instant(&mut self, name: &'static str, cat: &'static str) {
-        self.emit(TraceEvent::instant(name, cat, clock::monotonic_ns()));
-    }
-
-    /// [`ThreadTracer::instant`] with one argument attached.
-    pub fn instant_arg(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        key: &'static str,
-        value: u64,
-    ) {
-        self.emit(TraceEvent::instant(name, cat, clock::monotonic_ns()).with_arg(key, value));
-    }
-
-    /// Emits a counter sample at the current time.
-    pub fn counter(&mut self, name: &'static str, cat: &'static str, value: u64) {
-        self.emit(TraceEvent::counter(name, cat, clock::monotonic_ns(), value));
-    }
-
-    /// Appends a fully-formed event — the escape hatch for events on a
-    /// virtual timebase (the dump profiler stamps instruction counts, not
-    /// wall time).
+    /// Appends a fully-formed event, stamped on the [`clock`] timeline or
+    /// on a virtual timebase (the dump profiler stamps instruction counts,
+    /// not wall time).
     pub fn emit(&mut self, event: TraceEvent) {
         self.ring.push(event);
     }
@@ -353,10 +300,11 @@ mod tests {
             let mut tracer = session.thread(format!("worker-{t}"));
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1_000 {
-                    let start = tracer.now();
-                    tracer.span_since("unit", "test", start);
+                    let start = clock::monotonic_ns();
+                    let dur = clock::monotonic_ns() - start;
+                    tracer.emit(TraceEvent::span("unit", "test", start, dur));
                 }
-                tracer.instant("done", "test");
+                tracer.emit(TraceEvent::instant("done", "test", clock::monotonic_ns()));
             }));
         }
         for handle in handles {
@@ -413,7 +361,7 @@ mod tests {
     fn export_writes_a_loadable_file() {
         let session = TraceSession::new("bugnet");
         let mut tracer = session.thread("t");
-        tracer.counter("queue_depth", "flush", 3);
+        tracer.emit(TraceEvent::counter("queue_depth", "flush", 0, 3));
         let path = std::env::temp_dir().join(format!("bugnet-trace-{}.json", std::process::id()));
         session.write_chrome_json(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -2,6 +2,11 @@
 
 use crate::size::ByteSize;
 
+/// Largest dictionary a recording may configure (`bugnet dump --dict`) and a
+/// decoded log may declare: replay allocates a dictionary of that many
+/// entries per interval. The paper's Fig. 5 sweep stops at 1,024.
+pub const MAX_DICTIONARY_ENTRIES: usize = 65_536;
+
 /// Configuration of the BugNet recording hardware (one per machine).
 ///
 /// Defaults follow the paper's evaluated design point: 10 M instruction

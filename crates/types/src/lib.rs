@@ -29,7 +29,9 @@ pub mod rng;
 pub mod size;
 
 pub use addr::{Addr, Word, WORD_BYTES};
-pub use config::{BugNetConfig, CacheConfig, CacheLevelConfig, MachineConfig};
+pub use config::{
+    BugNetConfig, CacheConfig, CacheLevelConfig, MachineConfig, MAX_DICTIONARY_ENTRIES,
+};
 pub use ids::{CheckpointId, CoreId, InstrCount, ProcessId, ThreadId, Timestamp};
 pub use rng::SplitMix64;
 pub use size::ByteSize;

@@ -94,7 +94,7 @@ impl WorkloadSpec {
             ["spec", profile, instructions, threads] => Ok(WorkloadSpec::Spec {
                 profile: (*profile).to_string(),
                 instructions: int(instructions, "instruction count")?,
-                threads: int(threads, "thread count")?.clamp(1, 64) as usize,
+                threads: int(threads, "thread count")?.clamp(1, MAX_THREADS as u64) as usize,
             }),
             ["bug", name, scale] => Ok(WorkloadSpec::Bug {
                 name: (*name).to_string(),
@@ -148,10 +148,10 @@ impl WorkloadSpec {
             }
             WorkloadSpec::Mt { kind, params } => match (kind.as_str(), params.as_slice()) {
                 ("locked_counter", [threads, increments]) => {
-                    Ok(mt::locked_counter(*threads as usize, *increments))
+                    Ok(mt::locked_counter(clamp_threads(*threads), *increments))
                 }
                 ("racy_counter", [threads, increments]) => {
-                    Ok(mt::racy_counter(*threads as usize, *increments))
+                    Ok(mt::racy_counter(clamp_threads(*threads), *increments))
                 }
                 ("producer_consumer", [items]) => Ok(mt::producer_consumer(*items)),
                 _ => Err(format!(
@@ -163,6 +163,15 @@ impl WorkloadSpec {
             },
         }
     }
+}
+
+/// The most threads a registry workload has: `spec:` and `mt:` thread
+/// counts are capped here, so a spec string from the command line or a
+/// dump manifest cannot size the simulator's per-thread state.
+pub const MAX_THREADS: usize = 64;
+
+fn clamp_threads(threads: u32) -> usize {
+    (threads as usize).min(MAX_THREADS)
 }
 
 /// Names of the available SPEC-like profiles.
@@ -212,6 +221,20 @@ mod tests {
             let parsed = WorkloadSpec::parse(s).unwrap();
             assert_eq!(parsed.to_string(), s);
         }
+    }
+
+    #[test]
+    fn mt_thread_counts_clamp_like_spec_thread_counts() {
+        // A spec string reaches here from the command line and from dump
+        // manifests; neither may size the simulator's per-thread state.
+        assert_eq!(
+            resolve("mt:racy_counter:100:4").unwrap().thread_count(),
+            MAX_THREADS
+        );
+        assert_eq!(
+            resolve("spec:gzip:1000:100").unwrap().thread_count(),
+            MAX_THREADS
+        );
     }
 
     #[test]

@@ -352,9 +352,10 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
 
 #[test]
 fn one_replay_request_combines_seek_override_and_observers() {
-    use bugnet::core::dump::{ProgramSource, ReplayRequest, ReplayStats};
-    use bugnet::telemetry::{MetricValue, Registry};
+    use bugnet::core::dump::{ProgramSource, ReplayRequest};
+    use bugnet::telemetry::{MetricValue, Probe, Registry};
     use bugnet::trace::TraceSession;
+    use std::sync::Arc;
     let spec = "spec:gzip:30000:1";
     let dir = temp_dir("replay-request");
     record_dump(spec, &dir, 5_000);
@@ -363,16 +364,14 @@ fn one_replay_request_combines_seek_override_and_observers() {
     let from = dump.threads[0].checkpoints[n / 2].fll.header.checkpoint;
     let workload = registry::resolve(spec).unwrap();
     let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
-    let metrics = Registry::default();
-    let stats = ReplayStats::register(&metrics);
-    let session = TraceSession::with_capacity("replay-request", 1 << 10);
-    let mut tracer = session.thread("replay");
+    let metrics = Arc::new(Registry::default());
+    let session = Arc::new(TraceSession::with_capacity("replay-request", 1 << 10));
+    let probe = Probe::new(Some(metrics.clone()), Some(session.clone()), "replay");
     let report = dump
         .replay_with(ReplayRequest {
             programs: ProgramSource::Override(|t: ThreadId| programs.get(t.0 as usize).cloned()),
             from: Some(from),
-            stats: Some(&stats),
-            tracer: Some(&mut tracer),
+            probe,
         })
         .expect("replays");
     assert!(report.all_match(), "{:?}", report.divergences());
