@@ -1,7 +1,7 @@
 //! Figure 2: size of the FLLs needed to replay the window of execution that
 //! captures each Table-1 bug (checkpoint interval 10 M in the paper).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin fig2_bug_fll_sizes [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin fig2_bug_fll_sizes [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_sim::MachineBuilder;

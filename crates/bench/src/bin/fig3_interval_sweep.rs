@@ -1,7 +1,7 @@
 //! Figure 3: total FLL size needed to replay a fixed window of execution as a
 //! function of the checkpoint-interval length (10 K … 100 M in the paper).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin fig3_interval_sweep [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin fig3_interval_sweep [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_sim::runner::record_spec_profile;

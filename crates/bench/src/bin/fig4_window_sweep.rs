@@ -1,7 +1,7 @@
 //! Figure 4: total FLL size needed to replay windows of 10 M, 100 M and 1 B
 //! instructions (checkpoint interval fixed at 10 M in the paper).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin fig4_window_sweep [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin fig4_window_sweep [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_sim::runner::record_spec_profile;

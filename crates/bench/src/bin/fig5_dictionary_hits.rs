@@ -1,7 +1,7 @@
 //! Figure 5: percentage of logged load values found in the dictionary as a
 //! function of the dictionary size (8 … 1024 entries).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin fig5_dictionary_hits [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin fig5_dictionary_hits [--paper-scale]`
 
 use bugnet_bench::{print_header, ExperimentOptions};
 use bugnet_sim::runner::record_spec_profile;

@@ -1,7 +1,7 @@
 //! Figure 6: FLL compression ratio achieved by the dictionary compressor for
 //! different dictionary sizes (10 M checkpoint interval in the paper).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin fig6_compression_ratio [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin fig6_compression_ratio [--paper-scale]`
 
 use bugnet_bench::{print_header, ExperimentOptions};
 use bugnet_sim::runner::record_spec_profile;

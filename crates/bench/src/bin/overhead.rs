@@ -1,6 +1,6 @@
 //! §6.3: recording overhead of BugNet (the paper reports < 0.01% for SPEC).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin overhead [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin overhead [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_sim::runner::record_spec_profile;

@@ -1,7 +1,7 @@
 //! Table 1: open-source programs with known bugs and the dynamic-instruction
 //! distance between the root cause and the crash.
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin table1_bug_windows [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin table1_bug_windows [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_sim::MachineBuilder;

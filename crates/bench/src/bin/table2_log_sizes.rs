@@ -1,7 +1,7 @@
 //! Table 2: log sizes — BugNet replaying 10 M and 1 B instructions versus FDR
 //! replaying 1 B instructions (one second of execution).
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin table2_log_sizes [--paper-scale]`
+//! Usage: `cargo run --release -p bugnet_bench --bin table2_log_sizes [--paper-scale]`
 
 use bugnet_bench::{format_instructions, print_header, ExperimentOptions};
 use bugnet_fdr::FdrConfig;
@@ -12,8 +12,9 @@ use bugnet_workloads::spec::SpecProfile;
 fn main() {
     let opts = ExperimentOptions::from_args();
     // Measure per-instruction log rates on a scaled run, then report the
-    // paper's design points by extrapolation (documented in EXPERIMENTS.md);
-    // --paper-scale measures the 10M design point directly.
+    // paper's design points by extrapolation (see the README's "Paper
+    // experiments" section); --paper-scale measures the 10M design point
+    // directly.
     let measured_window = opts.pick(1_000_000, 10_000_000);
     let interval = opts.pick(10_000, 10_000_000);
     println!(

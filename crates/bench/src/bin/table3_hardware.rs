@@ -1,13 +1,16 @@
 //! Table 3: on-chip hardware complexity of BugNet versus FDR.
 //!
-//! Usage: `cargo run --release -p bugnet-bench --bin table3_hardware`
+//! Usage: `cargo run --release -p bugnet_bench --bin table3_hardware`
+//! (the areas are analytical, so `--paper-scale` changes nothing).
 
-use bugnet_bench::print_header;
+use bugnet_bench::{print_header, ExperimentOptions};
 use bugnet_core::BugNetHardware;
 use bugnet_fdr::FdrHardware;
 use bugnet_types::BugNetConfig;
 
 fn main() {
+    // Only for its check of the arguments: the table has no scale to pick.
+    ExperimentOptions::from_args();
     println!("Table 3: hardware complexity, BugNet vs FDR\n");
     let bugnet_10m =
         BugNetHardware::from_config(&BugNetConfig::default().with_target_replay_window(10_000_000));

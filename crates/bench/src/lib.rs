@@ -1,12 +1,13 @@
 //! Shared plumbing for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index). They all accept `--paper-scale` to run at
-//! the paper's full instruction counts; by default they run scaled-down
-//! configurations that finish in seconds and extrapolate where the paper's
-//! headline numbers are per-instruction rates. Run them with `--release`.
+//! (the README's "Paper experiments" section has the index). They all accept
+//! `--paper-scale` to run at the paper's full instruction counts and reject
+//! any other argument; by default they run scaled-down configurations that
+//! finish in seconds and extrapolate where the paper's headline numbers are
+//! per-instruction rates. Run them with `--release`.
 
-use std::env;
+use std::{env, process};
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,10 +18,29 @@ pub struct ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Parses the options from the process arguments.
+    /// Parses the options from the process arguments. An argument other
+    /// than `--paper-scale` prints the usage line to stderr and exits with
+    /// status 2.
     pub fn from_args() -> Self {
-        let paper_scale = env::args().any(|a| a == "--paper-scale");
-        ExperimentOptions { paper_scale }
+        let mut args = env::args_os().map(|a| a.to_string_lossy().into_owned());
+        let program = args.next().unwrap_or_default();
+        ExperimentOptions::parse(args).unwrap_or_else(|arg| {
+            eprintln!("unknown argument `{arg}`\nusage: {program} [--paper-scale]");
+            process::exit(2)
+        })
+    }
+
+    /// Parses the arguments that follow the program name. `--paper-scale`
+    /// is the only one accepted; the first other argument is the error.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut paper_scale = false;
+        for arg in args {
+            match arg.as_str() {
+                "--paper-scale" => paper_scale = true,
+                _ => return Err(arg),
+            }
+        }
+        Ok(ExperimentOptions { paper_scale })
     }
 
     /// Chooses between the scaled default and the paper-scale value.
@@ -70,6 +90,18 @@ pub fn format_instructions(count: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_accepts_only_paper_scale() {
+        let parse = |list: &[&str]| ExperimentOptions::parse(list.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(ExperimentOptions { paper_scale: false }));
+        assert_eq!(
+            parse(&["--paper-scale"]),
+            Ok(ExperimentOptions { paper_scale: true })
+        );
+        assert_eq!(parse(&["--paper-scael"]), Err("--paper-scael".to_string()));
+        assert_eq!(parse(&["--paper-scale", "extra"]), Err("extra".to_string()));
+    }
 
     #[test]
     fn pick_respects_paper_scale() {

@@ -1009,6 +1009,65 @@ mod tests {
     }
 
     #[test]
+    fn probe_work_is_per_interval_never_per_load() {
+        use bugnet_telemetry::{MetricValue, Registry, Snapshot};
+        use bugnet_trace::TraceSession;
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        // Records and pushes 8 intervals of `loads` loads each, with one
+        // probe over both sinks feeding the recorder and the store.
+        fn observe(loads: u64) -> (u64, Snapshot) {
+            let registry = Arc::new(Registry::new());
+            let session = Arc::new(TraceSession::new("probe-cost"));
+            let probe = Probe::new(Some(registry.clone()), Some(session.clone()), "store");
+            let mut r = recorder(10_000);
+            r.attach_probe(probe.sibling("recorder-t0"));
+            let mut store = LogStore::new(&BugNetConfig::default());
+            store.attach_probe(probe);
+            for ts in 0..8 {
+                r.begin_interval(arch(), Timestamp(ts));
+                for i in 0..loads {
+                    let addr = Addr::new(0x1000 + (i % 512) * 4);
+                    r.record_load(addr, Word::new((i % 37) as u32), i % 4 == 0);
+                    r.record_committed_instruction();
+                }
+                let logs = r.end_interval(TerminationCause::IntervalFull, &arch());
+                store.push(logs.unwrap());
+            }
+            (session.emitted_events(), registry.snapshot())
+        }
+        let histogram_counts = |snap: &Snapshot| -> BTreeMap<String, u64> {
+            snap.entries
+                .iter()
+                .filter_map(|(name, value)| match value {
+                    MetricValue::Histogram(h) => Some((name.clone(), h.count)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let loads_seen = |snap: &Snapshot| snap.entries.get("recorder_loads_seen_total").cloned();
+
+        let (short_events, short) = observe(10);
+        let (long_events, long) = observe(10_000);
+        // A thousand times the loads, the same observations.
+        assert!(short_events > 0);
+        assert_eq!(short_events, long_events);
+        assert_eq!(histogram_counts(&short), histogram_counts(&long));
+        for span in [
+            "recorder_interval_ns",
+            "store_seal_ns",
+            "codec_transform_ns",
+            "codec_compress_ns",
+        ] {
+            assert_eq!(histogram_counts(&long).get(span), Some(&8), "{span}");
+        }
+        // The per-interval batch still counts every load exactly.
+        assert_eq!(loads_seen(&short), Some(MetricValue::Counter(80)));
+        assert_eq!(loads_seen(&long), Some(MetricValue::Counter(80_000)));
+    }
+
+    #[test]
     fn interval_full_is_reported_at_limit() {
         let mut r = recorder(3);
         r.begin_interval(arch(), Timestamp(0));

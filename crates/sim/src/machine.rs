@@ -1372,6 +1372,32 @@ mod tests {
     }
 
     #[test]
+    fn columnar_seal_stores_gzip_fll_frames_at_least_1_5x_smaller() {
+        // Row-order LZ gains about 2% on these frames; the columnar split
+        // must store them at least 1.5x smaller. These are the frames a dump
+        // of this run writes.
+        let workload = SpecProfile::gzip().build_workload(200_000, 1);
+        let mut machine = MachineBuilder::new()
+            .bugnet(bugnet_cfg(50_000))
+            .build_with_workload(&workload);
+        machine.run_to_completion();
+        let store = machine.log_store().unwrap();
+        let sealed: Vec<_> = store
+            .threads()
+            .into_iter()
+            .flat_map(|t| store.thread_logs(t))
+            .collect();
+        let raw: u64 = sealed.iter().map(|s| s.fll_raw_bytes).sum();
+        let stored: u64 = sealed.iter().map(|s| s.fll_stored_bytes()).sum();
+        let ratio = raw as f64 / stored as f64;
+        assert!(
+            ratio >= 1.5,
+            "{} intervals: {raw} -> {stored} FLL bytes, ratio {ratio:.4}",
+            sealed.len()
+        );
+    }
+
+    #[test]
     fn codec_knob_controls_dump_codec() {
         use bugnet_core::dump::CrashDump;
         let dir = std::env::temp_dir().join(format!("bugnet-codecknob-{}", std::process::id()));
