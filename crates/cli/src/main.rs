@@ -89,7 +89,8 @@ USAGE:
         both are at most 64, the most threads a workload has, and --dict
         is at most 65536).
         Dumps are format v5: each log is stored as columnar, delta-encoded
-        per-field streams and the program images are embedded
+        per-field streams and each program's code-only image (code, entry,
+        stack top, symbols; replay takes data from the logs) is embedded
         content-addressed, so threads sharing one image store it once;
         --no-embed-image omits the images. Older formats (v1-v4) still
         load, verify and replay.

@@ -235,6 +235,22 @@ mod tests {
     }
 
     #[test]
+    fn forged_huge_raw_length_is_a_typed_error() {
+        // A few encoded bytes declaring the largest raw length a header may:
+        // the decoder reserves only what the stream can expand to, then
+        // rejects the length mismatch.
+        let mut forged = encode_container(CodecId::Lz77, b"forged payload");
+        forged[1..5].copy_from_slice(&MAX_RAW_BYTES.to_le_bytes());
+        assert_eq!(
+            decode_container(&forged),
+            Err(FrameError::Codec(DecodeError::LengthMismatch {
+                declared: MAX_RAW_BYTES as usize,
+                produced: 14,
+            }))
+        );
+    }
+
+    #[test]
     fn payload_bit_flip_fails_checksum_or_codec() {
         let raw: Vec<u8> = (0..500u32).flat_map(|v| (v % 50).to_le_bytes()).collect();
         let container = encode_container(CodecId::Lz77, &raw);

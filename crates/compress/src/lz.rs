@@ -283,7 +283,18 @@ fn read_ext(src: &[u8], i: &mut usize, cap: usize) -> Result<usize, DecodeError>
     }
 }
 
+/// The most bytes a token stream of `encoded_len` bytes can expand to. No
+/// encoded byte adds more than 255 output bytes: a match-length extension
+/// byte adds at most 255, a literal byte one, and a token with its two
+/// offset bytes at most 18 (match nibble 14 plus [`MIN_MATCH`]).
+fn max_output(encoded_len: usize) -> usize {
+    encoded_len.saturating_mul(255)
+}
+
 /// Decompresses a token stream that must expand to exactly `raw_len` bytes.
+///
+/// The up-front allocation is bounded by what `src` can expand to, so a
+/// forged `raw_len` over a few encoded bytes cannot drive a huge one.
 ///
 /// # Errors
 ///
@@ -291,7 +302,7 @@ fn read_ext(src: &[u8], i: &mut usize, cap: usize) -> Result<usize, DecodeError>
 /// out-of-range offsets, overruns past the declared length, or trailing
 /// encoded bytes. Never panics on arbitrary input.
 pub fn decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>, DecodeError> {
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = Vec::with_capacity(raw_len.min(max_output(src.len())));
     let mut i = 0usize;
     while out.len() < raw_len {
         let token_pos = i;
@@ -415,6 +426,23 @@ mod tests {
         let raw: Vec<u8> = (0..50_000).map(|_| (rng.next() % 16) as u8).collect();
         let enc = round_trip(&raw);
         assert!(enc.len() < raw.len(), "{} bytes", enc.len());
+    }
+
+    #[test]
+    fn no_stream_expands_past_max_output() {
+        let mut rng = Rng(0x0B0D);
+        let random: Vec<u8> = (0..50_000).map(|_| (rng.next() % 16) as u8).collect();
+        let incompressible: Vec<u8> = (0..50_000).map(|_| rng.next() as u8).collect();
+        // All zeros is the maximum ratio: one long run.
+        for raw in &[vec![0u8; 1 << 20], random, incompressible] {
+            let enc = round_trip(raw);
+            assert!(
+                raw.len() <= max_output(enc.len()),
+                "{} raw bytes from {} encoded",
+                raw.len(),
+                enc.len()
+            );
+        }
     }
 
     #[test]

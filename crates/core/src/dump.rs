@@ -45,6 +45,15 @@
 //!   The loader verifies the hash and shares one decoded [`Program`] across
 //!   the threads.
 //!
+//! Embedded images are *code-only*: [`write_dump`] embeds each program's
+//! replay image ([`Program::without_data`]) — code, entry, stack top and
+//! symbols, no data segments. Replay starts every interval from empty
+//! memory and takes each first load from the FLL, so it never reads
+//! initialized data; this is the paper's case against FDR-style memory
+//! checkpoints, and it keeps a data-heavy program's dump as small as its
+//! logs. The wire format is unchanged (an image with zero data segments is
+//! valid in every version), and the full images in older dumps still load.
+//!
 //! Since format v5 every FLL/MRL frame payload is *columnar*: a multi-stream
 //! blob (see [`crate::columnar`]) that splits the log into per-field streams
 //! — L-Counts, value-type bits, dictionary ranks and full load values for
@@ -891,12 +900,13 @@ struct EncodedDump {
 /// in the current (v5, columnar) format, through `io`. The sealed columnar
 /// frames the store already holds are written out verbatim, so serial and
 /// parallel flushing produce byte-identical dumps and dump time pays no
-/// compression cost. `image_of` supplies each thread's program image;
-/// threads for which it returns a program get a codec-compressed,
-/// checksummed, content-addressed `image-<hash>.bni` section (threads
-/// running the same binary share one file), making the dump self-contained
-/// for offline replay. Return `None` to dump a thread without its image
-/// (the `embed_image` knob off).
+/// compression cost. `image_of` supplies each thread's program; threads
+/// for which it returns one get its code-only replay image
+/// ([`Program::without_data`]: replay takes data from the FLL) as a
+/// codec-compressed, checksummed, content-addressed `image-<hash>.bni`
+/// section (threads running the same binary share one file), making the
+/// dump self-contained for offline replay. Return `None` to dump a thread
+/// without its image (the `embed_image` knob off).
 ///
 /// The dump is committed atomically via staging + rename (see
 /// [`commit_atomic`]): `dir` either appears complete or not at all, and an
@@ -964,23 +974,28 @@ fn encode_dump(
         }
         let (has_image, image_raw_bytes, image_stored_bytes, image_hash) = match image_of(thread) {
             Some(program) => {
-                let raw = encode_image(&program);
+                // Replay takes every first load from the FLL and never reads
+                // initialized data, so the dump carries the code-only replay
+                // image.
+                let image = program.without_data();
+                let raw = encode_image(&image);
                 // Trust boundary: never ship an image that does not decode
-                // back to the recorded binary. Programs exceeding the wire
-                // format's sanity bounds (counts, string lengths) would
-                // otherwise produce a dump its own loader rejects — or,
-                // for truncation-collapsed symbol names, a dump that loads
-                // cleanly but replays a subtly different program.
+                // back to the recorded binary's replay image. Programs
+                // exceeding the wire format's sanity bounds (counts, string
+                // lengths) would otherwise produce a dump its own loader
+                // rejects — or, for truncation-collapsed symbol names, a
+                // dump that loads cleanly but replays a subtly different
+                // program.
                 let hash = fnv1a(&raw);
                 let file = format!("image-{hash:016x}.bni");
                 match decode_image(&raw) {
-                    Ok(decoded) if decoded == *program => {}
+                    Ok(decoded) if decoded == image => {}
                     Ok(_) => {
                         return Err(DumpError::Inconsistent {
                             file,
                             detail: "encoded program image does not round-trip to the \
-                                     recorded binary (name or symbol beyond wire-format \
-                                     limits?)"
+                                     recorded binary's replay image (name or symbol beyond \
+                                     wire-format limits?)"
                                 .into(),
                         })
                     }
@@ -2929,8 +2944,13 @@ mod tests {
         let dump = CrashDump::load(&dir).unwrap();
         assert_eq!(dump.manifest, written);
         assert!(dump.is_self_contained());
+        // The embedded image is the program's code-only replay image.
+        assert!(!program.data().is_empty());
+        let replay_image = program.without_data();
         for t in &dump.threads {
-            assert_eq!(t.image.as_deref(), Some(program.as_ref()));
+            let image = t.image.as_deref().unwrap();
+            assert_eq!(image, &replay_image);
+            assert!(image.data().is_empty());
         }
         assert_eq!(
             dump.embedded_program(ThreadId(0)).map(|p| p.name()),
@@ -3067,22 +3087,20 @@ mod tests {
         use bugnet_types::Word;
         let store = store_with_logs(1, 1);
 
-        // More data segments than the image wire format allows: the writer
-        // must refuse with a typed error, not produce a dump its own
-        // loader rejects.
-        let segments: Vec<DataSegment> = (0..4097)
-            .map(|i| DataSegment {
-                base: Addr::new(0x1000_0000 + i as u64 * 16),
-                words: vec![Word::new(0)],
-            })
-            .collect();
-        let oversized = Arc::new(Program::new(
+        // More symbols than the image wire format allows (symbols survive
+        // into the replay image): the writer must refuse with a typed
+        // error, not produce a dump its own loader rejects.
+        let mut oversized = Program::new(
             "oversized",
             vec![bugnet_isa::Instr::Halt],
             Addr::new(0x40_0000),
             0,
-            segments,
-        ));
+            Vec::new(),
+        );
+        for i in 0..=bugnet_isa::encode::MAX_IMAGE_SYMBOLS {
+            oversized.add_symbol(format!("s{i}"), Addr::new(u64::from(i) * 4));
+        }
+        let oversized = Arc::new(oversized);
         let dir = temp_dir("image-oversized");
         let err = write_dump(
             &dir,
@@ -3099,6 +3117,36 @@ mod tests {
             }
             other => panic!("expected Inconsistent, got {other}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+
+        // A program with more data segments than the wire format allows is
+        // still written: the dump embeds only its code-only replay image.
+        let segments: Vec<DataSegment> = (0..4097)
+            .map(|i| DataSegment {
+                base: Addr::new(0x1000_0000 + i as u64 * 16),
+                words: vec![Word::new(0)],
+            })
+            .collect();
+        let data_heavy = Arc::new(Program::new(
+            "data-heavy",
+            vec![bugnet_isa::Instr::Halt],
+            Addr::new(0x40_0000),
+            0,
+            segments,
+        ));
+        let dir = temp_dir("image-data-heavy");
+        write_dump(
+            &dir,
+            &meta(),
+            &store,
+            |_| Some(Arc::clone(&data_heavy)),
+            &mut StdIo::new(),
+        )
+        .expect("a program's data segments never reach the dump");
+        let dump = CrashDump::load(&dir).unwrap();
+        let image = dump.embedded_program(ThreadId(0)).unwrap();
+        assert_eq!(image.as_ref(), &data_heavy.without_data());
+        assert!(image.data().is_empty());
         let _ = fs::remove_dir_all(&dir);
 
         // Two symbols sharing an over-limit name prefix would be collapsed
@@ -3304,8 +3352,11 @@ mod tests {
         assert_eq!(written.unique_images(), 2);
         assert_ne!(written.threads[0].image_hash, written.threads[1].image_hash);
         let dump = CrashDump::load(&dir).unwrap();
-        assert_eq!(dump.threads[0].image.as_deref(), Some(a.as_ref()));
-        assert_eq!(dump.threads[1].image.as_deref(), Some(b.as_ref()));
+        for (t, program) in dump.threads.iter().zip([&a, &b]) {
+            let image = t.image.as_deref().unwrap();
+            assert_eq!(image, &program.without_data());
+            assert!(image.data().is_empty());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -122,6 +122,24 @@ impl Program {
         &self.data
     }
 
+    /// The replay image of this program: the same name, code, code base,
+    /// entry point, stack top and symbols, with no data segments.
+    ///
+    /// Replay starts every interval from empty memory and takes each first
+    /// load from the First-Load Log (paper §4.8), so it never reads
+    /// initialized data; this is all of the binary a crash dump needs.
+    pub fn without_data(&self) -> Program {
+        Program {
+            name: self.name.clone(),
+            code: self.code.clone(),
+            code_base: self.code_base,
+            entry_index: self.entry_index,
+            data: Vec::new(),
+            stack_top: self.stack_top,
+            symbols: self.symbols.clone(),
+        }
+    }
+
     /// Initial stack pointer value.
     pub fn stack_top(&self) -> Addr {
         self.stack_top
@@ -255,6 +273,22 @@ mod tests {
         let seg = &p.data()[0];
         assert_eq!(seg.len_bytes(), 4);
         assert_eq!(seg.end(), Addr::new(DEFAULT_DATA_BASE + 4));
+    }
+
+    #[test]
+    fn without_data_keeps_everything_but_the_data() {
+        let mut p = tiny();
+        p.set_stack_top(Addr::new(0x7000_0000));
+        p.add_symbol("counter", Addr::new(DEFAULT_DATA_BASE));
+        let image = p.without_data();
+        assert!(image.data().is_empty());
+        assert_eq!(image.name(), p.name());
+        assert_eq!(image.code(), p.code());
+        assert_eq!(image.code_base(), p.code_base());
+        assert_eq!(image.entry_index(), p.entry_index());
+        assert_eq!(image.stack_top(), p.stack_top());
+        assert_eq!(image.symbols(), p.symbols());
+        assert_eq!(image.without_data(), image);
     }
 
     #[test]

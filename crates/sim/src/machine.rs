@@ -48,8 +48,9 @@ pub struct RecordingOptions {
     /// [`bugnet_core::recorder::DEFAULT_STORE_SHARDS`]). A resource knob,
     /// never a semantic one: recorded content is independent of shard count.
     pub store_shards: usize,
-    /// Whether crash dumps embed each thread's full program image, making
-    /// them self-contained for offline replay.
+    /// Whether crash dumps embed each thread's program image, making them
+    /// self-contained for offline replay. The image is code-only: replay
+    /// takes every first load, data included, from the FLL.
     pub embed_image: bool,
     /// Directory to write a crash dump to as soon as a thread faults (the
     /// OS behaviour of paper §4.8); `None` disables auto-dumping.
@@ -469,8 +470,9 @@ impl Machine {
     /// crash-dump directory (paper §4.8). The manifest records the recorder
     /// configuration, the workload identity string and the first fault
     /// observed, if any; unless [`RecordingOptions::embed_image`] was turned
-    /// off, each thread's full program image is embedded (content-addressed,
-    /// format v5), so the dump replays offline without the workload registry.
+    /// off, each thread's code-only program image is embedded
+    /// (content-addressed, format v5), so the dump replays offline without
+    /// the workload registry.
     /// Callable at any point — after a crash for the paper's scenario, or
     /// after a clean run to archive the logs.
     ///
@@ -1430,11 +1432,12 @@ mod tests {
         machine.write_crash_dump(&dir).unwrap();
         let dump = CrashDump::load(&dir).unwrap();
         assert!(dump.is_self_contained());
+        // The embedded image is the program's code-only replay image.
+        let program = machine.program_of(ThreadId(0)).unwrap();
+        assert!(!program.data().is_empty());
         let embedded = dump.embedded_program(ThreadId(0)).unwrap();
-        assert_eq!(
-            embedded.as_ref(),
-            machine.program_of(ThreadId(0)).unwrap().as_ref()
-        );
+        assert_eq!(embedded.as_ref(), &program.without_data());
+        assert!(embedded.data().is_empty());
         // The embedded image alone replays the dump: no fallback consulted.
         let report = dump.replay(|_| None).expect("self-contained replay");
         assert!(report.all_match(), "{:?}", report.divergences());

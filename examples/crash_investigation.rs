@@ -5,10 +5,12 @@
 //! synthetic reproduction of the `gzip-1.2.4` global-buffer-overflow bug from
 //! Table 1). When the program crashes, the OS writes the retained First-Load
 //! Logs to a crash-dump *directory* — the portable artifact of the paper.
-//! Since format v3 the dump also embeds the full program image, so the
-//! developer needs nothing but the directory: the replay below consults no
-//! workload registry at all, and lands exactly on the faulting instruction
-//! with the whole pre-crash window available.
+//! Since format v3 the dump also embeds the program image, so the developer
+//! needs nothing but the directory: the replay below consults no workload
+//! registry at all, and lands exactly on the faulting instruction with the
+//! whole pre-crash window available. The image is code-only (code, entry,
+//! stack top, symbols): replay takes every first load from the FLL, so the
+//! program's initialized data never has to ship.
 //!
 //! Run with: `cargo run --release --example crash_investigation`
 
@@ -50,7 +52,7 @@ fn main() {
         .expect("dump written");
     println!(
         "crash dump written to {}: {} checkpoint(s), {} of FLL data, \
-         program image embedded ({} raw)",
+         code-only program image embedded ({} raw)",
         dump_dir.display(),
         manifest.total_checkpoints(),
         manifest.total_fll_size(),

@@ -7,9 +7,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpError, DUMP_VERSION_V1, DUMP_VERSION_V4, DUMP_VERSION_V5,
+    verify_dump, CrashDump, DumpError, ProgramSource, ReplayRequest, DUMP_VERSION_V1,
+    DUMP_VERSION_V4, DUMP_VERSION_V5,
 };
 use bugnet::sim::{MachineBuilder, RecordingOptions};
+use bugnet::telemetry::Probe;
 use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
 use bugnet::workloads::registry;
 
@@ -227,12 +229,85 @@ fn adhoc_program_dump_is_self_contained_and_replays_without_the_registry() {
     let last = replay.intervals.last().unwrap();
     assert_eq!(last.fault_reproduced, Some(true));
 
-    // The embedded image is the recorded binary, byte for byte.
+    // The embedded image is the recorded binary's code-only replay image:
+    // replay took the divisor word from the FLL, not from the image.
+    let program = machine.program_of(ThreadId(0)).unwrap();
+    assert!(!program.data().is_empty());
     let embedded = dump.embedded_program(ThreadId(0)).unwrap();
-    assert_eq!(
-        embedded.as_ref(),
-        machine.program_of(ThreadId(0)).unwrap().as_ref()
-    );
+    assert_eq!(embedded.as_ref(), &program.without_data());
+    assert!(embedded.data().is_empty());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The safety argument for code-only images, as a differential test over
+/// every workload family in the registry: replaying a dump from its
+/// embedded image, which has no data segments, gives exactly the report
+/// that replaying it against the full registry program gives. Replay takes
+/// every first load from the FLL, so the data segments are never read.
+#[test]
+fn code_only_images_replay_exactly_like_the_full_programs() {
+    let specs = registry::known_profiles()
+        .into_iter()
+        .map(|p| format!("spec:{p}:6000:1"))
+        .chain(
+            registry::known_bugs()
+                .into_iter()
+                .map(|b| format!("bug:{b}:10")),
+        )
+        .chain(
+            [
+                "mt:locked_counter:2:50",
+                "mt:racy_counter:2:50",
+                "mt:producer_consumer:50",
+            ]
+            .map(String::from),
+        );
+    let dir = temp_dir("code-only-differential");
+    let mut checked = 0;
+    for spec in specs {
+        record_dump(&spec, &dir, 1_000);
+        let dump = CrashDump::load(&dir).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let workload = registry::resolve(&spec).expect("spec resolves");
+        let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
+        assert!(dump.is_self_contained(), "{spec}");
+        for t in &dump.threads {
+            let image = t.image.as_deref().expect("image embedded");
+            assert!(image.data().is_empty(), "{spec}: image carries data");
+            assert_eq!(
+                image,
+                &programs[t.thread.0 as usize].without_data(),
+                "{spec}"
+            );
+        }
+        if !spec.starts_with("mt:") {
+            // Otherwise the two replays below would run the same program.
+            assert!(
+                !programs[0].data().is_empty(),
+                "{spec}: program has no data"
+            );
+        }
+
+        let embedded = dump
+            .replay(|_| None)
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let full = dump
+            .replay_with(ReplayRequest {
+                programs: ProgramSource::Override(|t: ThreadId| {
+                    programs.get(t.0 as usize).cloned()
+                }),
+                from: None,
+                probe: Probe::off(),
+            })
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert!(embedded.unreplayable_threads.is_empty(), "{spec}");
+        assert!(!embedded.intervals.is_empty(), "{spec}: nothing replayed");
+        assert!(embedded.all_match(), "{spec}: {:?}", embedded.divergences());
+        assert!(full.all_match(), "{spec}: {:?}", full.divergences());
+        assert_eq!(embedded, full, "{spec}: replay reports differ");
+        checked += 1;
+    }
+    // Seven SPEC profiles, the eighteen Table 1 bugs and three kernels.
+    assert_eq!(checked, 7 + 18 + 3);
     fs::remove_dir_all(&dir).unwrap();
 }
 

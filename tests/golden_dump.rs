@@ -5,6 +5,11 @@
 //! (v6 and whatever comes after) can therefore never silently break
 //! loading of old dumps — the failure shows up here, in CI, against bytes
 //! that predate the change.
+//!
+//! v5 has two fixtures of the same recording. `golden-v5` embeds the full
+//! program image, data segments included, as the writer did before dumps
+//! became code-only; it is load-only now, like v1–v4.
+//! `golden-v5-code-only` is what today's writer produces, byte for byte.
 
 use std::path::{Path, PathBuf};
 
@@ -37,6 +42,18 @@ fn fixture_dir_v4() -> PathBuf {
 
 fn fixture_dir_v5() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-v5")
+}
+
+fn fixture_dir_v5_code_only() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-v5-code-only")
+}
+
+/// Total bytes of the files in a dump directory.
+fn dir_size(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("fixture lists")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum()
 }
 
 #[test]
@@ -142,8 +159,8 @@ fn committed_v5_dump_still_loads_verifies_and_replays() {
     let dir = fixture_dir_v5();
     assert!(
         dir.join("manifest.bnd").exists(),
-        "fixture missing at {} — run `cargo test --test golden_dump -- \
-         --ignored regenerate_golden_fixture_v5` to create it",
+        "fixture missing at {} — restore it from version control; today's \
+         writer no longer produces it",
         dir.display()
     );
 
@@ -173,10 +190,11 @@ fn committed_v5_dump_still_loads_verifies_and_replays() {
     assert!(replay.all_match(), "{:?}", replay.divergences());
 }
 
-/// The v5 writer still produces the committed fixture byte for byte, so a
-/// change to the seal, the codec or the dump layout that moves any output
-/// byte fails here. (The v4 fixture is load-only: its image was recorded
-/// before a later workload change, so today's writer cannot reproduce it.)
+/// The v5 writer still produces the committed code-only fixture byte for
+/// byte, so a change to the seal, the codec or the dump layout that moves
+/// any output byte fails here. (The v4 fixture is load-only: its image was
+/// recorded before a later workload change, so today's writer cannot
+/// reproduce it. `golden-v5` is load-only too: it embeds the full image.)
 #[test]
 fn v5_writer_reproduces_the_committed_fixture() {
     let out = std::env::temp_dir().join(format!("bugnet-golden-v5-{}", std::process::id()));
@@ -190,7 +208,13 @@ fn v5_writer_reproduces_the_committed_fixture() {
         names.sort();
         names
     };
-    let fixture = fixture_dir_v5();
+    let fixture = fixture_dir_v5_code_only();
+    assert!(
+        fixture.join("manifest.bnd").exists(),
+        "fixture missing at {} — run `cargo test --test golden_dump -- \
+         --ignored regenerate_golden_fixture_v5_code_only` to create it",
+        fixture.display()
+    );
     assert_eq!(names(&out), names(&fixture), "file sets differ");
     for name in names(&fixture) {
         let written = std::fs::read(out.join(&name)).expect("written file reads");
@@ -260,28 +284,68 @@ fn all_five_formats_decode_and_replay_identically() {
             .expect("golden dump replays");
         assert_eq!(replay, reference, "{name}: replay reports differ");
     }
-    let size = |dir: &Path| -> u64 {
-        std::fs::read_dir(dir)
-            .expect("fixture lists")
-            .map(|e| e.expect("entry").metadata().expect("metadata").len())
-            .sum()
-    };
-    let (v1, v2) = (size(&dirs[0]), size(&dirs[1]));
+    let (v1, v2) = (dir_size(&dirs[0]), dir_size(&dirs[1]));
     assert!(v1 > v2, "v1 ({v1} bytes) must be larger than v2 ({v2})");
-    let (v4, v5) = (size(&dirs[3]), size(&dirs[4]));
+    let (v4, v5) = (dir_size(&dirs[3]), dir_size(&dirs[4]));
     assert!(v4 > v5, "v4 ({v4} bytes) must be larger than v5 ({v5})");
 }
 
-/// Writes the v5 fixture. v5 is the current default format; regenerate only
-/// on an *intentional* v5 change, alongside a version bump discussion.
+/// The two v5 fixtures are one recording, with and without the data
+/// segments in its image. Only the image may differ: the log files are
+/// byte-identical, decode to the same logs with the same recorded digests,
+/// and both replay from their embedded image to the same report, because
+/// replay takes every first load from the FLL and never reads the data.
+#[test]
+fn code_only_fixture_replays_like_the_full_image_fixture() {
+    let (full_dir, code_only_dir) = (fixture_dir_v5(), fixture_dir_v5_code_only());
+    for name in ["thread-0.fll", "thread-0.mrl"] {
+        let full = std::fs::read(full_dir.join(name)).expect("fixture file reads");
+        let code_only = std::fs::read(code_only_dir.join(name)).expect("fixture file reads");
+        assert!(full == code_only, "{name} differs between the v5 fixtures");
+    }
+    let full = CrashDump::load(&full_dir).expect("golden v5 dump loads");
+    let code_only = CrashDump::load(&code_only_dir).expect("code-only v5 dump loads");
+    assert_eq!(code_only.manifest.version, DUMP_VERSION_V5);
+    assert_eq!(code_only.manifest.workload, GOLDEN_SPEC);
+    assert_eq!(code_only.threads.len(), full.threads.len());
+    for (t, tf) in code_only.threads.iter().zip(&full.threads) {
+        assert_eq!(t.checkpoints, tf.checkpoints, "decoded logs differ");
+        let image = t.image.as_deref().expect("code-only image embedded");
+        let full_image = tf.image.as_deref().expect("full image embedded");
+        assert!(image.data().is_empty(), "code-only image carries data");
+        assert!(!full_image.data().is_empty());
+        assert_eq!(image, &full_image.without_data());
+    }
+    for (m, mf) in code_only
+        .manifest
+        .threads
+        .iter()
+        .zip(&full.manifest.threads)
+    {
+        assert_eq!(m.digests, mf.digests, "recorded digests differ");
+    }
+    let reference = full.replay(|_| None).expect("golden v5 dump replays");
+    assert!(reference.all_match(), "{:?}", reference.divergences());
+    let replay = code_only.replay(|_| None).expect("code-only dump replays");
+    assert_eq!(replay, reference, "replay reports differ");
+    let (full_size, code_only_size) = (dir_size(&full_dir), dir_size(&code_only_dir));
+    assert!(
+        code_only_size < full_size,
+        "code-only ({code_only_size} bytes) must be smaller than full ({full_size})"
+    );
+}
+
+/// Writes the code-only v5 fixture. v5 is the current default format;
+/// regenerate only on an *intentional* v5 change, alongside a version bump
+/// discussion. `golden-v5` is never rewritten.
 ///
 /// ```text
-/// cargo test --test golden_dump -- --ignored regenerate_golden_fixture_v5
+/// cargo test --test golden_dump -- --ignored regenerate_golden_fixture_v5_code_only
 /// ```
 #[test]
 #[ignore = "writes the committed fixture; run manually"]
-fn regenerate_golden_fixture_v5() {
-    regenerate(&fixture_dir_v5());
+fn regenerate_golden_fixture_v5_code_only() {
+    regenerate(&fixture_dir_v5_code_only());
 }
 
 /// Records [`GOLDEN_SPEC`] and writes its dump into `dir`.
@@ -295,7 +359,7 @@ fn regenerate(dir: &Path) {
     machine.run_to_completion();
     let manifest = machine.write_crash_dump(dir).unwrap();
     println!(
-        "wrote golden v5 fixture to {}: {} checkpoint(s)",
+        "wrote golden v5 code-only fixture to {}: {} checkpoint(s)",
         dir.display(),
         manifest.total_checkpoints()
     );
