@@ -15,17 +15,23 @@
 //! the value replaces the entry with the smallest counter (ties broken by the
 //! lowest position in the table).
 //!
-//! The rank-ordered entry array is shadowed by a `HashMap` from value to
-//! rank, kept in sync on every swap, insert and eviction, so the per-load
-//! encode/observe path is O(1) instead of a linear scan of the table. For
-//! evictions, a per-counter-value set of occupied positions locates the
-//! lowest-positioned entry with the smallest live counter directly — no tail
-//! scan of the entry array, even under adversarial no-locality streams with
-//! large dictionaries (the encode path's last formerly-O(n) piece). The
-//! observable rank/eviction semantics are identical to a linear-scan
+//! The rank-ordered entry array is the table's state. Two flat structures
+//! derived from it spare the per-load path any scan of that array:
+//!
+//! * a value → rank index: an open-addressed table of a power-of-two size at
+//!   least twice the capacity, probed linearly from a multiplicative hash of
+//!   the value. Deletion shifts the rest of the probe run back instead of
+//!   leaving tombstones, so an eviction on every load never lengthens the
+//!   probes, and `slot_of` maps each rank back to its slot so that a swap of
+//!   two ranks rewrites just their two slots;
+//! * one bitset of ranks per counter value, with a count per class: the
+//!   eviction victim (the lowest-positioned entry among those with the
+//!   smallest live counter) is the highest set bit of the first non-empty
+//!   class, at most `capacity / 64` words from the top of its bitset (one
+//!   word for the paper's 64 entries).
+//!
+//! The observable rank/eviction semantics are identical to a linear-scan
 //! implementation (see the differential test in `tests/properties.rs`).
-
-use std::collections::{BTreeSet, HashMap};
 
 use bugnet_types::Word;
 
@@ -45,12 +51,19 @@ use bugnet_types::Word;
 #[derive(Debug, Clone)]
 pub struct ValueDictionary {
     entries: Vec<Entry>,
-    /// Value → rank shadow index; `index[entries[i].value] == i` always.
-    index: HashMap<Word, u32>,
-    /// `positions[c]` = the set of ranks whose counter equals `c`, so the
-    /// eviction victim (largest rank among the smallest live counter) is a
-    /// `next_back()` away instead of a tail scan of the entry array.
-    positions: Vec<BTreeSet<u32>>,
+    /// Value → rank index: `slots[slot_of[i]] == Slot { entries[i].value, i }`
+    /// for every rank `i`, and every other slot is [`EMPTY`].
+    slots: Vec<Slot>,
+    slot_of: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's high bits.
+    hash_shift: u32,
+    /// Rank bitsets, one per counter value: class `c` is the
+    /// `class_words` words from `c * class_words`, and bit `i` is set iff
+    /// `entries[i].counter == c`.
+    class_bits: Vec<u64>,
+    class_words: usize,
+    /// Number of ranks in each class (set bits in its bitset).
+    class_len: Vec<u32>,
     capacity: usize,
     counter_max: u8,
     lookups: u64,
@@ -60,7 +73,7 @@ pub struct ValueDictionary {
 impl PartialEq for ValueDictionary {
     fn eq(&self, other: &Self) -> bool {
         // The entry array is the canonical state; the index and the
-        // per-counter position sets are derived from it.
+        // per-counter rank bitsets are derived from it.
         self.entries == other.entries
             && self.capacity == other.capacity
             && self.counter_max == other.counter_max
@@ -77,6 +90,24 @@ struct Entry {
     counter: u8,
 }
 
+/// One slot of the value → rank index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    value: Word,
+    rank: u32,
+}
+
+/// An unoccupied index slot (no rank reaches `u32::MAX`: capacities are far
+/// below it).
+const EMPTY: Slot = Slot {
+    value: Word::ZERO,
+    rank: u32::MAX,
+};
+
+/// 2^64 divided by the golden ratio: multiplying by it spreads every input
+/// bit into the product's high bits (Fibonacci hashing).
+const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl ValueDictionary {
     /// Creates an empty dictionary with `capacity` entries and
     /// `counter_bits`-wide saturating counters.
@@ -91,10 +122,18 @@ impl ValueDictionary {
             "counter must be 1..=8 bits"
         );
         let counter_max = ((1u16 << counter_bits) - 1) as u8;
+        // At most half full, so every probe run ends at an empty slot soon.
+        let table = (2 * capacity).next_power_of_two();
+        let classes = counter_max as usize + 1;
+        let class_words = capacity.div_ceil(64);
         ValueDictionary {
             entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
-            positions: vec![BTreeSet::new(); counter_max as usize + 1],
+            slots: vec![EMPTY; table],
+            slot_of: Vec::with_capacity(capacity),
+            hash_shift: 64 - table.trailing_zeros(),
+            class_bits: vec![0; classes * class_words],
+            class_words,
+            class_len: vec![0; classes],
             capacity,
             counter_max,
             lookups: 0,
@@ -118,19 +157,23 @@ impl ValueDictionary {
     }
 
     /// Empties the table (start of a checkpoint interval) without resetting
-    /// the hit statistics.
+    /// the hit statistics. Costs O(entries), not O(capacity).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.index.clear();
-        for set in &mut self.positions {
-            set.clear();
+        for (rank, entry) in self.entries.iter().enumerate() {
+            self.slots[self.slot_of[rank] as usize] = EMPTY;
+            self.class_bits[entry.counter as usize * self.class_words + rank / 64] = 0;
         }
+        self.entries.clear();
+        self.slot_of.clear();
+        self.class_len.fill(0);
     }
 
     /// The rank (index) of `value` if present. Does **not** update the table
     /// or the statistics; encoding uses [`ValueDictionary::encode`].
     pub fn lookup(&self, value: Word) -> Option<usize> {
-        self.index.get(&value).map(|&i| i as usize)
+        self.probe(value)
+            .ok()
+            .map(|slot| self.slots[slot].rank as usize)
     }
 
     /// The value stored at `rank`, used by the replayer to resolve a logged
@@ -144,24 +187,88 @@ impl ValueDictionary {
     /// update, which is what gets written to the log.
     pub fn encode(&mut self, value: Word) -> Option<usize> {
         self.lookups += 1;
-        let rank = self.lookup(value);
+        let rank = self.update(value);
         if rank.is_some() {
             self.hits += 1;
         }
-        self.observe(value);
         rank
     }
 
     /// Applies the per-load table update for an executed load of `value`
     /// without recording compression statistics (used for loads that are not
-    /// logged, and by the replayer for every load). O(1) amortized: the hit
-    /// path is a hash probe plus at most one swap, and the insert path only
-    /// scans for an eviction victim when the table is full.
+    /// logged, and by the replayer for every load). The hit path is an index
+    /// probe plus at most one swap, and the miss path finds its victim from
+    /// the counter classes, with no scan of the entry array.
     pub fn observe(&mut self, value: Word) {
-        match self.index.get(&value) {
-            Some(&i) => self.bump(i as usize),
-            None => self.insert(value),
+        self.update(value);
+    }
+
+    /// The per-load update; returns the rank `value` had before it.
+    fn update(&mut self, value: Word) -> Option<usize> {
+        match self.probe(value) {
+            Ok(slot) => {
+                let rank = self.slots[slot].rank as usize;
+                self.bump(rank);
+                Some(rank)
+            }
+            Err(empty) => {
+                self.insert(value, empty);
+                None
+            }
         }
+    }
+
+    /// The slot of `value`'s probe run that holds it, or `Err` with the empty
+    /// slot that ends the run. The table is at most half full, so a run
+    /// always ends.
+    fn probe(&self, value: Word) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(value);
+        loop {
+            let s = self.slots[slot];
+            if s.rank == EMPTY.rank {
+                return Err(slot);
+            }
+            if s.value == value {
+                return Ok(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The slot `value`'s probe run starts at.
+    fn home(&self, value: Word) -> usize {
+        (u64::from(value.get()).wrapping_mul(HASH_MULTIPLIER) >> self.hash_shift) as usize
+    }
+
+    /// Empties `hole` and shifts the rest of its probe run back over it, so
+    /// no lookup ever has to step over a deleted slot.
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        self.slots[hole] = EMPTY;
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let s = self.slots[next];
+            if s.rank == EMPTY.rank {
+                return;
+            }
+            // `s` may fill the hole only if the hole lies between its home
+            // slot and where it sits now.
+            let home = self.home(s.value);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = s;
+                self.slot_of[s.rank as usize] = hole as u32;
+                self.slots[next] = EMPTY;
+                hole = next;
+            }
+        }
+    }
+
+    /// Flips rank `rank`'s bit in counter class `class`. Callers pair the
+    /// flips so that each rank stays in exactly its counter's class.
+    fn flip_class_bit(&mut self, class: u8, rank: usize) {
+        self.class_bits[class as usize * self.class_words + rank / 64] ^= 1 << (rank % 64);
     }
 
     /// Hit path: saturating-increment the counter at `i` and swap the entry
@@ -171,57 +278,76 @@ impl ValueDictionary {
         let bumped = old.saturating_add(1).min(self.counter_max);
         if bumped != old {
             self.entries[i].counter = bumped;
-            self.positions[old as usize].remove(&(i as u32));
-            self.positions[bumped as usize].insert(i as u32);
+            self.flip_class_bit(old, i);
+            self.flip_class_bit(bumped, i);
+            self.class_len[old as usize] -= 1;
+            self.class_len[bumped as usize] += 1;
         }
         if i > 0 && bumped >= self.entries[i - 1].counter {
             let above = self.entries[i - 1].counter;
             self.entries.swap(i - 1, i);
-            // Keep the shadow index in sync with the swap.
-            self.index.insert(self.entries[i - 1].value, (i - 1) as u32);
-            self.index.insert(self.entries[i].value, i as u32);
-            // Equal counters swap within one position set: nothing to move.
+            // Keep the index in sync: the two values trade slots' ranks.
+            self.slot_of.swap(i - 1, i);
+            self.slots[self.slot_of[i - 1] as usize].rank = (i - 1) as u32;
+            self.slots[self.slot_of[i] as usize].rank = i as u32;
+            // Equal counters swap within one class: nothing to move.
             if above != bumped {
-                self.positions[bumped as usize].remove(&(i as u32));
-                self.positions[bumped as usize].insert((i - 1) as u32);
-                self.positions[above as usize].remove(&((i - 1) as u32));
-                self.positions[above as usize].insert(i as u32);
+                for class in [above, bumped] {
+                    self.flip_class_bit(class, i - 1);
+                    self.flip_class_bit(class, i);
+                }
             }
         }
     }
 
     /// Miss path: append while there is room, otherwise replace the entry
     /// with the smallest counter (ties broken by the lowest position, i.e.
-    /// the largest index).
-    fn insert(&mut self, value: Word) {
-        if self.entries.len() < self.capacity {
-            let rank = self.entries.len() as u32;
+    /// the largest index). `empty` ends `value`'s probe run.
+    fn insert(&mut self, value: Word, mut empty: usize) {
+        let rank = if self.entries.len() < self.capacity {
             self.entries.push(Entry { value, counter: 1 });
-            self.index.insert(value, rank);
-            self.positions[1].insert(rank);
+            self.slot_of.push(0);
+            self.entries.len() - 1
         } else {
-            let victim = self.victim_position();
-            let old = self.entries[victim];
-            self.index.remove(&old.value);
-            self.positions[old.counter as usize].remove(&(victim as u32));
+            let victim = self.victim_rank();
+            let old = self.entries[victim].counter;
+            self.flip_class_bit(old, victim);
+            self.class_len[old as usize] -= 1;
+            self.remove_slot(self.slot_of[victim] as usize);
+            // The shift may have emptied a slot earlier in `value`'s run.
+            empty = self
+                .probe(value)
+                .expect_err("a missed value is not in the index");
             self.entries[victim] = Entry { value, counter: 1 };
-            self.index.insert(value, victim as u32);
-            self.positions[1].insert(victim as u32);
-        }
+            victim
+        };
+        self.slots[empty] = Slot {
+            value,
+            rank: rank as u32,
+        };
+        self.slot_of[rank] = empty as u32;
+        self.flip_class_bit(1, rank);
+        self.class_len[1] += 1;
     }
 
-    /// Largest index whose counter equals the smallest live counter value.
-    /// The position sets answer this directly: find the smallest non-empty
-    /// counter class (at most `counter_max + 1 ≤ 256` probes, 8 for the
-    /// paper's 3-bit counters) and take its last member — no scan over the
-    /// entry array, whatever the dictionary size or value stream.
-    fn victim_position(&self) -> usize {
-        let set = self
-            .positions
+    /// Largest rank whose counter equals the smallest live counter value:
+    /// the first non-empty class (at most `counter_max + 1 ≤ 256` counts, 8
+    /// for the paper's 3-bit counters), then the highest set bit of its
+    /// bitset.
+    fn victim_rank(&self) -> usize {
+        let class = self
+            .class_len
             .iter()
-            .find(|s| !s.is_empty())
+            .position(|&n| n > 0)
             .expect("table is full, some counter value is live");
-        *set.iter().next_back().expect("set is non-empty") as usize
+        let words = &self.class_bits[class * self.class_words..][..self.class_words];
+        let (word, bits) = words
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, &bits)| bits != 0)
+            .expect("a live class has a set bit");
+        word * 64 + 63 - bits.leading_zeros() as usize
     }
 
     /// `(lookups, hits)` observed through [`ValueDictionary::encode`].
@@ -254,22 +380,29 @@ mod tests {
         ValueDictionary::new(cap, 3)
     }
 
-    /// The shadow index and per-counter position sets must always be
-    /// derivable from the entry array.
+    /// The index and the per-counter rank bitsets must always be derivable
+    /// from the entry array.
     fn check_invariants(d: &ValueDictionary) {
-        assert_eq!(d.index.len(), d.entries.len());
+        assert_eq!(d.slot_of.len(), d.entries.len());
+        let occupied = d.slots.iter().filter(|s| s.rank != EMPTY.rank).count();
+        assert_eq!(occupied, d.entries.len(), "stray index slots");
+        let mut bits = vec![0u64; d.class_bits.len()];
+        let mut lens = vec![0u32; d.class_len.len()];
         for (i, e) in d.entries.iter().enumerate() {
+            let slot = Slot {
+                value: e.value,
+                rank: i as u32,
+            };
             assert_eq!(
-                d.index.get(&e.value),
-                Some(&(i as u32)),
-                "index desync at {i}"
+                d.slots[d.slot_of[i] as usize], slot,
+                "slot_of desync at {i}"
             );
+            assert_eq!(d.lookup(e.value), Some(i), "index desync at {i}");
+            bits[e.counter as usize * d.class_words + i / 64] |= 1 << (i % 64);
+            lens[e.counter as usize] += 1;
         }
-        let mut sets = vec![BTreeSet::new(); d.counter_max as usize + 1];
-        for (i, e) in d.entries.iter().enumerate() {
-            sets[e.counter as usize].insert(i as u32);
-        }
-        assert_eq!(sets, d.positions, "position-set desync");
+        assert_eq!(bits, d.class_bits, "class bitset desync");
+        assert_eq!(lens, d.class_len, "class count desync");
     }
 
     #[test]
@@ -391,15 +524,23 @@ mod tests {
 
     #[test]
     fn index_survives_heavy_churn() {
-        // Many evictions and swaps with a small table; the shadow structures
+        // Many evictions and swaps, in one class-bitset word and across two,
+        // with values that share their low 16 bits; the derived structures
         // must stay consistent throughout.
-        let mut d = dict(4);
-        let mut x = 1u32;
-        for _ in 0..10_000 {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            d.observe(Word::new(x % 23));
+        for (capacity, shift) in [(4, 0), (65, 16)] {
+            let mut d = dict(capacity);
+            let mut x = 1u32;
+            for step in 0..10_000 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                d.observe(Word::new((x % (capacity as u32 * 6)) << shift));
+                if step % 1_000 == 0 {
+                    check_invariants(&d);
+                }
+            }
+            check_invariants(&d);
+            assert_eq!(d.len(), capacity);
+            d.clear();
+            check_invariants(&d);
         }
-        check_invariants(&d);
-        assert_eq!(d.len(), 4);
     }
 }

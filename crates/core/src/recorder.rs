@@ -217,8 +217,8 @@ pub struct ThreadRecorder {
     intervals_completed: u64,
     /// Dictionary recycled between intervals: the paper's hardware clears the
     /// CAM at each checkpoint rather than rebuilding it, and reusing the
-    /// allocation (entry array + hash index) keeps `begin_interval` off the
-    /// allocator on the hot recording path.
+    /// allocation (entry array, value index, counter-class bitsets) keeps
+    /// `begin_interval` off the allocator on the hot recording path.
     spare_dictionary: Option<ValueDictionary>,
     /// Fed once per `end_interval` (see [`ThreadRecorder::attach_probe`]).
     probe: Probe,

@@ -7,7 +7,9 @@
 //! leaves the L2 or is invalidated by coherence traffic or DMA. This crate
 //! provides that machinery plus the substrate around it:
 //!
-//! * [`SparseMemory`] — functional word-granularity main memory.
+//! * [`SparseMemory`] — functional word-granularity main memory, in 4 KiB
+//!   pages allocated on first write: the one memory of the recording
+//!   machine, the replayer, the plain interpreter port and the DMA engine.
 //! * [`CacheHierarchy`] — a private L1+L2 pair per core that tracks block
 //!   residency and per-word first-load bits (metadata only; data values come
 //!   from [`SparseMemory`], which is exact).

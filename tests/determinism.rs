@@ -4,7 +4,7 @@
 //! DMA and context switches.
 
 use bugnet::sim::MachineBuilder;
-use bugnet::types::{BugNetConfig, ByteSize, MachineConfig, ThreadId};
+use bugnet::types::{BugNetConfig, ByteSize, MachineConfig, ThreadId, MAX_DICTIONARY_ENTRIES};
 use bugnet::workloads::spec::SpecProfile;
 
 fn cfg(interval: u64) -> BugNetConfig {
@@ -15,22 +15,27 @@ fn cfg(interval: u64) -> BugNetConfig {
 
 #[test]
 fn every_spec_profile_replays_deterministically() {
-    for profile in SpecProfile::all() {
-        let workload = profile.build_workload(15_000, 1);
-        let mut machine = MachineBuilder::new()
-            .bugnet(cfg(3_000))
-            .build_with_workload(&workload);
-        let outcome = machine.run_to_completion();
-        assert!(outcome.threads[0].halted, "{} must halt", profile.name);
-        let verification = machine.replay_and_verify().unwrap();
-        assert!(
-            verification.all_verified(),
-            "{}: {} of {} intervals failed verification",
-            profile.name,
-            verification.failures(),
-            verification.intervals.len()
-        );
-        assert_eq!(verification.instructions(), outcome.total_committed());
+    // The replayer rebuilds its dictionary from each FLL's codec, so replay
+    // must hold at the default 64 entries and away from it: a single entry,
+    // one past a 64-rank bitset word, and the largest the format allows.
+    for entries in [64, 1, 65, MAX_DICTIONARY_ENTRIES] {
+        for profile in SpecProfile::all() {
+            let workload = profile.build_workload(15_000, 1);
+            let mut machine = MachineBuilder::new()
+                .bugnet(cfg(3_000).with_dictionary_entries(entries))
+                .build_with_workload(&workload);
+            let outcome = machine.run_to_completion();
+            assert!(outcome.threads[0].halted, "{} must halt", profile.name);
+            let verification = machine.replay_and_verify().unwrap();
+            assert!(
+                verification.all_verified(),
+                "{} with {entries} dictionary entries: {} of {} intervals failed verification",
+                profile.name,
+                verification.failures(),
+                verification.intervals.len()
+            );
+            assert_eq!(verification.instructions(), outcome.total_committed());
+        }
     }
 }
 
@@ -129,19 +134,30 @@ fn recording_is_transparent_to_the_application() {
     // The recorded run and an unrecorded run of the same workload commit the
     // same number of instructions and end in the same state: recording has no
     // architectural side effects.
-    let workload = SpecProfile::parser().build_workload(12_000, 1);
-    let mut plain = MachineBuilder::new().build_with_workload(&workload);
-    let plain_outcome = plain.run_to_completion();
-    let mut recorded = MachineBuilder::new()
-        .bugnet(cfg(1_000))
-        .build_with_workload(&workload);
-    let recorded_outcome = recorded.run_to_completion();
-    assert_eq!(
-        plain_outcome.total_committed(),
-        recorded_outcome.total_committed()
-    );
-    assert_eq!(
-        plain_outcome.threads[0].halted,
-        recorded_outcome.threads[0].halted
-    );
+    for profile in SpecProfile::all() {
+        let workload = profile.build_workload(12_000, 1);
+        let mut plain = MachineBuilder::new().build_with_workload(&workload);
+        let plain_outcome = plain.run_to_completion();
+        let mut recorded = MachineBuilder::new()
+            .bugnet(cfg(1_000))
+            .build_with_workload(&workload);
+        let recorded_outcome = recorded.run_to_completion();
+        assert_eq!(
+            plain_outcome.total_committed(),
+            recorded_outcome.total_committed(),
+            "{}",
+            profile.name
+        );
+        assert_eq!(
+            plain_outcome.threads[0].halted, recorded_outcome.threads[0].halted,
+            "{}",
+            profile.name
+        );
+        assert_eq!(
+            plain.memory(),
+            recorded.memory(),
+            "{}: recording changed the final memory",
+            profile.name
+        );
+    }
 }

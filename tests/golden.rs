@@ -7,9 +7,9 @@
 //! 1. Every recorded FLL's packed record stream is re-encoded with a
 //!    reference encoder that writes one bit at a time, exactly as the
 //!    original implementation did, and compared byte for byte.
-//! 2. The serialized dumps of a fixed workload's logs are hashed (FNV-1a)
-//!    and compared against committed constants, so any unintended format
-//!    change — however subtle — fails loudly.
+//! 2. The serialized dumps of two fixed workloads' logs (gzip and mcf) are
+//!    hashed (FNV-1a) and compared against committed constants, so any
+//!    unintended format change — however subtle — fails loudly.
 
 use bugnet::core::fll::{EncodedValue, FirstLoadLog, FllCodec};
 use bugnet::sim::MachineBuilder;
@@ -80,10 +80,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Records the fixed golden workload: single-threaded gzip profile, 30k
+/// Records a golden workload: a single-threaded SPEC profile, 30k
 /// instructions, 5k-instruction checkpoint intervals.
-fn golden_logs() -> Vec<bugnet::core::CheckpointLogs> {
-    let workload = SpecProfile::gzip().build_workload(30_000, 1);
+fn golden_logs(profile: SpecProfile) -> Vec<bugnet::core::CheckpointLogs> {
+    let workload = profile.build_workload(30_000, 1);
     let mut machine = MachineBuilder::new()
         .bugnet(BugNetConfig::default().with_checkpoint_interval(5_000))
         .build_with_workload(&workload);
@@ -96,7 +96,7 @@ fn golden_logs() -> Vec<bugnet::core::CheckpointLogs> {
 
 #[test]
 fn optimized_fll_streams_match_bit_at_a_time_reference() {
-    let logs = golden_logs();
+    let logs = golden_logs(SpecProfile::gzip());
     assert!(!logs.is_empty(), "golden workload must produce checkpoints");
     let mut total_records = 0;
     for (i, logs) in logs.iter().enumerate() {
@@ -132,35 +132,53 @@ fn fll_stream_bytes(fll: &FirstLoadLog) -> Vec<u8> {
     bytes[bytes.len() - stream_len..].to_vec()
 }
 
-#[test]
-fn golden_workload_log_hashes_are_stable() {
-    let logs = golden_logs();
+/// FNV-1a hashes of a golden workload's concatenated FLL and MRL dumps.
+fn log_hashes(profile: SpecProfile) -> (u64, u64) {
     let mut fll_dump = Vec::new();
     let mut mrl_dump = Vec::new();
-    for logs in &logs {
+    for logs in &golden_logs(profile) {
         fll_dump.extend_from_slice(&logs.fll.to_bytes());
         mrl_dump.extend_from_slice(&logs.mrl.to_bytes());
     }
-    // Committed constants: regenerate with
-    //   cargo test -q --test golden -- --nocapture print_golden_hashes
-    // if the log format is changed *intentionally*.
-    assert_eq!(fnv1a(&fll_dump), GOLDEN_FLL_HASH, "FLL dump bytes changed");
-    assert_eq!(fnv1a(&mrl_dump), GOLDEN_MRL_HASH, "MRL dump bytes changed");
+    (fnv1a(&fll_dump), fnv1a(&mrl_dump))
 }
 
-const GOLDEN_FLL_HASH: u64 = 0x5465_ba21_c958_76cc;
-const GOLDEN_MRL_HASH: u64 = 0x5454_a975_9179_5ee3;
+/// Committed `(profile, FLL hash, MRL hash)` constants. mcf has far less
+/// value locality than gzip, so it is the eviction-heavy case for the value
+/// dictionary. Regenerate with
+///   cargo test -q --test golden -- --ignored print_golden_hashes --nocapture
+/// if the log format is changed *intentionally*.
+fn golden_hashes() -> [(SpecProfile, u64, u64); 2] {
+    [
+        (
+            SpecProfile::gzip(),
+            0x5465_ba21_c958_76cc,
+            0x5454_a975_9179_5ee3,
+        ),
+        (
+            SpecProfile::mcf(),
+            0xb78e_2508_2e9e_26b0,
+            0x5454_a975_9179_5ee3,
+        ),
+    ]
+}
+
+#[test]
+fn golden_workload_log_hashes_are_stable() {
+    for (profile, fll, mrl) in golden_hashes() {
+        let name = profile.name;
+        let (fll_hash, mrl_hash) = log_hashes(profile);
+        assert_eq!(fll_hash, fll, "{name}: FLL dump bytes changed");
+        assert_eq!(mrl_hash, mrl, "{name}: MRL dump bytes changed");
+    }
+}
 
 #[test]
 #[ignore = "utility: prints the hashes to paste into the constants above"]
 fn print_golden_hashes() {
-    let logs = golden_logs();
-    let mut fll_dump = Vec::new();
-    let mut mrl_dump = Vec::new();
-    for logs in &logs {
-        fll_dump.extend_from_slice(&logs.fll.to_bytes());
-        mrl_dump.extend_from_slice(&logs.mrl.to_bytes());
+    for (profile, _, _) in golden_hashes() {
+        let name = profile.name;
+        let (fll_hash, mrl_hash) = log_hashes(profile);
+        println!("{name}: FLL {fll_hash:#018x}, MRL {mrl_hash:#018x}");
     }
-    println!("GOLDEN_FLL_HASH: {:#018x}", fnv1a(&fll_dump));
-    println!("GOLDEN_MRL_HASH: {:#018x}", fnv1a(&mrl_dump));
 }

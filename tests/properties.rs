@@ -19,6 +19,7 @@ use bugnet::isa::{encode, AluOp, BranchCond, Instr, ProgramBuilder, Reg};
 use bugnet::sim::MachineBuilder;
 use bugnet::types::{
     Addr, BugNetConfig, CheckpointId, ProcessId, SplitMix64, ThreadId, Timestamp, Word,
+    MAX_DICTIONARY_ENTRIES,
 };
 use bugnet::workloads::Workload;
 
@@ -110,9 +111,12 @@ fn bitstream_round_trips_with_interleaved_bulk_bytes() {
 }
 
 // ---------------------------------------------------------------------------
-// Dictionary: the indexed implementation must be observationally identical to
-// the original linear-scan implementation, and the encoder-side table and the
-// replayer-side table stay in lockstep for any value stream.
+// Dictionary: the flat implementation (an open-addressed value index and
+// per-counter rank bitsets) must be observationally identical to the original
+// linear-scan implementation for any capacity, counter width and value
+// stream, including values that collide in its hash and streams that evict on
+// every load; and the encoder-side table and the replayer-side table stay in
+// lockstep for any value stream.
 // ---------------------------------------------------------------------------
 
 /// Reference implementation: the pre-optimization linear-scan dictionary,
@@ -174,6 +178,75 @@ impl LinearDictionary {
     }
 }
 
+/// Feeds `values` to the indexed dictionary and the linear reference and
+/// asserts that every encoded rank and the final table agree.
+fn assert_matches_reference(
+    case: &str,
+    capacity: usize,
+    counter_bits: u32,
+    values: impl IntoIterator<Item = Word>,
+) {
+    let mut indexed = ValueDictionary::new(capacity, counter_bits);
+    let mut linear = LinearDictionary::new(capacity, counter_bits);
+    for (step, value) in values.into_iter().enumerate() {
+        assert_eq!(
+            indexed.encode(value),
+            linear.encode(value),
+            "{case} step {step}: rank diverged for {value}"
+        );
+    }
+    // Final table contents must be identical, rank by rank.
+    assert_eq!(indexed.len(), linear.entries.len(), "{case}");
+    for (rank, (value, _)) in linear.entries.iter().enumerate() {
+        assert_eq!(indexed.value_at(rank), Some(*value), "{case} rank {rank}");
+        assert_eq!(indexed.lookup(*value), Some(rank), "{case} rank {rank}");
+    }
+}
+
+/// Value `k` of a family whose members collide in a multiplicative hash:
+/// equal low 16 or 24 bits, or the full `u32` range including 0 and
+/// `u32::MAX`.
+fn colliding_value(family: u32, k: u64) -> Word {
+    Word::new(match family {
+        0 => (k as u32) << 16,
+        1 => (k as u32) << 24,
+        _ => match k % 64 {
+            0 => 0,
+            1 => u32::MAX,
+            _ => (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32,
+        },
+    })
+}
+
+/// A stream over `family` that mostly draws from `hot` recurring keys and
+/// now and then runs a no-locality stretch of fresh keys, which miss (and,
+/// once the table is full, evict) on nearly every step.
+fn stream_with_cold_stretches(
+    rng: &mut SplitMix64,
+    family: u32,
+    capacity: usize,
+    steps: usize,
+) -> Vec<Word> {
+    let hot = rng.next_range(2 * capacity as u64) + 1;
+    let mut fresh = hot;
+    let mut cold = 0;
+    (0..steps)
+        .map(|_| {
+            if cold == 0 && rng.chance(0.01) {
+                cold = rng.next_range(2 * capacity as u64) + 1;
+            }
+            let k = if cold > 0 {
+                cold -= 1;
+                fresh += 1;
+                fresh
+            } else {
+                rng.next_range(hot)
+            };
+            colliding_value(family, k)
+        })
+        .collect()
+}
+
 #[test]
 fn indexed_dictionary_matches_linear_scan_reference() {
     let mut rng = SplitMix64::new(0xD1C7);
@@ -181,31 +254,38 @@ fn indexed_dictionary_matches_linear_scan_reference() {
         let capacity = rng.next_range(127) as usize + 1;
         let counter_bits = rng.next_range(8) as u32 + 1;
         let value_space = rng.next_range(300) + 2;
-        let mut indexed = ValueDictionary::new(capacity, counter_bits);
-        let mut linear = LinearDictionary::new(capacity, counter_bits);
-        for step in 0..rng.next_range(2_000) {
-            let value = Word::new(rng.next_range(value_space) as u32);
-            assert_eq!(
-                indexed.encode(value),
-                linear.encode(value),
-                "case {case} step {step}: rank diverged for {value}"
-            );
-        }
-        // Final table contents must be identical, rank by rank.
-        assert_eq!(indexed.len(), linear.entries.len(), "case {case}");
-        for (rank, (value, _)) in linear.entries.iter().enumerate() {
-            assert_eq!(
-                indexed.value_at(rank),
-                Some(*value),
-                "case {case} rank {rank}"
-            );
-            assert_eq!(
-                indexed.lookup(*value),
-                Some(rank),
-                "case {case} rank {rank}"
-            );
+        let steps = rng.next_range(2_000);
+        let values: Vec<Word> = (0..steps)
+            .map(|_| Word::new(rng.next_range(value_space) as u32))
+            .collect();
+        assert_matches_reference(&format!("case {case}"), capacity, counter_bits, values);
+    }
+
+    // Where a flat index can break: 64 and 65 entries straddle one bitset
+    // word, 128 fills two exactly and 4,096 spans 64; counter widths 1 and 8
+    // give 2 and 256 counter classes; values collide in the hash. The linear
+    // reference costs O(capacity) per step, so the largest table gets each
+    // value family once, at one width, for about 1.5 fills.
+    let mut cases = Vec::new();
+    for capacity in [64, 65, 128] {
+        for counter_bits in [1, 3, 8] {
+            for family in 0..3 {
+                cases.push((capacity, counter_bits, family, 12_000));
+            }
         }
     }
+    for (family, counter_bits) in [(0, 1), (1, 3), (2, 8)] {
+        cases.push((4_096, counter_bits, family, 6_000));
+    }
+    for (capacity, counter_bits, family, steps) in cases {
+        let values = stream_with_cold_stretches(&mut rng, family, capacity, steps);
+        let case = format!("capacity {capacity}, {counter_bits}-bit counters, family {family}");
+        assert_matches_reference(&case, capacity, counter_bits, values);
+    }
+    // The largest table the format allows, filled only part way: 131,072
+    // index slots and 1,024-word class bitsets.
+    let values = (0..3_000).map(|k| colliding_value(2, rng.next_range(2_000) + k));
+    assert_matches_reference("short fill", MAX_DICTIONARY_ENTRIES, 3, values);
 }
 
 #[test]
