@@ -120,11 +120,7 @@ pub fn print_info(dir: &Path, dump: &CrashDump) {
     }
     // The paper's evaluation metrics over the retained window (Figures 2,
     // 5 and 6), recomputed from the decoded logs.
-    let report = LogSizeReport::from_fll_mrl(
-        dump.threads
-            .iter()
-            .flat_map(|t| t.checkpoints.iter().map(|c| (&c.fll, &c.mrl))),
-    );
+    let report = LogSizeReport::from_logs(dump.threads.iter().flat_map(|t| &t.checkpoints));
     println!(
         "  paper    : dictionary hit rate {:.1}%, {:.1} FLL bytes/1k-instrs, \
          {:.1}% of loads logged, dictionary ratio {:.2}x",

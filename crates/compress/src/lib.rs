@@ -219,8 +219,8 @@ pub fn codec(id: CodecId) -> &'static dyn Codec {
     }
 }
 
-/// FNV-1a hash, the checksum used by the container format (the same function
-/// the crash-dump format uses for its frames).
+/// FNV-1a hash, the checksum used by the container format and by the
+/// crash-dump format (manifest, frames and content-addressed images).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -261,8 +261,8 @@ mod tests {
 
     #[test]
     fn fnv1a_is_order_sensitive() {
-        // Same constants as `bugnet_core::digest::fnv1a`, so the container
-        // checksum matches the one used by the crash-dump frames.
+        // The standard 64-bit FNV-1a offset basis: every checksum already
+        // on disk, in containers and crash dumps alike, depends on it.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
         assert_ne!(fnv1a(b"a"), fnv1a(b"a\0"));

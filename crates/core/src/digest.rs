@@ -12,17 +12,6 @@ use bugnet_types::{Addr, Word};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a hash of a byte slice, the checksum used by the on-disk crash-dump
-/// format (and by the golden tests pinning the log byte formats).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Order-sensitive digest of one checkpoint interval's execution.
 ///
 /// # Examples
@@ -62,6 +51,18 @@ impl ExecutionDigest {
     /// Creates an empty digest.
     pub fn new() -> Self {
         ExecutionDigest::default()
+    }
+
+    /// Rebuilds a digest from the four parts a crash-dump manifest stores:
+    /// [`value`](Self::value), [`loads`](Self::loads),
+    /// [`stores`](Self::stores) and [`instructions`](Self::instructions).
+    pub fn from_parts(hash: u64, loads: u64, stores: u64, instructions: u64) -> Self {
+        ExecutionDigest {
+            hash,
+            loads,
+            stores,
+            instructions,
+        }
     }
 
     fn mix(&mut self, value: u64) {

@@ -82,7 +82,10 @@
 //! [`CrashDump::load`] turns the first recorded damage, or the first
 //! disagreement between what was recovered and what the manifest declares,
 //! into a typed [`DumpError`]; it never panics on bad input and never
-//! silently accepts a flipped bit. [`CrashDump::load_salvage`] keeps what
+//! silently accepts a flipped bit. A loaded thread's intervals are the
+//! recorder's own [`CheckpointLogs`], each carrying the digest its manifest
+//! entry recorded, so a dump and a live log store replay through the one
+//! check loop, [`replay_and_check`]. [`CrashDump::load_salvage`] keeps what
 //! the walk recovered from a damaged dump — truncated mid-upload, clipped by
 //! the very disk-full that triggered it — and reports exactly what was lost
 //! ([`SalvageReport`]).
@@ -95,19 +98,19 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bugnet_compress::{
-    container_info, decode_container, encode_container, streams_info, CodecId, ColumnarError,
-    FrameError,
+    container_info, decode_container, encode_container, fnv1a, streams_info, CodecId,
+    ColumnarError, FrameError,
 };
 use bugnet_isa::{decode_image, encode_image, Program};
 use bugnet_telemetry::Probe;
 use bugnet_types::{Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, ThreadId, Timestamp};
 
 use crate::columnar::{decode_fll_columnar, decode_mrl_columnar, ColumnarCodecError};
-use crate::digest::{fnv1a, ExecutionDigest};
+use crate::digest::ExecutionDigest;
 use crate::fll::FirstLoadLog;
 use crate::io::{commit_atomic, DumpIo, IoFailure, IoOp};
 use crate::mrl::MemoryRaceLog;
-use crate::recorder::LogStore;
+use crate::recorder::{CheckpointLogs, LogStore};
 use crate::replayer::{ReplayError, Replayer};
 
 /// Magic bytes opening the manifest file.
@@ -307,38 +310,6 @@ impl From<IoFailure> for DumpError {
     }
 }
 
-/// Compact copy of an interval's [`ExecutionDigest`], stored in the manifest
-/// so an offline replay can check it reproduced the recorded execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestSummary {
-    /// Order-sensitive FNV hash over loads, stores and the final state.
-    pub hash: u64,
-    /// Committed loads in the interval.
-    pub loads: u64,
-    /// Committed stores in the interval.
-    pub stores: u64,
-    /// Committed instructions in the interval.
-    pub instructions: u64,
-}
-
-impl From<&ExecutionDigest> for DigestSummary {
-    fn from(d: &ExecutionDigest) -> Self {
-        DigestSummary {
-            hash: d.value(),
-            loads: d.loads(),
-            stores: d.stores(),
-            instructions: d.instructions(),
-        }
-    }
-}
-
-impl DigestSummary {
-    /// Whether a replayed digest matches this recorded summary exactly.
-    pub fn matches(&self, d: &ExecutionDigest) -> bool {
-        self == &DigestSummary::from(d)
-    }
-}
-
 /// The fault that triggered a dump, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpFault {
@@ -383,8 +354,9 @@ pub struct ThreadManifest {
     /// image file is content-addressed by this hash; `None` in v1–v3
     /// dumps, whose image files are named per thread).
     pub image_hash: Option<u64>,
-    /// Recorded execution digest of each interval, oldest first.
-    pub digests: Vec<DigestSummary>,
+    /// Recorded execution digest of each interval, oldest first, so an
+    /// offline replay can check it reproduced the recorded execution.
+    pub digests: Vec<ExecutionDigest>,
 }
 
 impl ThreadManifest {
@@ -701,12 +673,12 @@ impl DumpManifest {
             };
             let mut digests = Vec::with_capacity(checkpoints as usize);
             for _ in 0..checkpoints {
-                digests.push(DigestSummary {
-                    hash: r.u64().ok_or_else(truncated)?,
-                    loads: r.u64().ok_or_else(truncated)?,
-                    stores: r.u64().ok_or_else(truncated)?,
-                    instructions: r.u64().ok_or_else(truncated)?,
-                });
+                digests.push(ExecutionDigest::from_parts(
+                    r.u64().ok_or_else(truncated)?,
+                    r.u64().ok_or_else(truncated)?,
+                    r.u64().ok_or_else(truncated)?,
+                    r.u64().ok_or_else(truncated)?,
+                ));
             }
             threads.push(ThreadManifest {
                 thread,
@@ -805,10 +777,10 @@ impl DumpManifest {
                 w.push(0);
             }
             for d in &t.digests {
-                put_u64(&mut w, d.hash);
-                put_u64(&mut w, d.loads);
-                put_u64(&mut w, d.stores);
-                put_u64(&mut w, d.instructions);
+                put_u64(&mut w, d.value());
+                put_u64(&mut w, d.loads());
+                put_u64(&mut w, d.stores());
+                put_u64(&mut w, d.instructions());
             }
         }
         if let Some(snapshot) = &self.telemetry {
@@ -855,17 +827,6 @@ fn decode_config(r: &mut ByteReader<'_>) -> Option<BugNetConfig> {
     })
 }
 
-/// One retained checkpoint interval loaded back from a dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumpedCheckpoint {
-    /// The interval's First-Load Log.
-    pub fll: FirstLoadLog,
-    /// The interval's Memory Race Log.
-    pub mrl: MemoryRaceLog,
-    /// The execution digest recorded for the interval.
-    pub digest: DigestSummary,
-}
-
 /// All retained intervals of one thread loaded back from a dump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadDump {
@@ -874,8 +835,9 @@ pub struct ThreadDump {
     /// The thread's embedded program image, decoded and validated (format
     /// v3 dumps with image embedding on; `None` otherwise).
     pub image: Option<Arc<Program>>,
-    /// Retained intervals, oldest first.
-    pub checkpoints: Vec<DumpedCheckpoint>,
+    /// Retained intervals, oldest first: the store's own interval type,
+    /// each with the digest its manifest entry recorded.
+    pub checkpoints: Vec<CheckpointLogs>,
 }
 
 /// A fully loaded and validated crash-dump directory.
@@ -970,7 +932,7 @@ fn encode_dump(
             mrl_bytes += entry.mrl_raw_bytes;
             fll_stored_bytes += put_frame(&mut fll_file, &entry.fll_frame);
             mrl_stored_bytes += put_frame(&mut mrl_file, &entry.mrl_frame);
-            digests.push(DigestSummary::from(&entry.digest));
+            digests.push(entry.digest);
         }
         let (has_image, image_raw_bytes, image_stored_bytes, image_hash) = match image_of(thread) {
             Some(program) => {
@@ -1495,7 +1457,7 @@ impl CrashDump {
                 *probes += 1;
                 let cp = &t.checkpoints[i];
                 let replayed = replayer.replay_interval(&cp.fll)?;
-                let matches = cp.digest.matches(&replayed.digest);
+                let matches = replayed.digest == cp.digest;
                 matched[i] = Some(matches);
                 Ok(matches)
             };
@@ -1559,51 +1521,75 @@ impl CrashDump {
             from,
             mut probe,
         } = request;
-        let mut report = DumpReplayReport::default();
-        for t in &self.threads {
-            let Some(program) = programs.resolve(t) else {
-                report.unreplayable_threads.push(t.thread);
-                continue;
-            };
-            let replayer = Replayer::new(program);
-            for cp in &t.checkpoints {
-                if from.is_some_and(|from| cp.fll.header.checkpoint < from) {
-                    continue;
-                }
-                let start = probe.now();
-                let replayed = replayer.replay_interval(&cp.fll)?;
-                let fault_reproduced = cp.fll.fault.map(|expected| {
-                    replayed
-                        .observed_fault
-                        .map(|(pc, _)| pc == expected.pc)
-                        .unwrap_or(false)
-                });
-                let digest_match = cp.digest.matches(&replayed.digest);
-                if probe.is_on() {
-                    let instructions = Some(("instructions", replayed.instructions));
-                    probe.span("replay", "interval", start, instructions);
-                    probe.add("replay_intervals_total", 1);
-                    probe.add("replay_instructions_total", replayed.instructions);
-                    probe.add("replay_loads_from_log_total", replayed.loads_from_log);
-                    probe.add("replay_digest_matches_total", u64::from(digest_match));
-                    probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
-                    if !digest_match {
-                        probe.instant("replay", "digest_mismatch");
-                    }
-                }
-                report.intervals.push(DumpIntervalReplay {
-                    thread: t.thread,
-                    checkpoint: cp.fll.header.checkpoint,
-                    instructions: replayed.instructions,
-                    loads_from_log: replayed.loads_from_log,
-                    loads_from_memory: replayed.loads_from_memory,
-                    digest_match,
-                    fault_reproduced,
-                });
-            }
-        }
-        Ok(report)
+        let threads = self.threads.iter().map(|t| {
+            let intervals = t
+                .checkpoints
+                .iter()
+                .filter(move |cp| from.is_none_or(|from| cp.fll.header.checkpoint >= from));
+            (t.thread, programs.resolve(t), intervals)
+        });
+        replay_and_check(threads, &mut probe)
     }
+}
+
+/// The one replay-and-check loop, behind [`CrashDump::replay_with`] and the
+/// machine's in-memory `replay_and_verify` alike. Each thread comes as its
+/// id, the program it replays against (`None` reports it unreplayable) and
+/// the intervals to replay, oldest first. Every interval is replayed and
+/// checked against its recorded digest, and against its recorded fault
+/// where one ended it; `probe` observes each as [`ReplayRequest::probe`]
+/// describes.
+///
+/// # Errors
+///
+/// Returns the first [`ReplayError`] from an unreplayable interval.
+pub fn replay_and_check<'a, I>(
+    threads: impl IntoIterator<Item = (ThreadId, Option<Arc<Program>>, I)>,
+    probe: &mut Probe,
+) -> Result<DumpReplayReport, ReplayError>
+where
+    I: IntoIterator<Item = &'a CheckpointLogs>,
+{
+    let mut report = DumpReplayReport::default();
+    for (thread, program, intervals) in threads {
+        let Some(program) = program else {
+            report.unreplayable_threads.push(thread);
+            continue;
+        };
+        let replayer = Replayer::new(program);
+        for cp in intervals {
+            let start = probe.now();
+            let replayed = replayer.replay_interval(&cp.fll)?;
+            let fault_reproduced = cp.fll.fault.map(|expected| {
+                replayed
+                    .observed_fault
+                    .is_some_and(|(pc, _)| pc == expected.pc)
+            });
+            let digest_match = replayed.digest == cp.digest;
+            if probe.is_on() {
+                let instructions = Some(("instructions", replayed.instructions));
+                probe.span("replay", "interval", start, instructions);
+                probe.add("replay_intervals_total", 1);
+                probe.add("replay_instructions_total", replayed.instructions);
+                probe.add("replay_loads_from_log_total", replayed.loads_from_log);
+                probe.add("replay_digest_matches_total", u64::from(digest_match));
+                probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
+                if !digest_match {
+                    probe.instant("replay", "digest_mismatch");
+                }
+            }
+            report.intervals.push(DumpIntervalReplay {
+                thread,
+                checkpoint: cp.fll.header.checkpoint,
+                instructions: replayed.instructions,
+                loads_from_log: replayed.loads_from_log,
+                loads_from_memory: replayed.loads_from_memory,
+                digest_match,
+                fault_reproduced,
+            });
+        }
+    }
+    Ok(report)
 }
 
 /// Where a replay takes each thread's program from (see
@@ -1683,7 +1669,8 @@ pub struct BisectDivergence {
     pub index: u32,
 }
 
-/// Result of replaying one interval out of a dump.
+/// Result of replaying one recorded interval, out of a dump or a live log
+/// store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DumpIntervalReplay {
     /// Thread the interval belongs to.
@@ -1696,14 +1683,14 @@ pub struct DumpIntervalReplay {
     pub loads_from_log: u64,
     /// Loads regenerated from the replayed memory image.
     pub loads_from_memory: u64,
-    /// Whether the replay digest matched the digest recorded in the dump.
+    /// Whether the replay digest matched the recorded digest.
     pub digest_match: bool,
     /// For fault-terminated intervals: whether the fault reproduced at the
     /// recorded program counter.
     pub fault_reproduced: Option<bool>,
 }
 
-/// Result of replaying a whole dump.
+/// Result of replaying a whole dump, or a live run's retained window.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DumpReplayReport {
     /// Per-interval results, grouped by thread, oldest interval first.
@@ -1989,7 +1976,7 @@ struct ThreadWalk {
     /// digests and image presence of the intact intervals.
     recovered: ThreadManifest,
     /// The intact intervals, oldest first.
-    checkpoints: Vec<DumpedCheckpoint>,
+    checkpoints: Vec<CheckpointLogs>,
     /// The thread's program image, when its file validated.
     image: Option<Arc<Program>>,
 }
@@ -2336,7 +2323,7 @@ fn walk(dir: &Path) -> Result<Walk, DumpError> {
             }
             recovered.fll_stored_bytes += ff.stored;
             recovered.mrl_stored_bytes += mf.stored;
-            checkpoints.push(DumpedCheckpoint {
+            checkpoints.push(CheckpointLogs {
                 fll: fll_log,
                 mrl: mrl_log,
                 digest: t.digests[i as usize],
@@ -2652,7 +2639,7 @@ mod tests {
             for (cp, orig) in td.checkpoints.iter().zip(original) {
                 assert_eq!(cp.fll, orig.fll);
                 assert_eq!(cp.mrl, orig.mrl);
-                assert!(cp.digest.matches(&orig.digest));
+                assert_eq!(cp.digest, orig.digest);
             }
         }
         fs::remove_dir_all(&dir).unwrap();

@@ -179,7 +179,7 @@ pub fn profile_dump(
                 dict_hits: cp.fll.dictionary_hits(),
                 records: cp.fll.records(),
                 races: cp.mrl.entries().len() as u64,
-                digest_match: cp.digest.matches(&replayed.digest),
+                digest_match: replayed.digest == cp.digest,
                 faulted: cp.fll.fault.is_some(),
             });
             for e in cp.mrl.entries() {

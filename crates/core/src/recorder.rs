@@ -38,7 +38,11 @@ use crate::fll::{
 };
 use crate::mrl::{MemoryRaceLog, MrlBuilder, MrlHeader, RemoteExecState};
 
-/// The FLL + MRL pair produced for one checkpoint interval.
+/// The FLL + MRL pair produced for one checkpoint interval. It is the
+/// interval type of the [`LogStore`] and of a loaded crash dump
+/// ([`ThreadDump::checkpoints`](crate::dump::ThreadDump::checkpoints)), so
+/// both replay through one check loop
+/// ([`replay_and_check`](crate::dump::replay_and_check)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointLogs {
     /// First-Load Log of the interval.
@@ -47,7 +51,8 @@ pub struct CheckpointLogs {
     pub mrl: MemoryRaceLog,
     /// Execution digest of the interval captured during recording, used by
     /// the replay verifier. This is *not* part of the hardware's logs; it is
-    /// test instrumentation.
+    /// test instrumentation. It is what the crash-dump manifest stores for
+    /// the interval.
     pub digest: ExecutionDigest,
 }
 
@@ -885,7 +890,8 @@ impl LogStore {
     }
 
     /// All retained logs of a thread as an owned, contiguous vector (oldest
-    /// first). Used when dumping logs after a fault.
+    /// first), for callers that need a `&[CheckpointLogs]` slice, such as
+    /// race analysis.
     pub fn dump_thread(&self, thread: ThreadId) -> Vec<CheckpointLogs> {
         self.thread_logs(thread)
             .iter()

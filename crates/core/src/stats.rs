@@ -6,8 +6,6 @@
 
 use bugnet_types::ByteSize;
 
-use crate::fll::FirstLoadLog;
-use crate::mrl::MemoryRaceLog;
 use crate::recorder::CheckpointLogs;
 
 /// Summary of a collection of checkpoint logs.
@@ -36,23 +34,14 @@ pub struct LogSizeReport {
 }
 
 impl LogSizeReport {
-    /// Builds a report over any iterator of checkpoint logs.
+    /// Builds a report over any iterator of checkpoint logs: a live store's
+    /// or a loaded dump's.
     pub fn from_logs<'a, I>(logs: I) -> Self
     where
         I: IntoIterator<Item = &'a CheckpointLogs>,
     {
-        Self::from_fll_mrl(logs.into_iter().map(|l| (&l.fll, &l.mrl)))
-    }
-
-    /// Builds a report over bare FLL/MRL pairs — the shape checkpoints come
-    /// back in when loaded from an on-disk dump, where the live
-    /// [`CheckpointLogs`] wrapper no longer exists.
-    pub fn from_fll_mrl<'a, I>(pairs: I) -> Self
-    where
-        I: IntoIterator<Item = (&'a FirstLoadLog, &'a MemoryRaceLog)>,
-    {
         let mut report = LogSizeReport::default();
-        for (fll, mrl) in pairs {
+        for CheckpointLogs { fll, mrl, .. } in logs {
             report.intervals += 1;
             report.instructions += fll.instructions;
             report.loads_executed += fll.loads_executed;

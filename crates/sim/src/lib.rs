@@ -11,7 +11,8 @@
 //!   the recording memory path.
 //! * [`flush`] — the worker-pool pipeline sealing (serializing +
 //!   compressing) finished checkpoint intervals off the machine loop.
-//! * [`verify`] — replay-based determinism verification and race analysis.
+//! * [`verify`] — replay-based determinism verification (the same check a
+//!   loaded crash dump replays through) and race analysis.
 //! * [`runner`] — one-call experiment helpers used by the bench binaries.
 //!
 //! # Examples
@@ -28,7 +29,7 @@
 //! let outcome = machine.run_to_completion();
 //! assert!(outcome.total_committed() > 10_000);
 //! let report = machine.replay_and_verify().unwrap();
-//! assert!(report.all_verified());
+//! assert!(report.all_match());
 //! ```
 
 pub mod flush;
@@ -39,4 +40,3 @@ pub mod verify;
 pub use flush::FlushPipeline;
 pub use machine::{Machine, MachineBuilder, RecordingOptions, RunOutcome, ThreadOutcome};
 pub use runner::{record_spec_profile, RecordedRun};
-pub use verify::VerificationReport;

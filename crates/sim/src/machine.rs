@@ -7,7 +7,7 @@ use bugnet_compress::CodecId;
 use bugnet_core::dump::{self, DumpError, DumpFault, DumpManifest, DumpMeta, DumpOptions};
 use bugnet_core::fll::TerminationCause;
 use bugnet_core::io::{clean_orphaned_staging, DumpIo, ProbedIo, SharedDumpIo, StdIo};
-use bugnet_core::recorder::{CheckpointLogs, LogStore, ThreadRecorder};
+use bugnet_core::recorder::{LogStore, ThreadRecorder};
 use bugnet_core::stats::LogSizeReport;
 use bugnet_core::{estimate_overhead, OverheadInputs, OverheadReport};
 use bugnet_cpu::{Cpu, Fault, MemoryPort, StepEvent};
@@ -566,18 +566,6 @@ impl Machine {
             return;
         }
         self.crash_dump = Some(self.write_crash_dump(&dir));
-    }
-
-    /// All retained logs of every thread (oldest first per thread).
-    pub fn dump_logs(&self) -> Vec<(ThreadId, Vec<CheckpointLogs>)> {
-        match &self.log_store {
-            Some(store) => store
-                .threads()
-                .into_iter()
-                .map(|t| (t, store.dump_thread(t)))
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     fn recording(&self) -> bool {

@@ -5,111 +5,39 @@
 //! final register state) is compared against the digest captured during
 //! recording. A match means the interval was reproduced instruction-for-
 //! instruction — the determinism property the paper's mechanism provides.
+//! The check is [`replay_and_check`], the loop a loaded crash dump replays
+//! through, so an in-memory run and its dump report alike.
 
 use std::collections::BTreeMap;
 
+use bugnet_core::dump::{replay_and_check, DumpReplayReport};
 use bugnet_core::race::{analyze, RaceAnalysis, ThreadHistory};
 use bugnet_core::recorder::CheckpointLogs;
 use bugnet_core::replayer::{ReplayError, ReplayedInterval, Replayer};
-use bugnet_types::{CheckpointId, ThreadId};
+use bugnet_telemetry::Probe;
+use bugnet_types::ThreadId;
 
 use crate::machine::Machine;
 
-/// Verification result for one checkpoint interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntervalVerification {
-    /// Thread the interval belongs to.
-    pub thread: ThreadId,
-    /// Checkpoint identifier.
-    pub checkpoint: CheckpointId,
-    /// Instructions replayed.
-    pub instructions: u64,
-    /// Whether the replay digest matched the recorded digest.
-    pub digest_match: bool,
-    /// For fault-terminated intervals: whether the fault was reproduced at
-    /// the recorded program counter.
-    pub fault_reproduced: Option<bool>,
-}
-
-/// Verification result for a whole recorded run.
-#[derive(Debug, Clone, Default)]
-pub struct VerificationReport {
-    /// Per-interval results, grouped by thread in log order.
-    pub intervals: Vec<IntervalVerification>,
-}
-
-impl VerificationReport {
-    /// Whether every replayed interval matched its recording exactly
-    /// (digests equal and, where applicable, faults reproduced).
-    pub fn all_verified(&self) -> bool {
-        !self.intervals.is_empty()
-            && self
-                .intervals
-                .iter()
-                .all(|i| i.digest_match && i.fault_reproduced.unwrap_or(true))
-    }
-
-    /// Total instructions covered by the verified intervals.
-    pub fn instructions(&self) -> u64 {
-        self.intervals.iter().map(|i| i.instructions).sum()
-    }
-
-    /// Number of intervals that failed verification.
-    pub fn failures(&self) -> usize {
-        self.intervals
-            .iter()
-            .filter(|i| !(i.digest_match && i.fault_reproduced.unwrap_or(true)))
-            .count()
-    }
-}
-
-fn verify_thread(
-    replayer: &Replayer,
-    logs: &[CheckpointLogs],
-) -> Result<Vec<IntervalVerification>, ReplayError> {
-    let mut out = Vec::with_capacity(logs.len());
-    for entry in logs {
-        let replayed = replayer.replay_interval(&entry.fll)?;
-        let fault_reproduced = entry.fll.fault.map(|expected| {
-            replayed
-                .observed_fault
-                .map(|(pc, _)| pc == expected.pc)
-                .unwrap_or(false)
-        });
-        out.push(IntervalVerification {
-            thread: entry.fll.header.thread,
-            checkpoint: entry.fll.header.checkpoint,
-            instructions: replayed.instructions,
-            digest_match: replayed.digest == entry.digest,
-            fault_reproduced,
-        });
-    }
-    Ok(out)
-}
-
 impl Machine {
     /// Replays every retained interval of every thread and checks that the
-    /// replay reproduces the recorded execution exactly.
+    /// replay reproduces the recorded execution exactly. A machine without
+    /// a recorder returns an empty report.
     ///
     /// # Errors
     ///
     /// Returns a [`ReplayError`] if a log cannot be decoded or replayed at
     /// all; mismatches that still replay are reported in the
-    /// [`VerificationReport`] instead.
-    pub fn replay_and_verify(&self) -> Result<VerificationReport, ReplayError> {
-        let mut report = VerificationReport::default();
+    /// [`DumpReplayReport`] instead.
+    pub fn replay_and_verify(&self) -> Result<DumpReplayReport, ReplayError> {
         let Some(store) = self.log_store() else {
-            return Ok(report);
+            return Ok(DumpReplayReport::default());
         };
-        for thread in store.threads() {
-            let Some(program) = self.program_of(thread) else {
-                continue;
-            };
-            let replayer = Replayer::new(program);
-            let logs = store.dump_thread(thread);
-            report.intervals.extend(verify_thread(&replayer, &logs)?);
-        }
-        Ok(report)
+        let threads = store.threads().into_iter().map(|thread| {
+            let intervals = store.thread_logs(thread).iter().map(|s| &s.logs);
+            (thread, self.program_of(thread), intervals)
+        });
+        replay_and_check(threads, &mut Probe::off())
     }
 
     /// Replays every thread with memory-operation tracing and runs the
@@ -168,8 +96,8 @@ mod tests {
         machine.run_to_completion();
         let report = machine.replay_and_verify().unwrap();
         assert!(report.intervals.len() >= 5);
-        assert_eq!(report.failures(), 0);
-        assert!(report.all_verified());
+        assert_eq!(report.divergences().len(), 0);
+        assert!(report.all_match());
         assert!(report.instructions() > 20_000);
     }
 
@@ -183,7 +111,7 @@ mod tests {
         let outcome = machine.run_to_completion();
         assert!(outcome.faulted_thread().is_some());
         let report = machine.replay_and_verify().unwrap();
-        assert!(report.all_verified());
+        assert!(report.all_match());
         // The last interval of thread 0 is the faulting one and must have
         // reproduced the fault at the recorded PC.
         let faulting = report
@@ -208,7 +136,7 @@ mod tests {
         let outcome = machine.run_to_completion();
         assert!(outcome.interrupts > 0);
         let report = machine.replay_and_verify().unwrap();
-        assert!(report.all_verified());
+        assert!(report.all_match());
     }
 
     #[test]
@@ -219,7 +147,7 @@ mod tests {
             .build_with_workload(&workload);
         machine.run_to_completion();
         let report = machine.replay_and_verify().unwrap();
-        assert!(report.all_verified());
+        assert!(report.all_match());
         let analysis = machine.race_analysis(32).unwrap();
         // The coherence traffic produced ordering edges.
         assert!(!analysis.edges.is_empty() || analysis.unresolved_edges > 0);
@@ -233,7 +161,7 @@ mod tests {
             .build_with_workload(&workload);
         machine.run_to_completion();
         let report = machine.replay_and_verify().unwrap();
-        assert!(report.all_verified());
+        assert!(report.all_match());
         let analysis = machine.race_analysis(64).unwrap();
         assert!(analysis.has_races(), "unsynchronized counter must race");
     }
@@ -245,6 +173,6 @@ mod tests {
         machine.run_to_completion();
         let report = machine.replay_and_verify().unwrap();
         assert!(report.intervals.is_empty());
-        assert!(!report.all_verified());
+        assert!(!report.all_match());
     }
 }

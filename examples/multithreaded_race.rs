@@ -28,7 +28,7 @@ fn investigate(name: &str, workload: &bugnet::workloads::Workload) {
     println!(
         "  per-thread replay: {} intervals, deterministic = {}",
         verification.intervals.len(),
-        verification.all_verified()
+        verification.all_match()
     );
     let analysis = machine.race_analysis(16).expect("analysis runs");
     println!(

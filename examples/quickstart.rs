@@ -58,7 +58,7 @@ fn main() {
         "replayed {} intervals covering {} instructions: {}",
         verification.intervals.len(),
         verification.instructions(),
-        if verification.all_verified() {
+        if verification.all_match() {
             "all deterministic ✔"
         } else {
             "MISMATCH"

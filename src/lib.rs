@@ -8,6 +8,8 @@
 //! * [`isa`] — the simulated instruction set and program builder.
 //! * [`memsys`] — caches with first-load bits, directory coherence, DMA.
 //! * [`cpu`] — the functional core used for recording and replay.
+//! * [`compress`] — back-end log compression: codecs, the framed
+//!   container and the FNV-1a checksum.
 //! * [`core`] — the BugNet recorder, logs, compressor and replayer.
 //! * [`fdr`] — the Flight Data Recorder baseline model.
 //! * [`telemetry`] — always-on counters, gauges and latency histograms.
@@ -29,10 +31,11 @@
 //!     .build_with_workload(&workload);
 //! let outcome = machine.run_to_completion();
 //! let report = machine.replay_and_verify().expect("deterministic replay");
-//! assert!(report.all_verified());
+//! assert!(report.all_match());
 //! assert!(outcome.total_committed() > 0);
 //! ```
 
+pub use bugnet_compress as compress;
 pub use bugnet_core as core;
 pub use bugnet_cpu as cpu;
 pub use bugnet_fdr as fdr;

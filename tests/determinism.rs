@@ -28,10 +28,10 @@ fn every_spec_profile_replays_deterministically() {
             assert!(outcome.threads[0].halted, "{} must halt", profile.name);
             let verification = machine.replay_and_verify().unwrap();
             assert!(
-                verification.all_verified(),
+                verification.all_match(),
                 "{} with {entries} dictionary entries: {} of {} intervals failed verification",
                 profile.name,
-                verification.failures(),
+                verification.divergences().len(),
                 verification.intervals.len()
             );
             assert_eq!(verification.instructions(), outcome.total_committed());
@@ -52,7 +52,7 @@ fn replay_survives_frequent_interrupts_and_tiny_intervals() {
     let outcome = machine.run_to_completion();
     assert!(outcome.interrupts >= 10);
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
     // Many interval terminations => many FLLs.
     assert!(verification.intervals.len() >= 20);
 }
@@ -101,7 +101,7 @@ fn replay_covers_external_input_delivered_by_dma() {
     assert_eq!(outcome.syscalls, 2);
     assert!(outcome.threads[0].halted);
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
     // Each syscall terminates an interval, so at least 3 intervals exist.
     assert!(verification.intervals.len() >= 3);
 }
@@ -125,7 +125,7 @@ fn bounded_log_region_still_replays_the_retained_window() {
     let window = store.replay_window(ThreadId(0));
     assert!(window > 0);
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
     assert_eq!(verification.instructions(), window);
 }
 

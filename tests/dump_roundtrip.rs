@@ -6,11 +6,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use bugnet::core::digest::ExecutionDigest;
 use bugnet::core::dump::{
     verify_dump, CrashDump, DumpError, ProgramSource, ReplayRequest, DUMP_VERSION_V1,
     DUMP_VERSION_V4, DUMP_VERSION_V5,
 };
-use bugnet::sim::{MachineBuilder, RecordingOptions};
+use bugnet::sim::{Machine, MachineBuilder, RecordingOptions};
 use bugnet::telemetry::Probe;
 use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
 use bugnet::workloads::registry;
@@ -21,8 +22,9 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Records `spec` on the simulated machine and dumps the retained window.
-fn record_dump(spec: &str, dir: &Path, interval: u64) {
+/// Records `spec` on the simulated machine, dumps the retained window and
+/// returns the machine, whose log store still holds that window.
+fn record_dump(spec: &str, dir: &Path, interval: u64) -> Machine {
     let workload = registry::resolve(spec).expect("spec resolves");
     let mut machine = MachineBuilder::new()
         .bugnet(BugNetConfig::default().with_checkpoint_interval(interval))
@@ -36,6 +38,7 @@ fn record_dump(spec: &str, dir: &Path, interval: u64) {
     if machine.crash_dump().is_none() {
         machine.write_crash_dump(dir).expect("dump writes");
     }
+    machine
 }
 
 /// A committed dump fixture. Only v5 is still written, so these bytes are
@@ -244,6 +247,10 @@ fn adhoc_program_dump_is_self_contained_and_replays_without_the_registry() {
 /// embedded image, which has no data segments, gives exactly the report
 /// that replaying it against the full registry program gives. Replay takes
 /// every first load from the FLL, so the data segments are never read.
+///
+/// The same workloads pin the store → disk → load round trip: every loaded
+/// interval equals the log store's own, digest included, and the machine's
+/// in-memory replay reports exactly what the dump's replay reports.
 #[test]
 fn code_only_images_replay_exactly_like_the_full_programs() {
     let specs = registry::known_profiles()
@@ -265,8 +272,20 @@ fn code_only_images_replay_exactly_like_the_full_programs() {
     let dir = temp_dir("code-only-differential");
     let mut checked = 0;
     for spec in specs {
-        record_dump(&spec, &dir, 1_000);
+        let machine = record_dump(&spec, &dir, 1_000);
         let dump = CrashDump::load(&dir).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let store = machine.log_store().expect("recorder attached");
+        let dumped: Vec<_> = dump.threads.iter().map(|t| t.thread).collect();
+        assert_eq!(dumped, store.threads(), "{spec}");
+        for t in &dump.threads {
+            let logs: Vec<_> = store
+                .thread_logs(t.thread)
+                .iter()
+                .map(|s| &s.logs)
+                .collect();
+            let loaded: Vec<_> = t.checkpoints.iter().collect();
+            assert_eq!(loaded, logs, "{spec}: {} lost data on disk", t.thread);
+        }
         let workload = registry::resolve(&spec).expect("spec resolves");
         let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
         assert!(dump.is_self_contained(), "{spec}");
@@ -304,6 +323,10 @@ fn code_only_images_replay_exactly_like_the_full_programs() {
         assert!(embedded.all_match(), "{spec}: {:?}", embedded.divergences());
         assert!(full.all_match(), "{spec}: {:?}", full.divergences());
         assert_eq!(embedded, full, "{spec}: replay reports differ");
+        let in_memory = machine
+            .replay_and_verify()
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_eq!(in_memory, embedded, "{spec}: store and dump replays differ");
         checked += 1;
     }
     // Seven SPEC profiles, the eighteen Table 1 bugs and three kernels.
@@ -479,13 +502,18 @@ fn bisect_finds_the_first_divergent_interval() {
     assert_eq!(report.intervals, n as u64);
     assert_eq!(report.probes, report.intervals);
 
+    // Tampering flips bits of a recorded digest's hash, keeping its counts.
+    let flip_hash = |d: ExecutionDigest| {
+        ExecutionDigest::from_parts(d.value() ^ 0xbad, d.loads(), d.stores(), d.instructions())
+    };
+
     // Monotone corruption — every digest from interval k onward tampered —
     // is the binary-search fast path: the frontier is found in O(log n)
     // probes, far fewer than a full scan.
     let k = n / 2;
     let mut tampered = clean.clone();
     for cp in &mut tampered.threads[0].checkpoints[k..] {
-        cp.digest.hash ^= 0xbad;
+        cp.digest = flip_hash(cp.digest);
     }
     let report = tampered.bisect(|_| None).expect("bisect runs");
     assert_eq!(report.divergences.len(), 1);
@@ -504,7 +532,8 @@ fn bisect_finds_the_first_divergent_interval() {
     // A lone tampered digest violates the monotone-frontier assumption;
     // the linear fallback still reports the true first divergence.
     let mut lone = clean.clone();
-    lone.threads[0].checkpoints[k].digest.hash ^= 0xbad;
+    let cp = &mut lone.threads[0].checkpoints[k];
+    cp.digest = flip_hash(cp.digest);
     let report = lone.bisect(|_| None).expect("bisect runs");
     assert_eq!(report.divergences.len(), 1);
     assert_eq!(report.divergences[0].index, k as u32);
@@ -597,7 +626,7 @@ fn image_section_corruptions_yield_typed_errors_and_never_wrong_replays() {
 
 #[test]
 fn mixed_v1_v2_framing_is_rejected() {
-    use bugnet::core::digest::fnv1a;
+    use bugnet::compress::fnv1a;
     let spec = "spec:gzip:20000:1";
     let dir = temp_dir("mixed-framing");
     record_dump(spec, &dir, 5_000);

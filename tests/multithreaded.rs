@@ -1,5 +1,10 @@
 //! Integration tests for multithreaded recording, replay and race inference.
 
+use std::fs;
+
+use bugnet::core::dump::CrashDump;
+use bugnet::core::race::{self, ThreadHistory};
+use bugnet::core::replayer::Replayer;
 use bugnet::sim::MachineBuilder;
 use bugnet::types::{BugNetConfig, MachineConfig, ThreadId, Word};
 use bugnet::workloads::mt;
@@ -24,7 +29,7 @@ fn locked_counter_is_correct_and_replayable() {
         .read(bugnet::types::Addr::new(mt::COUNTER_ADDR));
     assert_eq!(counter, Word::new(threads as u32 * increments));
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
 }
 
 #[test]
@@ -43,7 +48,7 @@ fn racy_counter_loses_updates_but_still_replays() {
     // Every thread still replays deterministically: BugNet logs the values the
     // thread actually observed, races included.
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
     // And the analysis reports candidate races on the counter address.
     let analysis = machine.race_analysis(32).unwrap();
     assert!(analysis.has_races());
@@ -81,6 +86,50 @@ fn race_analysis_schedule_covers_every_traced_operation() {
 }
 
 #[test]
+fn race_analysis_runs_on_a_loaded_dump() {
+    // The offline race analysis (paper §5.2) needs nothing a dump lacks: a
+    // loaded thread's intervals are the recorder's own logs, so they replay
+    // with traces and feed the analysis exactly as the live store does.
+    let mut machine = MachineBuilder::new()
+        .bugnet(cfg())
+        .build_with_workload(&mt::racy_counter(2, 400));
+    machine.run_to_completion();
+    let dir = std::env::temp_dir().join(format!("bugnet-mt-race-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    machine.write_crash_dump(&dir).expect("dump writes");
+    let dump = CrashDump::load(&dir).expect("dump loads");
+    let replays: Vec<_> = dump
+        .threads
+        .iter()
+        .map(|t| {
+            let image = t.image.clone().expect("image embedded");
+            Replayer::new(image)
+                .with_trace_capture(true)
+                .replay_thread(&t.checkpoints)
+                .expect("dump replays")
+        })
+        .collect();
+    let histories: Vec<_> = dump
+        .threads
+        .iter()
+        .zip(&replays)
+        .map(|(t, replays)| ThreadHistory {
+            thread: t.thread,
+            logs: &t.checkpoints,
+            replays,
+        })
+        .collect();
+    let from_dump = race::analyze(&histories, 64);
+    let in_memory = machine.race_analysis(64).unwrap();
+    assert!(from_dump.has_races());
+    assert_eq!(from_dump.edges, in_memory.edges);
+    assert_eq!(from_dump.unresolved_edges, in_memory.unresolved_edges);
+    assert_eq!(from_dump.schedule, in_memory.schedule);
+    assert_eq!(from_dump.races, in_memory.races);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn producer_consumer_replays_on_shared_cores() {
     // Two threads on a single core exercise context switches heavily.
     let workload = mt::producer_consumer(1024);
@@ -97,7 +146,7 @@ fn producer_consumer_replays_on_shared_cores() {
     assert!(outcome.threads.iter().all(|t| t.halted), "{outcome:?}");
     assert!(outcome.context_switches > 0);
     let verification = machine.replay_and_verify().unwrap();
-    assert!(verification.all_verified());
+    assert!(verification.all_match());
 }
 
 #[test]

@@ -435,9 +435,9 @@ fn random_programs_replay_deterministically() {
         assert!(outcome.threads[0].halted || outcome.threads[0].fault.is_some());
         let verification = machine.replay_and_verify().unwrap();
         assert!(
-            verification.all_verified(),
+            verification.all_match(),
             "failures = {}",
-            verification.failures()
+            verification.divergences().len()
         );
         // And replaying a second time gives the same digests again.
         let logs = machine.log_store().unwrap().dump_thread(ThreadId(0));

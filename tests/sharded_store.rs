@@ -6,7 +6,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bugnet::core::dump::{CrashDump, DigestSummary};
+use bugnet::core::digest::ExecutionDigest;
+use bugnet::core::dump::CrashDump;
 use bugnet::sim::{MachineBuilder, RecordingOptions};
 use bugnet::types::{BugNetConfig, ThreadId};
 use bugnet::workloads::registry;
@@ -31,7 +32,7 @@ fn record_and_dump(spec: &str, interval: u64, opts: RecordingOptions, dir: &Path
 }
 
 /// Every recorded per-interval digest, keyed by thread, oldest first.
-fn recorded_digests(dump: &CrashDump) -> Vec<(ThreadId, Vec<DigestSummary>)> {
+fn recorded_digests(dump: &CrashDump) -> Vec<(ThreadId, Vec<ExecutionDigest>)> {
     dump.manifest
         .threads
         .iter()
