@@ -23,8 +23,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use bugnet_compress::CodecId;
-use bugnet_core::dump::{CrashDump, DumpManifest, ProgramSource, ReplayRequest};
+use bugnet_core::dump::{verify_dump, CrashDump, DumpManifest, ReplayRequest};
 use bugnet_core::profile::{profile_dump, ProfileOptions};
+use bugnet_core::stats::LogSizeReport;
 use bugnet_sim::{MachineBuilder, RecordingOptions};
 use bugnet_telemetry::{Probe, Registry, Snapshot};
 use bugnet_trace::TraceSession;
@@ -126,26 +127,28 @@ USAGE:
         Replay every retained interval and compare against the recorded
         execution digests. Self-contained (v3+) dumps replay from their
         embedded program images; v1/v2 dumps rebuild the programs from the
-        manifest's workload spec. --workload overrides both (a mismatch
-        against the recorded spec is reported up front). --at <N> seeks
-        straight to checkpoint N and replays from there onward — every
-        interval carries its full start-of-interval state, so earlier
-        intervals are never re-executed. --salvage accepts a damaged dump
-        and replays up to the last fully-intact interval of each thread
-        instead of refusing to load. --metrics-json records replay
-        telemetry (instructions, interval latency, digest comparisons)
-        and writes the snapshot to <FILE> as JSON. --trace-out writes a
-        per-interval replay timeline as Chrome trace-event JSON. --at
-        combines with every other flag.
+        manifest's workload spec. --workload overrides both, here and in
+        bisect and profile alike (a mismatch against the recorded spec is
+        reported up front). --at <N> seeks straight to checkpoint N and
+        replays from there onward — every interval carries its full
+        start-of-interval state, so earlier intervals are never
+        re-executed. --salvage accepts a damaged dump and replays up to
+        the last fully-intact interval of each thread instead of refusing
+        to load. --metrics-json records replay telemetry (instructions,
+        interval latency, digest comparisons) and writes the snapshot to
+        <FILE> as JSON. --trace-out writes a per-interval replay timeline
+        as Chrome trace-event JSON. --at combines with every other flag.
 
     bugnet bisect <DIR> [--workload <SPEC>]
         Binary-search each thread's retained window for the first interval
-        whose replay digest diverges from the recording. A state-smearing
-        bug that corrupts every interval after some point is found in
-        O(log n) interval replays instead of replaying the whole window;
-        a non-monotone divergence pattern falls back to a linear scan so
-        the answer is always the true first divergence. Exits 0 when every
-        probed interval matches.
+        whose replay diverges from the recording (digest, or the recorded
+        fault), by the same check as replay. A state-smearing bug that
+        corrupts every interval after some point is found in O(log n)
+        interval replays instead of replaying the whole window; a
+        non-monotone divergence pattern falls back to a linear scan so the
+        answer is always the true first divergence. Programs come from
+        where replay takes them, and --workload overrides them as it does
+        for replay. Exits 0 when every probed interval matches.
 
     bugnet profile <DIR> [--top <N>] [--sample-every <N>]
                    [--workload <SPEC>] [--trace-out <FILE>]
@@ -154,6 +157,9 @@ USAGE:
         hot-PC histogram symbolized against the embedded program image,
         a per-interval breakdown (instructions, logged vs regenerated
         loads, dictionary hits, race edges) and the MRL race timeline.
+        Each interval is checked as replay checks it, so its status reads
+        DIVERGED exactly where replay diverges; --workload overrides the
+        programs as it does for replay.
         --top bounds the hot-PC table (default 20); --sample-every N
         samples every Nth instruction (default 1 = exact). --trace-out
         additionally writes the profile as Chrome trace-event JSON on a
@@ -334,7 +340,6 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         store_shards,
         embed_image,
         dump_on_crash: Some(out.clone()),
-        dump_io: None,
         telemetry: telemetry.clone(),
         trace: trace.clone(),
     };
@@ -454,21 +459,22 @@ fn cmd_info(args: &mut Args) -> Result<(), CliError> {
 fn cmd_verify(args: &mut Args) -> Result<(), CliError> {
     let dir = dump_dir_arg(args)?;
     args.finish()?;
-    let dump = CrashDump::load(&dir).map_err(|e| CliError::data(format!("FAILED: {e}")))?;
-    let report = dump
-        .verify()
-        .map_err(|e| CliError::data(format!("FAILED: {e}")))?;
+    let dump = verify_dump(&dir).map_err(|e| CliError::data(format!("FAILED: {e}")))?;
+    let m = &dump.manifest;
+    // Every record decoded, so the logs' own record counts are the
+    // decoded counts.
+    let logs = LogSizeReport::from_logs(dump.threads.iter().flat_map(|t| &t.checkpoints));
     println!(
         "OK: {} thread(s), {} checkpoint(s), {} first-load records decoded, \
          {} race entries, {} FLL + {} MRL payload",
-        report.threads,
-        report.checkpoints,
-        report.records_decoded,
-        report.mrl_entries,
-        ByteSize::from_bytes(report.fll_bytes),
-        ByteSize::from_bytes(report.mrl_bytes),
+        m.threads.len(),
+        m.total_checkpoints(),
+        logs.loads_logged,
+        logs.mrl_entries,
+        m.total_fll_size(),
+        m.total_mrl_size(),
     );
-    for t in &dump.manifest.threads {
+    for t in &m.threads {
         let raw = t.fll_bytes + t.mrl_bytes;
         let stored = t.fll_stored_bytes + t.mrl_stored_bytes;
         println!(
@@ -485,21 +491,21 @@ fn cmd_verify(args: &mut Args) -> Result<(), CliError> {
     }
     println!(
         "codec {}: {} raw -> {} stored, overall ratio {:.2}",
-        report.codec,
-        ByteSize::from_bytes(report.fll_bytes + report.mrl_bytes),
-        ByteSize::from_bytes(report.fll_stored_bytes + report.mrl_stored_bytes),
-        report.backend_ratio(),
+        m.codec,
+        m.total_fll_size() + m.total_mrl_size(),
+        m.total_fll_stored_size() + m.total_mrl_stored_size(),
+        m.backend_ratio(),
     );
-    if report.images > 0 {
+    if m.embedded_images() > 0 {
         println!(
             "images: {} embedded program image(s) verified, {} raw -> {} stored, ratio {:.2}",
-            report.images,
-            ByteSize::from_bytes(report.image_raw_bytes),
-            ByteSize::from_bytes(report.image_stored_bytes),
-            report.image_ratio(),
+            m.embedded_images(),
+            m.total_image_size(),
+            m.total_image_stored_size(),
+            m.image_ratio(),
         );
     }
-    if let Some(snapshot) = &dump.manifest.telemetry {
+    if let Some(snapshot) = &m.telemetry {
         println!(
             "telemetry: {} embedded metric(s), covered by the manifest checksum",
             snapshot.entries.len()
@@ -529,17 +535,19 @@ fn cmd_fsck(args: &mut Args) -> Result<(), CliError> {
     }
 }
 
-/// The one program resolver of `replay`, `bisect` and `profile`: the
-/// threads (index = thread id) of `--workload <SPEC>` when given — called
-/// out up front when it contradicts the recorded spec, since divergence is
-/// then the expected outcome (`replaces` names what the override stands in
-/// for) — else those of the recorded spec, which a self-contained dump
-/// never needs. The inner `Err` is the registry's reason it cannot rebuild
-/// the recorded spec; an override it cannot rebuild fails outright.
-fn workload_threads(
-    dump: &CrashDump,
+/// The one program resolver of `replay`, `bisect` and `profile`. With
+/// `--workload <SPEC>`, each thread's image becomes the program of that
+/// workload's thread with the same id (none if it has no such thread), so
+/// the override replays exactly those programs in every command; one that
+/// contradicts the recorded spec is called out up front, since divergence
+/// is then the expected outcome. Returns the fallback's threads (index =
+/// thread id) for threads left without an image: the recorded spec's,
+/// which a self-contained dump never needs. The inner `Err` is the
+/// registry's reason it cannot rebuild the recorded spec; an override it
+/// cannot rebuild fails outright.
+fn resolve_programs(
+    dump: &mut CrashDump,
     override_spec: Option<&str>,
-    replaces: &str,
 ) -> Result<Result<Vec<ThreadSpec>, String>, CliError> {
     let recorded = &dump.manifest.workload;
     let Some(spec) = override_spec else {
@@ -551,13 +559,17 @@ fn workload_threads(
     if !registry::specs_equivalent(spec, recorded) {
         eprintln!(
             "bugnet: warning: dump was recorded from workload `{recorded}` but --workload \
-             overrides {replaces} with `{spec}`; if the programs differ, digest divergence \
-             below is expected"
+             overrides it with `{spec}`; if the programs differ, digest divergence below is \
+             expected"
         );
     }
-    registry::resolve(spec)
-        .map(|w| Ok(w.threads))
-        .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))
+    let threads = registry::resolve(spec)
+        .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?
+        .threads;
+    for t in &mut dump.threads {
+        t.image = threads.get(t.thread.0 as usize).map(|s| s.program.clone());
+    }
+    Ok(Ok(Vec::new()))
 }
 
 fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
@@ -581,7 +593,7 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
         .as_ref()
         .map(|_| Arc::new(TraceSession::with_capacity("bugnet-replay", 1 << 16)));
     let probe = Probe::new(telemetry.clone(), trace.clone(), "replay");
-    let dump = if salvage {
+    let mut dump = if salvage {
         let salvaged = CrashDump::load_salvage(&dir)
             .map_err(|e| CliError::data(format!("unsalvageable: {e}")))?;
         if salvaged.report.is_clean() {
@@ -600,11 +612,11 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     } else {
         CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?
     };
+    let resolved = resolve_programs(&mut dump, override_spec.as_deref())?;
     let spec = &dump.manifest.workload;
-    let resolved = workload_threads(&dump, override_spec.as_deref(), "it")?;
     let threads = match (&override_spec, resolved) {
         // Explicit override: replay against exactly the named workload,
-        // ignoring any embedded images.
+        // which replaced any embedded images.
         (Some(spec), Ok(threads)) => {
             println!("replaying against override workload `{spec}`");
             threads
@@ -648,13 +660,9 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
         // re-executed.
         println!("seeking to checkpoint {n}: earlier intervals are skipped, not replayed");
     }
-    let program_of = |t: ThreadId| threads.get(t.0 as usize).map(|s| s.program.clone());
     let report = dump
         .replay_with(ReplayRequest {
-            programs: match override_spec {
-                Some(_) => ProgramSource::Override(program_of),
-                None => ProgramSource::Embedded(program_of),
-            },
+            fallback: |t: ThreadId| threads.get(t.0 as usize).map(|s| s.program.clone()),
             from,
             probe,
         })
@@ -687,11 +695,8 @@ fn cmd_bisect(args: &mut Args) -> Result<(), CliError> {
     let dir = dump_dir_arg(args)?;
     let override_spec = args.option("--workload")?;
     args.finish()?;
-    let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
-    // Same program resolution as replay: embedded images first (inside
-    // `bisect`), then the workload's programs for threads without one.
-    let threads =
-        workload_threads(&dump, override_spec.as_deref(), "the fallback")?.unwrap_or_default();
+    let mut dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
+    let threads = resolve_programs(&mut dump, override_spec.as_deref())?.unwrap_or_default();
     let report = dump
         .bisect(|t| threads.get(t.0 as usize).map(|s| s.program.clone()))
         .map_err(|e| CliError::data(format!("bisect failed: {e}")))?;
@@ -713,11 +718,8 @@ fn cmd_profile(args: &mut Args) -> Result<(), CliError> {
     let override_spec = args.option("--workload")?;
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
     args.finish()?;
-    let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
-    // Program resolution mirrors replay: embedded images first (inside
-    // `profile_dump`), the workload's programs for threads without one.
-    let threads =
-        workload_threads(&dump, override_spec.as_deref(), "the fallback")?.unwrap_or_default();
+    let mut dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
+    let threads = resolve_programs(&mut dump, override_spec.as_deref())?.unwrap_or_default();
     let options = ProfileOptions { sample_every };
     let profile = profile_dump(
         &dump,

@@ -6,8 +6,8 @@
 //! pipeline therefore splits a serialized log into *per-field streams*
 //! (skip counts, type bits, dictionary ranks, values, ordering-edge
 //! columns), delta-encodes the monotone and near-monotone streams with
-//! zigzag varints, and runs each stream through the [`Codec`](crate::Codec)
-//! independently.
+//! zigzag varints, and runs each stream through the back-end codec
+//! ([`CodecId::compress`]) independently.
 //!
 //! This module supplies the *generic* half of that pipeline:
 //!
@@ -46,18 +46,6 @@ pub fn zigzag(v: i64) -> u64 {
 /// Inverse of [`zigzag`].
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// 32-bit [`zigzag`]: maps a wrapping `u32` delta onto the unsigned
-/// alphabet so small magnitudes of either sign land in the low bytes —
-/// the mapping byte-plane transposition wants.
-pub fn zigzag32(v: i32) -> u32 {
-    ((v << 1) ^ (v >> 31)) as u32
-}
-
-/// Inverse of [`zigzag32`].
-pub fn unzigzag32(v: u32) -> i32 {
-    ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
 /// Appends `v` as a LEB128 varint (7 bits per byte, high bit = continue).

@@ -11,7 +11,7 @@
 //! the bytes — a corrupted container either fails the codec's structural
 //! checks or the checksum, never silently yields wrong data.
 
-use crate::{codec, fnv1a, CodecId, DecodeError};
+use crate::{fnv1a, CodecId, DecodeError};
 use std::fmt;
 
 /// Size of the container header preceding the encoded bytes.
@@ -116,7 +116,7 @@ impl ContainerInfo {
 
 /// Compresses `raw` with the given codec and wraps it in a container.
 pub fn encode_container(id: CodecId, raw: &[u8]) -> Vec<u8> {
-    let encoded = codec(id).compress(raw);
+    let encoded = id.compress(raw);
     let mut out = Vec::with_capacity(CONTAINER_HEADER_BYTES + encoded.len());
     out.push(id.as_u8());
     out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
@@ -168,7 +168,7 @@ pub fn container_info(bytes: &[u8]) -> Result<ContainerInfo, FrameError> {
 pub fn decode_container(bytes: &[u8]) -> Result<(CodecId, Vec<u8>), FrameError> {
     let info = container_info(bytes)?;
     let encoded = &bytes[CONTAINER_HEADER_BYTES..];
-    let raw = codec(info.codec).decompress(encoded, info.raw_len as usize)?;
+    let raw = info.codec.decompress(encoded, info.raw_len as usize)?;
     let actual = fnv1a(&raw);
     if actual != info.checksum {
         return Err(FrameError::Checksum {

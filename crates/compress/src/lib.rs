@@ -1,4 +1,4 @@
-//! Pluggable back-end compression for BugNet's logs.
+//! Back-end compression for BugNet's logs.
 //!
 //! BugNet's central claim is that continuous recording is practical because
 //! the first-load logs compress down to a few bytes per instruction. The
@@ -11,10 +11,11 @@
 //! so no external compression crates are available (or wanted: the on-disk
 //! format must stay fully specified by this repository).
 //!
-//! * [`Codec`] — the compressor interface; implementations must be pure
-//!   functions of their input so identical payloads always produce identical
-//!   bytes (parallel and serial flushing must agree bit for bit).
-//! * [`CodecId`] — the stable one-byte codec identifier stored on disk.
+//! * [`CodecId`] — the stable one-byte codec identifier stored on disk,
+//!   and the codec itself: [`CodecId::compress`] and
+//!   [`CodecId::decompress`] are pure functions of their input, so
+//!   identical payloads always produce identical bytes (parallel and serial
+//!   flushing must agree bit for bit).
 //! * [`frame`] — the self-describing container (codec id, raw/encoded
 //!   lengths, FNV-1a checksum of the raw payload) wrapped around every
 //!   compressed payload.
@@ -27,14 +28,14 @@
 //! # Examples
 //!
 //! ```
-//! use bugnet_compress::{codec, decode_container, encode_container, CodecId};
+//! use bugnet_compress::{decode_container, encode_container, CodecId};
 //!
 //! let raw = b"the quick brown fox jumps over the quick brown dog".to_vec();
 //! let container = encode_container(CodecId::Lz77, &raw);
 //! let (id, roundtrip) = decode_container(&container).unwrap();
 //! assert_eq!(id, CodecId::Lz77);
 //! assert_eq!(roundtrip, raw);
-//! assert!(codec(CodecId::Lz77).compress(&raw).len() < raw.len());
+//! assert!(CodecId::Lz77.compress(&raw).len() < raw.len());
 //! ```
 
 pub mod columnar;
@@ -48,7 +49,6 @@ pub use frame::{
     container_info, decode_container, encode_container, ContainerInfo, FrameError,
     CONTAINER_HEADER_BYTES,
 };
-pub use lz::Lz77;
 
 use std::fmt;
 
@@ -96,6 +96,31 @@ impl CodecId {
             "identity" | "none" => Some(CodecId::Identity),
             "lz" | "lz77" => Some(CodecId::Lz77),
             _ => None,
+        }
+    }
+
+    /// Compresses `raw`. Always succeeds; incompressible input may expand
+    /// slightly (the container records both lengths).
+    pub fn compress(self, raw: &[u8]) -> Vec<u8> {
+        match self {
+            CodecId::Identity => raw.to_vec(),
+            CodecId::Lz77 => lz::compress(raw),
+        }
+    }
+
+    /// Decompresses `encoded`, which must expand to exactly `raw_len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] for any malformed stream.
+    pub fn decompress(self, encoded: &[u8], raw_len: usize) -> Result<Vec<u8>, DecodeError> {
+        match self {
+            CodecId::Identity if encoded.len() != raw_len => Err(DecodeError::LengthMismatch {
+                declared: raw_len,
+                produced: encoded.len(),
+            }),
+            CodecId::Identity => Ok(encoded.to_vec()),
+            CodecId::Lz77 => lz::decompress(encoded, raw_len),
         }
     }
 }
@@ -164,61 +189,6 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A log compressor.
-///
-/// Implementations must be deterministic (identical input, identical output)
-/// and stateless, so one static instance can be shared by any number of
-/// flush workers.
-pub trait Codec: Send + Sync {
-    /// The stable identifier written to disk next to this codec's output.
-    fn id(&self) -> CodecId;
-
-    /// Compresses `raw`. Always succeeds; incompressible input may expand
-    /// slightly (the container records both lengths).
-    fn compress(&self, raw: &[u8]) -> Vec<u8>;
-
-    /// Decompresses `encoded`, which must expand to exactly `raw_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] for any malformed stream.
-    fn decompress(&self, encoded: &[u8], raw_len: usize) -> Result<Vec<u8>, DecodeError>;
-}
-
-/// The identity codec: encoded bytes are the raw bytes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Identity;
-
-impl Codec for Identity {
-    fn id(&self) -> CodecId {
-        CodecId::Identity
-    }
-
-    fn compress(&self, raw: &[u8]) -> Vec<u8> {
-        raw.to_vec()
-    }
-
-    fn decompress(&self, encoded: &[u8], raw_len: usize) -> Result<Vec<u8>, DecodeError> {
-        if encoded.len() != raw_len {
-            return Err(DecodeError::LengthMismatch {
-                declared: raw_len,
-                produced: encoded.len(),
-            });
-        }
-        Ok(encoded.to_vec())
-    }
-}
-
-/// The shared static instance of a codec.
-pub fn codec(id: CodecId) -> &'static dyn Codec {
-    static IDENTITY: Identity = Identity;
-    static LZ77: Lz77 = Lz77;
-    match id {
-        CodecId::Identity => &IDENTITY,
-        CodecId::Lz77 => &LZ77,
-    }
-}
-
 /// FNV-1a hash, the checksum used by the container format and by the
 /// crash-dump format (manifest, frames and content-addressed images).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -241,7 +211,6 @@ mod tests {
         for id in CodecId::ALL {
             assert_eq!(CodecId::from_u8(id.as_u8()), Some(id));
             assert_eq!(CodecId::parse(id.name()), Some(id));
-            assert_eq!(codec(id).id(), id);
         }
         assert_eq!(CodecId::from_u8(200), None);
         assert_eq!(CodecId::parse("zstd"), None);
@@ -251,10 +220,10 @@ mod tests {
     #[test]
     fn identity_round_trips_and_type_checks_length() {
         let raw = b"hello".to_vec();
-        let enc = Identity.compress(&raw);
-        assert_eq!(Identity.decompress(&enc, 5).unwrap(), raw);
+        let enc = CodecId::Identity.compress(&raw);
+        assert_eq!(CodecId::Identity.decompress(&enc, 5).unwrap(), raw);
         assert!(matches!(
-            Identity.decompress(&enc, 4),
+            CodecId::Identity.decompress(&enc, 4),
             Err(DecodeError::LengthMismatch { .. })
         ));
     }

@@ -35,7 +35,7 @@
 //! may change only if the bytes do not, which the tests check against a
 //! frozen copy of the original compressor.
 
-use crate::{Codec, CodecId, DecodeError};
+use crate::DecodeError;
 
 /// Minimum match length; shorter repetitions are cheaper as literals.
 pub const MIN_MATCH: usize = 4;
@@ -49,25 +49,6 @@ const HASH_SIZE: usize = 1 << 15;
 const MAX_CHAIN: usize = 64;
 /// Ring mask of the chain table: one slot per position in the window.
 const WINDOW_MASK: usize = MAX_OFFSET;
-
-/// The hand-rolled LZ77 codec. Stateless; see the module docs for the
-/// format.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lz77;
-
-impl Codec for Lz77 {
-    fn id(&self) -> CodecId {
-        CodecId::Lz77
-    }
-
-    fn compress(&self, raw: &[u8]) -> Vec<u8> {
-        compress(raw)
-    }
-
-    fn decompress(&self, encoded: &[u8], raw_len: usize) -> Result<Vec<u8>, DecodeError> {
-        decompress(encoded, raw_len)
-    }
-}
 
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {

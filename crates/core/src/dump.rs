@@ -833,7 +833,10 @@ pub struct ThreadDump {
     /// The thread.
     pub thread: ThreadId,
     /// The thread's embedded program image, decoded and validated (format
-    /// v3 dumps with image embedding on; `None` otherwise).
+    /// v3 dumps with image embedding on; `None` otherwise). Replay, bisect
+    /// and profile run the thread against this program and ask their
+    /// fallback only when it is `None`, so replacing it overrides the
+    /// program the thread replays against.
     pub image: Option<Arc<Program>>,
     /// Retained intervals, oldest first: the store's own interval type,
     /// each with the digest its manifest entry recorded.
@@ -1373,11 +1376,12 @@ impl CrashDump {
     }
 
     /// Replays every retained interval of every thread and checks each
-    /// replay against the recorded digest. A thread's *embedded* program
-    /// image (format v3) is preferred; `fallback` is only consulted for
-    /// threads without one (v1/v2 dumps, or image embedding disabled) —
-    /// the registry-resolution path. Threads with neither are reported as
-    /// unreplayable rather than failing the whole dump.
+    /// replay against the recording ([`DumpIntervalReplay::check`]). A
+    /// thread replays against its *embedded* program image (format v3);
+    /// `fallback` is only consulted for threads without one (v1/v2 dumps,
+    /// or image embedding disabled) — the registry-resolution path. Threads
+    /// with neither are reported as unreplayable rather than failing the
+    /// whole dump.
     ///
     /// # Errors
     ///
@@ -1388,7 +1392,7 @@ impl CrashDump {
         fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<DumpReplayReport, ReplayError> {
         self.replay_with(ReplayRequest {
-            programs: ProgramSource::Embedded(fallback),
+            fallback,
             from: None,
             probe: Probe::off(),
         })
@@ -1409,23 +1413,22 @@ impl CrashDump {
         fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<DumpReplayReport, ReplayError> {
         self.replay_with(ReplayRequest {
-            programs: ProgramSource::Embedded(fallback),
+            fallback,
             from: Some(from),
             probe: Probe::off(),
         })
     }
 
-    /// Searches for each thread's first interval whose replayed digest
-    /// diverges from the recorded one, replaying as few intervals as it can
-    /// get away with: under the usual failure mode — corruption persists
-    /// from some interval onward — a binary search plus a two-probe
-    /// verification finds the frontier in `O(log n)` interval replays. When
-    /// the verification detects that divergence is *not* monotone (say, a
-    /// single tampered digest in the middle of a clean window), it falls
-    /// back to a linear scan so the answer is still the true first
-    /// divergence. Program images resolve exactly as in
-    /// [`replay`](CrashDump::replay): embedded image first, `fallback` for
-    /// threads without one.
+    /// Searches for each thread's first interval whose replay diverges from
+    /// the recording ([`DumpIntervalReplay::matches`]), replaying as few
+    /// intervals as it can get away with: under the usual failure mode —
+    /// corruption persists from some interval onward — a binary search plus
+    /// a two-probe verification finds the frontier in `O(log n)` interval
+    /// replays. When the verification detects that divergence is *not*
+    /// monotone (say, a single tampered digest in the middle of a clean
+    /// window), it falls back to a linear scan so the answer is still the
+    /// true first divergence. Programs resolve exactly as in
+    /// [`replay`](CrashDump::replay).
     ///
     /// # Errors
     ///
@@ -1433,13 +1436,12 @@ impl CrashDump {
     /// replayed at all.
     pub fn bisect(
         &self,
-        fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+        mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     ) -> Result<BisectReport, ReplayError> {
-        let mut programs = ProgramSource::Embedded(fallback);
         let mut report = BisectReport::default();
         for t in &self.threads {
             report.intervals += t.checkpoints.len() as u64;
-            let Some(program) = programs.resolve(t) else {
+            let Some(program) = t.program(&mut fallback) else {
                 report.unreplayable_threads.push(t.thread);
                 continue;
             };
@@ -1456,8 +1458,7 @@ impl CrashDump {
                 }
                 *probes += 1;
                 let cp = &t.checkpoints[i];
-                let replayed = replayer.replay_interval(&cp.fll)?;
-                let matches = replayed.digest == cp.digest;
+                let matches = DumpIntervalReplay::check(&replayer, t.thread, cp, None)?.matches();
                 matched[i] = Some(matches);
                 Ok(matches)
             };
@@ -1503,11 +1504,10 @@ impl CrashDump {
         Ok(report)
     }
 
-    /// The general replay: resolves each thread's program as
-    /// `request.programs` says, skips the intervals before `request.from`,
-    /// and feeds `request.probe` as it goes. Every
-    /// replayed interval is checked against its recorded digest (and
-    /// fault, where one ended it).
+    /// The general replay: programs resolve as in
+    /// [`replay`](CrashDump::replay), the intervals before `request.from`
+    /// are skipped, and `request.probe` observes the rest as
+    /// [`replay_and_check`] checks them.
     ///
     /// # Errors
     ///
@@ -1517,7 +1517,7 @@ impl CrashDump {
         request: ReplayRequest<F>,
     ) -> Result<DumpReplayReport, ReplayError> {
         let ReplayRequest {
-            mut programs,
+            mut fallback,
             from,
             mut probe,
         } = request;
@@ -1526,19 +1526,31 @@ impl CrashDump {
                 .checkpoints
                 .iter()
                 .filter(move |cp| from.is_none_or(|from| cp.fll.header.checkpoint >= from));
-            (t.thread, programs.resolve(t), intervals)
+            (t.thread, t.program(&mut fallback), intervals)
         });
-        replay_and_check(threads, &mut probe)
+        replay_and_check(threads, &mut probe, None)
     }
 }
 
-/// The one replay-and-check loop, behind [`CrashDump::replay_with`] and the
-/// machine's in-memory `replay_and_verify` alike. Each thread comes as its
-/// id, the program it replays against (`None` reports it unreplayable) and
-/// the intervals to replay, oldest first. Every interval is replayed and
-/// checked against its recorded digest, and against its recorded fault
-/// where one ended it; `probe` observes each as [`ReplayRequest::probe`]
-/// describes.
+impl ThreadDump {
+    /// The program this thread replays against: its image, else
+    /// `fallback`'s; `None` leaves it unreplayable. The one program lookup
+    /// of replay, bisect and profile.
+    pub(crate) fn program(
+        &self,
+        fallback: &mut impl FnMut(ThreadId) -> Option<Arc<Program>>,
+    ) -> Option<Arc<Program>> {
+        self.image.clone().or_else(|| fallback(self.thread))
+    }
+}
+
+/// The one replay-and-check loop, behind [`CrashDump::replay_with`], the
+/// dump profiler and the machine's in-memory `replay_and_verify` alike.
+/// Each thread comes as its id, the program it replays against (`None`
+/// reports it unreplayable) and the intervals to replay, oldest first.
+/// Every interval is replayed and checked by [`DumpIntervalReplay::check`],
+/// which hands `hook`, if any, the PC of every dispatched instruction;
+/// `probe` observes each interval as [`ReplayRequest::probe`] describes.
 ///
 /// # Errors
 ///
@@ -1546,6 +1558,7 @@ impl CrashDump {
 pub fn replay_and_check<'a, I>(
     threads: impl IntoIterator<Item = (ThreadId, Option<Arc<Program>>, I)>,
     probe: &mut Probe,
+    mut hook: Option<&mut dyn FnMut(Addr)>,
 ) -> Result<DumpReplayReport, ReplayError>
 where
     I: IntoIterator<Item = &'a CheckpointLogs>,
@@ -1559,69 +1572,33 @@ where
         let replayer = Replayer::new(program);
         for cp in intervals {
             let start = probe.now();
-            let replayed = replayer.replay_interval(&cp.fll)?;
-            let fault_reproduced = cp.fll.fault.map(|expected| {
-                replayed
-                    .observed_fault
-                    .is_some_and(|(pc, _)| pc == expected.pc)
-            });
-            let digest_match = replayed.digest == cp.digest;
+            let interval = DumpIntervalReplay::check(&replayer, thread, cp, hook.as_deref_mut())?;
             if probe.is_on() {
-                let instructions = Some(("instructions", replayed.instructions));
+                let digest_match = interval.digest_match;
+                let instructions = Some(("instructions", interval.instructions));
                 probe.span("replay", "interval", start, instructions);
                 probe.add("replay_intervals_total", 1);
-                probe.add("replay_instructions_total", replayed.instructions);
-                probe.add("replay_loads_from_log_total", replayed.loads_from_log);
+                probe.add("replay_instructions_total", interval.instructions);
+                probe.add("replay_loads_from_log_total", interval.loads_from_log);
                 probe.add("replay_digest_matches_total", u64::from(digest_match));
                 probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
                 if !digest_match {
                     probe.instant("replay", "digest_mismatch");
                 }
             }
-            report.intervals.push(DumpIntervalReplay {
-                thread,
-                checkpoint: cp.fll.header.checkpoint,
-                instructions: replayed.instructions,
-                loads_from_log: replayed.loads_from_log,
-                loads_from_memory: replayed.loads_from_memory,
-                digest_match,
-                fault_reproduced,
-            });
+            report.intervals.push(interval);
         }
     }
     Ok(report)
 }
 
-/// Where a replay takes each thread's program from (see
-/// [`ReplayRequest::programs`]). Both variants carry a per-thread lookup.
-#[derive(Debug)]
-pub enum ProgramSource<F> {
-    /// The thread's embedded image first; the lookup only for threads
-    /// without one (v1/v2 dumps, or image embedding off) — the registry
-    /// fallback.
-    Embedded(F),
-    /// Exactly the lookup's programs, ignoring embedded images — the
-    /// explicit `--workload` override.
-    Override(F),
-}
-
-impl<F: FnMut(ThreadId) -> Option<Arc<Program>>> ProgramSource<F> {
-    /// The program `thread` replays against; `None` leaves it unreplayable.
-    pub fn resolve(&mut self, thread: &ThreadDump) -> Option<Arc<Program>> {
-        match self {
-            ProgramSource::Embedded(fallback) => {
-                thread.image.clone().or_else(|| fallback(thread.thread))
-            }
-            ProgramSource::Override(program_of) => program_of(thread.thread),
-        }
-    }
-}
-
 /// One replay of a dump, for [`CrashDump::replay_with`]: where the programs
 /// come from, where in the window to start, and what observes it.
 pub struct ReplayRequest<F> {
-    /// Per-thread program resolution.
-    pub programs: ProgramSource<F>,
+    /// The program of each thread without an image, as in
+    /// [`CrashDump::replay`]. To replay against other programs, replace the
+    /// threads' [`ThreadDump::image`]s.
+    pub fallback: F,
     /// Checkpoint-seeking time travel: replay only the intervals whose
     /// checkpoint id is `from` or later (see
     /// [`replay_from`](CrashDump::replay_from)); `None` replays the whole
@@ -1634,8 +1611,8 @@ pub struct ReplayRequest<F> {
     pub probe: Probe,
 }
 
-/// Result of [`CrashDump::bisect`]: the per-thread digest-divergence
-/// frontier and how much replay work finding it took.
+/// Result of [`CrashDump::bisect`]: the per-thread divergence frontier and
+/// how much replay work finding it took.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BisectReport {
     /// First divergent interval of each thread that has one, in thread
@@ -1651,14 +1628,13 @@ pub struct BisectReport {
 }
 
 impl BisectReport {
-    /// Whether every replayable interval matched its recorded digest.
+    /// Whether every replayable interval reproduced its recording.
     pub fn is_clean(&self) -> bool {
         self.divergences.is_empty()
     }
 }
 
-/// One thread's first digest-divergent interval, found by
-/// [`CrashDump::bisect`].
+/// One thread's first divergent interval, found by [`CrashDump::bisect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BisectDivergence {
     /// Thread the interval belongs to.
@@ -1690,6 +1666,50 @@ pub struct DumpIntervalReplay {
     pub fault_reproduced: Option<bool>,
 }
 
+impl DumpIntervalReplay {
+    /// Replays `cp`, one recorded interval of `thread`, on `replayer` and
+    /// checks it against the recording: its digest, and — where a fault
+    /// ended it — the fault at the PC the OS appended to the FLL. `hook`,
+    /// if any, sees the PC of every dispatched instruction, the faulting
+    /// one included ([`Replayer::replay_interval_sampled`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ReplayError`] of an interval that cannot be replayed
+    /// at all.
+    pub fn check(
+        replayer: &Replayer,
+        thread: ThreadId,
+        cp: &CheckpointLogs,
+        hook: Option<&mut (dyn FnMut(Addr) + '_)>,
+    ) -> Result<Self, ReplayError> {
+        let replayed = match hook {
+            Some(hook) => replayer.replay_interval_sampled(&cp.fll, hook)?,
+            None => replayer.replay_interval(&cp.fll)?,
+        };
+        Ok(DumpIntervalReplay {
+            thread,
+            checkpoint: cp.fll.header.checkpoint,
+            instructions: replayed.instructions,
+            loads_from_log: replayed.loads_from_log,
+            loads_from_memory: replayed.loads_from_memory,
+            digest_match: replayed.digest == cp.digest,
+            fault_reproduced: cp.fll.fault.map(|expected| {
+                replayed
+                    .observed_fault
+                    .is_some_and(|(pc, _)| pc == expected.pc)
+            }),
+        })
+    }
+
+    /// Whether the interval reproduced its recording: the digest matched
+    /// and any recorded fault reproduced. The one verdict of replay, bisect
+    /// and profile.
+    pub fn matches(&self) -> bool {
+        self.digest_match && self.fault_reproduced.unwrap_or(true)
+    }
+}
+
 /// Result of replaying a whole dump, or a live run's retained window.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DumpReplayReport {
@@ -1700,23 +1720,17 @@ pub struct DumpReplayReport {
 }
 
 impl DumpReplayReport {
-    /// Whether every interval replayed to the recorded digest (and fault,
-    /// where applicable) and every thread was replayable.
+    /// Whether every interval reproduced its recording and every thread
+    /// was replayable.
     pub fn all_match(&self) -> bool {
         !self.intervals.is_empty()
             && self.unreplayable_threads.is_empty()
-            && self
-                .intervals
-                .iter()
-                .all(|i| i.digest_match && i.fault_reproduced.unwrap_or(true))
+            && self.intervals.iter().all(DumpIntervalReplay::matches)
     }
 
     /// Intervals that diverged from the recording.
     pub fn divergences(&self) -> Vec<&DumpIntervalReplay> {
-        self.intervals
-            .iter()
-            .filter(|i| !(i.digest_match && i.fault_reproduced.unwrap_or(true)))
-            .collect()
+        self.intervals.iter().filter(|i| !i.matches()).collect()
     }
 
     /// Total instructions replayed.
@@ -1725,133 +1739,39 @@ impl DumpReplayReport {
     }
 }
 
-/// Summary statistics of a verified dump.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DumpVerifyReport {
-    /// Threads in the dump.
-    pub threads: usize,
-    /// Retained checkpoint intervals across all threads.
-    pub checkpoints: u64,
-    /// Serialized FLL payload bytes.
-    pub fll_bytes: u64,
-    /// Serialized MRL payload bytes.
-    pub mrl_bytes: u64,
-    /// Stored (post-codec) FLL frame bytes.
-    pub fll_stored_bytes: u64,
-    /// Stored (post-codec) MRL frame bytes.
-    pub mrl_stored_bytes: u64,
-    /// Threads whose program image is embedded (format v3).
-    pub images: usize,
-    /// Serialized (uncompressed) program-image bytes across all threads.
-    pub image_raw_bytes: u64,
-    /// Stored (post-codec) program-image bytes across all threads.
-    pub image_stored_bytes: u64,
-    /// Back-end codec of the dump.
-    pub codec: CodecId,
-    /// First-load records across all FLLs.
-    pub records: u64,
-    /// Records that individually decoded during the deep pass.
-    pub records_decoded: u64,
-    /// Ordering edges across all MRLs.
-    pub mrl_entries: u64,
-}
-
-impl Default for DumpVerifyReport {
-    fn default() -> Self {
-        DumpVerifyReport {
-            threads: 0,
-            checkpoints: 0,
-            fll_bytes: 0,
-            mrl_bytes: 0,
-            fll_stored_bytes: 0,
-            mrl_stored_bytes: 0,
-            images: 0,
-            image_raw_bytes: 0,
-            image_stored_bytes: 0,
-            codec: CodecId::Identity,
-            records: 0,
-            records_decoded: 0,
-            mrl_entries: 0,
-        }
-    }
-}
-
-impl DumpVerifyReport {
-    /// Back-end compression ratio over all frames (raw / stored).
-    pub fn backend_ratio(&self) -> f64 {
-        let stored = self.fll_stored_bytes + self.mrl_stored_bytes;
-        if stored == 0 {
-            1.0
-        } else {
-            (self.fll_bytes + self.mrl_bytes) as f64 / stored as f64
-        }
-    }
-
-    /// Back-end compression ratio over the embedded program images (raw /
-    /// stored; 1.0 when no images are embedded).
-    pub fn image_ratio(&self) -> f64 {
-        if self.image_stored_bytes == 0 {
-            1.0
-        } else {
-            self.image_raw_bytes as f64 / self.image_stored_bytes as f64
-        }
-    }
-}
-
-/// Loads a dump and additionally decodes every FLL record stream, i.e. the
-/// full checksum + decode pass behind `bugnet verify`.
+/// Loads a dump and decodes every FLL record stream — the full checksum
+/// and decode pass behind `bugnet verify` — and returns the verified dump.
+/// Its totals are the manifest's.
 ///
 /// # Errors
 ///
 /// Returns a typed [`DumpError`] describing the first problem found.
-pub fn verify_dump(dir: &Path) -> Result<DumpVerifyReport, DumpError> {
-    CrashDump::load(dir)?.verify()
+pub fn verify_dump(dir: &Path) -> Result<CrashDump, DumpError> {
+    let dump = CrashDump::load(dir)?;
+    dump.verify()?;
+    Ok(dump)
 }
 
 impl CrashDump {
     /// The deep pass of [`verify_dump`] over an already-loaded dump:
-    /// decodes every FLL record stream and aggregates the size statistics,
-    /// without re-reading anything from disk.
+    /// decodes every FLL record stream, without re-reading anything from
+    /// disk.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`DumpError`] describing the first problem found.
-    pub fn verify(&self) -> Result<DumpVerifyReport, DumpError> {
-        let mut report = DumpVerifyReport {
-            threads: self.threads.len(),
-            codec: self.manifest.codec,
-            ..DumpVerifyReport::default()
-        };
-        let mut seen_image_files: Vec<String> = Vec::new();
+    /// Returns [`DumpError::CorruptLog`] for the first record stream that
+    /// does not decode.
+    pub fn verify(&self) -> Result<(), DumpError> {
         for (t, m) in self.threads.iter().zip(&self.manifest.threads) {
-            report.checkpoints += t.checkpoints.len() as u64;
-            report.fll_bytes += m.fll_bytes;
-            report.mrl_bytes += m.mrl_bytes;
-            report.fll_stored_bytes += m.fll_stored_bytes;
-            report.mrl_stored_bytes += m.mrl_stored_bytes;
-            if t.image.is_some() {
-                report.images += 1;
-                // Byte totals count each content-addressed (v4) image file
-                // once, matching what the dump costs on disk.
-                let file = m.image_file();
-                if !seen_image_files.contains(&file) {
-                    seen_image_files.push(file);
-                    report.image_raw_bytes += m.image_raw_bytes;
-                    report.image_stored_bytes += m.image_stored_bytes;
-                }
-            }
             for (i, cp) in t.checkpoints.iter().enumerate() {
-                report.records += cp.fll.records();
-                report.mrl_entries += cp.mrl.entries().len() as u64;
-                let decoded = cp.fll.decode_records().map_err(|e| DumpError::CorruptLog {
+                cp.fll.decode_records().map_err(|e| DumpError::CorruptLog {
                     file: m.fll_file(),
                     frame: i as u32,
                     detail: e.to_string(),
                 })?;
-                report.records_decoded += decoded.len() as u64;
             }
         }
-        Ok(report)
+        Ok(())
     }
 }
 
@@ -2549,6 +2469,7 @@ mod tests {
     use crate::fll::TerminationCause;
     use crate::io::StdIo;
     use crate::recorder::ThreadRecorder;
+    use crate::stats::LogSizeReport;
     use bugnet_cpu::ArchState;
     use bugnet_types::{ProcessId, Word};
 
@@ -2650,12 +2571,13 @@ mod tests {
         let dir = temp_dir("verify");
         let store = store_with_logs(1, 2);
         write_dump(&dir, &meta(), &store, |_| None, &mut StdIo::new()).unwrap();
-        let report = verify_dump(&dir).unwrap();
-        assert_eq!(report.threads, 1);
-        assert_eq!(report.checkpoints, 2);
-        assert!(report.records > 0);
-        assert_eq!(report.records, report.records_decoded);
-        assert!(report.fll_bytes > 0);
+        // `verify_dump` is `Ok` only when every record decodes.
+        let dump = verify_dump(&dir).unwrap();
+        assert_eq!(dump.manifest.threads.len(), 1);
+        assert_eq!(dump.manifest.total_checkpoints(), 2);
+        let logs = LogSizeReport::from_logs(dump.threads.iter().flat_map(|t| &t.checkpoints));
+        assert!(logs.loads_logged > 0);
+        assert!(dump.manifest.total_fll_size().bytes() > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2943,10 +2865,10 @@ mod tests {
             dump.embedded_program(ThreadId(0)).map(|p| p.name()),
             Some("dump-test-program")
         );
-        let report = dump.verify().unwrap();
-        assert_eq!(report.images, 2);
-        assert!(report.image_raw_bytes > 0);
-        assert!(report.image_ratio() >= 1.0);
+        dump.verify().unwrap();
+        assert_eq!(dump.manifest.embedded_images(), 2);
+        assert!(dump.manifest.total_image_size().bytes() > 0);
+        assert!(dump.manifest.image_ratio() >= 1.0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3189,15 +3111,11 @@ mod tests {
         if let Ok(report) = &result {
             assert!(report.unreplayable_threads.is_empty());
         }
-        // An override ignores the embedded image: with no override programs
-        // the thread is unreplayable.
-        let report = dump
-            .replay_with(ReplayRequest {
-                programs: ProgramSource::Override(|_| None),
-                from: None,
-                probe: Probe::off(),
-            })
-            .unwrap();
+        // Replacing the image overrides it: with no override program the
+        // thread is unreplayable.
+        let mut overridden = dump.clone();
+        overridden.threads[0].image = None;
+        let report = overridden.replay(|_| None).unwrap();
         assert_eq!(report.unreplayable_threads, vec![ThreadId(0)]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -3308,9 +3226,12 @@ mod tests {
         for t in &dump.threads {
             assert!(Arc::ptr_eq(t.image.as_ref().unwrap(), first));
         }
-        let report = dump.verify().unwrap();
-        assert_eq!(report.images, 3);
-        assert_eq!(report.image_raw_bytes, written.threads[0].image_raw_bytes);
+        dump.verify().unwrap();
+        assert_eq!(dump.manifest.embedded_images(), 3);
+        assert_eq!(
+            dump.manifest.total_image_size().bytes(),
+            written.threads[0].image_raw_bytes
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3430,8 +3351,11 @@ mod tests {
                 assert!(fll.first_bad_offset.is_some(), "cut {cut}");
             }
             // The salvaged dump is internally consistent: deep verify works.
-            let report = salvaged.dump.verify().unwrap();
-            assert_eq!(report.checkpoints, u64::from(fll.intact_frames));
+            salvaged.dump.verify().unwrap();
+            assert_eq!(
+                salvaged.dump.manifest.total_checkpoints(),
+                u64::from(fll.intact_frames)
+            );
         }
         fs::write(&path, &original).unwrap();
         fs::remove_dir_all(&dir).unwrap();

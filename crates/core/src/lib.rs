@@ -75,8 +75,7 @@ pub use dictionary::ValueDictionary;
 pub use digest::ExecutionDigest;
 pub use dump::{
     verify_dump, write_dump, BisectDivergence, BisectReport, CrashDump, DumpError, DumpManifest,
-    DumpMeta, DumpOptions, DumpReplayReport, DumpVerifyReport, ProgramSource, ReplayRequest,
-    SalvageReport, SalvagedDump,
+    DumpMeta, DumpOptions, DumpReplayReport, ReplayRequest, SalvageReport, SalvagedDump,
 };
 pub use fll::{FirstLoadLog, FllHeader, TerminationCause};
 pub use hardware::BugNetHardware;

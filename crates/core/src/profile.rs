@@ -22,11 +22,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bugnet_isa::Program;
+use bugnet_telemetry::Probe;
 use bugnet_trace::{TraceEvent, TraceSession};
 use bugnet_types::{Addr, CheckpointId, ThreadId};
 
-use crate::dump::{CrashDump, ProgramSource};
-use crate::replayer::{ReplayError, Replayer};
+use crate::dump::{replay_and_check, CrashDump, DumpIntervalReplay};
+use crate::replayer::ReplayError;
 
 /// Nanoseconds of virtual trace time per replayed instruction: one
 /// instruction renders as one microsecond in Perfetto.
@@ -60,26 +61,15 @@ pub struct HotPc {
 /// Work breakdown of one replayed interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalProfile {
-    /// Thread the interval belongs to.
-    pub thread: ThreadId,
-    /// Checkpoint identifier.
-    pub checkpoint: CheckpointId,
-    /// Instructions replayed.
-    pub instructions: u64,
-    /// Loads whose value came from the FLL.
-    pub loads_from_log: u64,
-    /// Loads regenerated from the replayed memory image.
-    pub loads_from_memory: u64,
+    /// The interval's replay and its check against the recording, exactly
+    /// as [`CrashDump::replay`] reports it.
+    pub replay: DumpIntervalReplay,
     /// FLL records that hit the value dictionary.
     pub dict_hits: u64,
     /// FLL records in the interval.
     pub records: u64,
     /// MRL ordering edges recorded in the interval.
     pub races: u64,
-    /// Whether the replay digest matched the recorded one.
-    pub digest_match: bool,
-    /// Whether the interval ended in a fault.
-    pub faulted: bool,
 }
 
 /// One MRL ordering edge placed on the profile timeline.
@@ -129,10 +119,10 @@ fn symbolize(pc: Addr, table: &[(u64, &str)]) -> Option<String> {
     })
 }
 
-/// Re-executes every retained interval of `dump` through the sampling
-/// hook and aggregates the profile. Program images resolve exactly as in
-/// [`CrashDump::replay`]: embedded image first, `fallback` for threads
-/// without one; threads with neither are reported as unreplayable.
+/// Replays every retained interval of `dump` as [`CrashDump::replay`]
+/// does — same programs, same check — with the sampling hook attached, and
+/// aggregates the profile. Threads with neither an image nor a `fallback`
+/// program are reported as unreplayable.
 ///
 /// # Errors
 ///
@@ -140,60 +130,59 @@ fn symbolize(pc: Addr, table: &[(u64, &str)]) -> Option<String> {
 /// replayed at all.
 pub fn profile_dump(
     dump: &CrashDump,
-    fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
+    mut fallback: impl FnMut(ThreadId) -> Option<Arc<Program>>,
     options: &ProfileOptions,
 ) -> Result<DumpProfile, ReplayError> {
-    let mut source = ProgramSource::Embedded(fallback);
     let every = options.sample_every.max(1);
-    let mut profile = DumpProfile::default();
     let mut samples: HashMap<u64, u64> = HashMap::new();
-    let mut programs: Vec<Arc<Program>> = Vec::new();
     let mut tick = 0u64;
-
-    for t in &dump.threads {
-        let Some(program) = source.resolve(t) else {
-            profile.unreplayable_threads.push(t.thread);
-            continue;
-        };
-        if !programs.iter().any(|p| Arc::ptr_eq(p, &program)) {
-            programs.push(Arc::clone(&program));
+    let mut sample = |pc: Addr| {
+        if tick.is_multiple_of(every) {
+            *samples.entry(pc.raw()).or_insert(0) += 1;
         }
-        let replayer = Replayer::new(Arc::clone(&program));
-        for cp in &t.checkpoints {
-            let mut sampled = 0u64;
-            let replayed = replayer.replay_interval_sampled(&cp.fll, &mut |pc| {
-                if tick.is_multiple_of(every) {
-                    *samples.entry(pc.raw()).or_insert(0) += 1;
-                    sampled += 1;
-                }
-                tick += 1;
-            })?;
-            profile.sampled_instructions += sampled;
-            profile.total_instructions += replayed.instructions;
-            profile.intervals.push(IntervalProfile {
-                thread: t.thread,
-                checkpoint: cp.fll.header.checkpoint,
-                instructions: replayed.instructions,
-                loads_from_log: replayed.loads_from_log,
-                loads_from_memory: replayed.loads_from_memory,
-                dict_hits: cp.fll.dictionary_hits(),
-                records: cp.fll.records(),
-                races: cp.mrl.entries().len() as u64,
-                digest_match: replayed.digest == cp.digest,
-                faulted: cp.fll.fault.is_some(),
-            });
-            for e in cp.mrl.entries() {
-                profile.races.push(RaceTimelineEntry {
-                    thread: t.thread,
-                    checkpoint: cp.fll.header.checkpoint,
-                    local_ic: e.local_ic.0,
-                    remote_thread: e.remote.thread,
-                    remote_checkpoint: e.remote.checkpoint,
-                    remote_instructions: e.remote.instructions.0,
-                });
+        tick += 1;
+    };
+    let mut programs: Vec<Arc<Program>> = Vec::new();
+    let threads = dump.threads.iter().map(|t| {
+        let program = t.program(&mut fallback);
+        if let Some(p) = &program {
+            if !programs.iter().any(|known| Arc::ptr_eq(known, p)) {
+                programs.push(Arc::clone(p));
             }
         }
+        (t.thread, program, &t.checkpoints)
+    });
+    let report = replay_and_check(threads, &mut Probe::off(), Some(&mut sample))?;
+
+    let mut profile = DumpProfile {
+        sampled_instructions: samples.values().sum(),
+        total_instructions: report.instructions(),
+        ..DumpProfile::default()
+    };
+    let replayed = dump
+        .threads
+        .iter()
+        .filter(|t| !report.unreplayable_threads.contains(&t.thread))
+        .flat_map(|t| &t.checkpoints);
+    for (cp, replay) in replayed.zip(report.intervals) {
+        profile.intervals.push(IntervalProfile {
+            replay,
+            dict_hits: cp.fll.dictionary_hits(),
+            records: cp.fll.records(),
+            races: cp.mrl.entries().len() as u64,
+        });
+        for e in cp.mrl.entries() {
+            profile.races.push(RaceTimelineEntry {
+                thread: replay.thread,
+                checkpoint: replay.checkpoint,
+                local_ic: e.local_ic.0,
+                remote_thread: e.remote.thread,
+                remote_checkpoint: e.remote.checkpoint,
+                remote_instructions: e.remote.instructions.0,
+            });
+        }
     }
+    profile.unreplayable_threads = report.unreplayable_threads;
 
     // Symbolize each hot PC against the first image that maps it.
     type SymbolTable = (Arc<Program>, Vec<(u64, String)>);
@@ -275,7 +264,8 @@ impl DumpProfile {
             "thread", "cp", "instrs", "log-loads", "mem-loads", "dict-hits", "races"
         );
         for iv in &self.intervals {
-            let status = match (iv.digest_match, iv.faulted) {
+            let replay = &iv.replay;
+            let status = match (replay.matches(), replay.fault_reproduced.is_some()) {
                 (true, true) => "ok, faulted",
                 (true, false) => "ok",
                 (false, true) => "DIVERGED, faulted",
@@ -284,11 +274,11 @@ impl DumpProfile {
             let _ = writeln!(
                 out,
                 "  {:>6} {:>6} {:>12} {:>10} {:>10} {:>10} {:>6}  {}",
-                iv.thread.0,
-                iv.checkpoint.0,
-                iv.instructions,
-                iv.loads_from_log,
-                iv.loads_from_memory,
+                replay.thread.0,
+                replay.checkpoint.0,
+                replay.instructions,
+                replay.loads_from_log,
+                replay.loads_from_memory,
                 iv.dict_hits,
                 iv.races,
                 status,
@@ -321,12 +311,13 @@ impl DumpProfile {
     /// events ([`TraceSession::with_capacity`]) or the rings will shed
     /// the oldest events.
     pub fn write_trace(&self, session: &TraceSession) {
-        let mut threads: Vec<ThreadId> = self.intervals.iter().map(|iv| iv.thread).collect();
+        let mut threads: Vec<ThreadId> = self.intervals.iter().map(|iv| iv.replay.thread).collect();
         threads.dedup();
         for thread in threads {
             let mut tracer = session.thread(format!("profile-t{}", thread.0));
             let mut offset_ns = 0u64;
-            for iv in self.intervals.iter().filter(|iv| iv.thread == thread) {
+            let replays = self.intervals.iter().map(|iv| &iv.replay);
+            for iv in replays.filter(|iv| iv.thread == thread) {
                 let dur_ns = iv.instructions * VIRTUAL_NS_PER_INSTRUCTION;
                 tracer.emit(
                     TraceEvent::span("interval", "profile", offset_ns, dur_ns)
@@ -346,7 +337,7 @@ impl DumpProfile {
                         .with_arg("remote_thread", r.remote_thread.0 as u64),
                     );
                 }
-                if iv.faulted {
+                if iv.fault_reproduced.is_some() {
                     tracer.emit(TraceEvent::instant("fault", "profile", offset_ns + dur_ns));
                 }
                 offset_ns += dur_ns;

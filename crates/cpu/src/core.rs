@@ -96,12 +96,6 @@ impl Cpu {
         &self.regs
     }
 
-    /// Mutable access to the register file (used by the kernel to deliver
-    /// syscall results).
-    pub fn regs_mut(&mut self) -> &mut RegisterFile {
-        &mut self.regs
-    }
-
     /// Snapshot of the architectural state (PC + registers).
     pub fn arch_state(&self) -> ArchState {
         ArchState::capture(self.pc(), &self.regs)

@@ -58,16 +58,6 @@ impl SparseMemoryPort {
     pub fn memory(&self) -> &SparseMemory {
         &self.memory
     }
-
-    /// Mutable access to the underlying memory.
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.memory
-    }
-
-    /// Consumes the port and returns the memory.
-    pub fn into_memory(self) -> SparseMemory {
-        self.memory
-    }
 }
 
 impl MemoryPort for SparseMemoryPort {

@@ -55,9 +55,6 @@ pub struct RecordingOptions {
     /// Directory to write a crash dump to as soon as a thread faults (the
     /// OS behaviour of paper §4.8); `None` disables auto-dumping.
     pub dump_on_crash: Option<PathBuf>,
-    /// Crash-dump filesystem backend; `None` uses the real filesystem
-    /// ([`StdIo`]). The fault-injection seam.
-    pub dump_io: Option<SharedDumpIo>,
     /// Metrics registry the machine feeds while recording and dumping;
     /// `None` (the default) records nothing and stays off every hot path.
     /// When set, a telemetry snapshot is also embedded in any crash dump
@@ -80,7 +77,6 @@ impl Default for RecordingOptions {
             store_shards: 0,
             embed_image: true,
             dump_on_crash: None,
-            dump_io: None,
             telemetry: None,
             trace: None,
         }
@@ -160,7 +156,6 @@ impl MachineBuilder {
         machine.workload_spec = self.workload_spec.unwrap_or_else(|| workload.name.clone());
         machine.dump_dir = opts.dump_on_crash;
         machine.embed_image = opts.embed_image;
-        machine.dump_io = opts.dump_io;
         if opts.flush_workers > 0 && machine.log_store.is_some() {
             let probe = machine.probe.sibling("flush");
             machine.pipeline = Some(FlushPipeline::new(opts.flush_workers, opts.codec, probe));
@@ -370,11 +365,6 @@ impl Machine {
         &self.cfg
     }
 
-    /// The BugNet configuration, if a recorder is attached.
-    pub fn bugnet_config(&self) -> Option<&BugNetConfig> {
-        self.bugnet_cfg.as_ref()
-    }
-
     /// The memory-backed log store, if a recorder is attached.
     pub fn log_store(&self) -> Option<&LogStore> {
         self.log_store.as_ref()
@@ -461,11 +451,6 @@ impl Machine {
         self.crash_dump.as_ref()
     }
 
-    /// Directory the automatic crash dump writes to, if configured.
-    pub fn crash_dump_dir(&self) -> Option<&Path> {
-        self.dump_dir.as_deref()
-    }
-
     /// Writes the retained log window of every thread to `dir` as an on-disk
     /// crash-dump directory (paper §4.8). The manifest records the recorder
     /// configuration, the workload identity string and the first fault
@@ -493,9 +478,9 @@ impl Machine {
     /// machine's one dump path; [`Machine::write_crash_dump`] and the
     /// automatic crash-time dump pass the defaults.
     ///
-    /// The backend is [`RecordingOptions::dump_io`] (the real filesystem by
-    /// default), observed through a `dump-io` probe; orphaned staging
-    /// litter is swept first.
+    /// The backend is the one [`Machine::set_dump_io`] installed (the real
+    /// filesystem by default), observed through a `dump-io` probe; orphaned
+    /// staging litter is swept first.
     ///
     /// # Errors
     ///
@@ -525,9 +510,11 @@ impl Machine {
         }
     }
 
-    /// Replaces the [`DumpIo`] backend crash dumps are written through (see
-    /// [`RecordingOptions::dump_io`]). Lets the fault-injection tests reuse
-    /// one recorded run across many injected-failure dump attempts.
+    /// Replaces the [`DumpIo`] backend crash dumps are written through —
+    /// explicit dumps and the automatic crash-time dump alike — with `io`;
+    /// the real filesystem ([`StdIo`]) until then. The fault-injection
+    /// seam: one recorded run can be reused across many injected-failure
+    /// dump attempts.
     pub fn set_dump_io(&mut self, io: SharedDumpIo) {
         self.dump_io = Some(io);
     }
@@ -1192,7 +1179,7 @@ mod tests {
 
     #[test]
     fn trace_round_trip_covers_record_dump_and_replay_stages() {
-        use bugnet_core::dump::{CrashDump, ProgramSource, ReplayRequest};
+        use bugnet_core::dump::{CrashDump, ReplayRequest};
         use bugnet_trace::{json, TraceSession};
         let dir = std::env::temp_dir().join(format!("bugnet-tracee2e-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1212,7 +1199,7 @@ mod tests {
         let dump = CrashDump::load(&dir).unwrap();
         let report = dump
             .replay_with(ReplayRequest {
-                programs: ProgramSource::Embedded(|_| None),
+                fallback: |_| None,
                 from: None,
                 probe: Probe::new(None, Some(Arc::clone(&session)), "replay"),
             })
@@ -1239,7 +1226,7 @@ mod tests {
 
     #[test]
     fn metrics_and_timeline_agree_span_for_span() {
-        use bugnet_core::dump::{CrashDump, ProgramSource, ReplayRequest};
+        use bugnet_core::dump::{CrashDump, ReplayRequest};
         use bugnet_telemetry::{MetricValue, Registry};
         use bugnet_trace::{EventKind, TraceSession};
         use std::collections::BTreeMap;
@@ -1267,7 +1254,7 @@ mod tests {
             let report = CrashDump::load(&dir)
                 .unwrap()
                 .replay_with(ReplayRequest {
-                    programs: ProgramSource::Embedded(|_| None),
+                    fallback: |_| None,
                     from: None,
                     probe: Probe::new(Some(registry.clone()), Some(session.clone()), "replay"),
                 })
@@ -1554,10 +1541,10 @@ mod tests {
             .bugnet(bugnet_cfg(1_000_000))
             .recording(RecordingOptions {
                 dump_on_crash: Some(dir.clone()),
-                dump_io: Some(Arc::new(Mutex::new(io))),
                 ..RecordingOptions::default()
             })
             .build_with_workload(&workload);
+        machine.set_dump_io(Arc::new(Mutex::new(io)));
         machine.run_to_completion();
         match machine.crash_dump() {
             Some(Err(DumpError::Io { source, .. })) => {

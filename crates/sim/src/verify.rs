@@ -37,7 +37,7 @@ impl Machine {
             let intervals = store.thread_logs(thread).iter().map(|s| &s.logs);
             (thread, self.program_of(thread), intervals)
         });
-        replay_and_check(threads, &mut Probe::off())
+        replay_and_check(threads, &mut Probe::off(), None)
     }
 
     /// Replays every thread with memory-operation tracing and runs the

@@ -228,7 +228,7 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("\n  ");
-            push_json_string(&mut out, name);
+            json::escape_into(&mut out, name);
             out.push_str(": ");
             match value {
                 MetricValue::Counter(v) => out.push_str(&v.to_string()),
@@ -467,20 +467,6 @@ impl fmt::Display for SnapshotJsonError {
 }
 
 impl Error for SnapshotJsonError {}
-
-/// Appends `s` as a JSON string literal (quotes, escapes).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Maps a metric name onto the Prometheus name charset.
 fn sanitize_prom_name(name: &str) -> String {

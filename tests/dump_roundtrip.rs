@@ -8,11 +8,11 @@ use std::path::{Path, PathBuf};
 
 use bugnet::core::digest::ExecutionDigest;
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpError, ProgramSource, ReplayRequest, DUMP_VERSION_V1,
-    DUMP_VERSION_V4, DUMP_VERSION_V5,
+    verify_dump, CrashDump, DumpError, ReplayRequest, DUMP_VERSION_V1, DUMP_VERSION_V4,
+    DUMP_VERSION_V5,
 };
+use bugnet::core::profile::{profile_dump, ProfileOptions};
 use bugnet::sim::{Machine, MachineBuilder, RecordingOptions};
-use bugnet::telemetry::Probe;
 use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
 use bugnet::workloads::registry;
 
@@ -67,8 +67,8 @@ fn dump_bytes(dir: &Path) -> u64 {
 /// fine is a panic, or a clean load followed by a divergent replay going
 /// unnoticed.
 fn load_verify_replay(spec: &str, dir: &Path) -> Result<bool, DumpError> {
-    let report = verify_dump(dir)?;
-    assert!(report.checkpoints > 0);
+    let verified = verify_dump(dir)?;
+    assert!(verified.manifest.total_checkpoints() > 0);
     let dump = CrashDump::load(dir)?;
     let workload = registry::resolve(&dump.manifest.workload)
         .or_else(|_| registry::resolve(spec))
@@ -87,13 +87,10 @@ fn recorded_workload_round_trips_through_disk_and_replays() {
     let dir = temp_dir("roundtrip");
     record_dump(spec, &dir, 5_000);
 
-    let report = verify_dump(&dir).expect("verify passes");
-    assert!(
-        report.checkpoints >= 4,
-        "checkpoints = {}",
-        report.checkpoints
-    );
-    assert_eq!(report.records, report.records_decoded);
+    // `verify_dump` is `Ok` only when every first-load record decodes.
+    let verified = verify_dump(&dir).expect("verify passes");
+    let checkpoints = verified.manifest.total_checkpoints();
+    assert!(checkpoints >= 4, "checkpoints = {checkpoints}");
 
     let dump = CrashDump::load(&dir).expect("load passes");
     assert_eq!(dump.manifest.workload, spec);
@@ -250,7 +247,9 @@ fn adhoc_program_dump_is_self_contained_and_replays_without_the_registry() {
 ///
 /// The same workloads pin the store → disk → load round trip: every loaded
 /// interval equals the log store's own, digest included, and the machine's
-/// in-memory replay reports exactly what the dump's replay reports.
+/// in-memory replay reports exactly what the dump's replay reports. The
+/// dump profiler replays through the same check, so it reports the same
+/// intervals too.
 #[test]
 fn code_only_images_replay_exactly_like_the_full_programs() {
     let specs = registry::known_profiles()
@@ -309,14 +308,12 @@ fn code_only_images_replay_exactly_like_the_full_programs() {
         let embedded = dump
             .replay(|_| None)
             .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let full = dump
-            .replay_with(ReplayRequest {
-                programs: ProgramSource::Override(|t: ThreadId| {
-                    programs.get(t.0 as usize).cloned()
-                }),
-                from: None,
-                probe: Probe::off(),
-            })
+        let mut overridden = dump.clone();
+        for t in &mut overridden.threads {
+            t.image = programs.get(t.thread.0 as usize).cloned();
+        }
+        let full = overridden
+            .replay(|_| None)
             .unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert!(embedded.unreplayable_threads.is_empty(), "{spec}");
         assert!(!embedded.intervals.is_empty(), "{spec}: nothing replayed");
@@ -327,6 +324,29 @@ fn code_only_images_replay_exactly_like_the_full_programs() {
             .replay_and_verify()
             .unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert_eq!(in_memory, embedded, "{spec}: store and dump replays differ");
+        let profile = profile_dump(&dump, |_| None, &ProfileOptions::default())
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let profiled: Vec<_> = profile.intervals.iter().map(|iv| iv.replay).collect();
+        assert_eq!(
+            profiled, embedded.intervals,
+            "{spec}: profile and replay differ"
+        );
+        assert_eq!(
+            profile.total_instructions,
+            embedded.instructions(),
+            "{spec}"
+        );
+        // The sampling hook also sees each interval's faulting instruction.
+        let faulting = embedded
+            .intervals
+            .iter()
+            .filter(|i| i.fault_reproduced.is_some())
+            .count() as u64;
+        assert_eq!(
+            profile.sampled_instructions,
+            profile.total_instructions + faulting,
+            "{spec}"
+        );
         checked += 1;
     }
     // Seven SPEC profiles, the eighteen Table 1 bugs and three kernels.
@@ -450,7 +470,6 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
 
 #[test]
 fn one_replay_request_combines_seek_override_and_observers() {
-    use bugnet::core::dump::{ProgramSource, ReplayRequest};
     use bugnet::telemetry::{MetricValue, Probe, Registry};
     use bugnet::trace::TraceSession;
     use std::sync::Arc;
@@ -461,13 +480,19 @@ fn one_replay_request_combines_seek_override_and_observers() {
     let n = dump.threads[0].checkpoints.len();
     let from = dump.threads[0].checkpoints[n / 2].fll.header.checkpoint;
     let workload = registry::resolve(spec).unwrap();
-    let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
+    let mut overridden = dump.clone();
+    for t in &mut overridden.threads {
+        t.image = workload
+            .threads
+            .get(t.thread.0 as usize)
+            .map(|s| s.program.clone());
+    }
     let metrics = Arc::new(Registry::default());
     let session = Arc::new(TraceSession::with_capacity("replay-request", 1 << 10));
     let probe = Probe::new(Some(metrics.clone()), Some(session.clone()), "replay");
-    let report = dump
+    let report = overridden
         .replay_with(ReplayRequest {
-            programs: ProgramSource::Override(|t: ThreadId| programs.get(t.0 as usize).cloned()),
+            fallback: |_| None,
             from: Some(from),
             probe,
         })
@@ -538,6 +563,43 @@ fn bisect_finds_the_first_divergent_interval() {
     assert_eq!(report.divergences.len(), 1);
     assert_eq!(report.divergences[0].index, k as u32);
     assert!(report.probes <= report.intervals);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An interval reproduces its recording only if its digest matches *and*,
+/// where a fault ended it, the fault recurs at the recorded PC. Replay,
+/// bisect and profile share that one verdict: a fault moved off its PC is
+/// a divergence to all three, although the digest still matches.
+#[test]
+fn replay_bisect_and_profile_agree_on_a_fault_that_does_not_reproduce() {
+    let spec = "bug:gzip-1.2.4:1000";
+    let dir = temp_dir("fault-verdict");
+    record_dump(spec, &dir, 5_000);
+    let mut dump = CrashDump::load(&dir).expect("load passes");
+    let n = dump.threads[0].checkpoints.len();
+    let fault = dump.threads[0].checkpoints[n - 1]
+        .fll
+        .fault
+        .as_mut()
+        .expect("the last interval ends in the fault");
+    fault.pc = fault.pc.offset(4);
+
+    let replay = dump.replay(|_| None).expect("replays");
+    let divergences = replay.divergences();
+    assert_eq!(divergences.len(), 1, "{divergences:?}");
+    let diverged = divergences[0];
+    assert!(diverged.digest_match);
+    assert_eq!(diverged.fault_reproduced, Some(false));
+    let index = replay.intervals.iter().position(|i| i == diverged).unwrap();
+    assert_eq!(index, n - 1);
+
+    let bisect = dump.bisect(|_| None).expect("bisects");
+    assert_eq!(bisect.divergences.len(), 1, "{bisect:?}");
+    assert_eq!(bisect.divergences[0].index as usize, index);
+    assert_eq!(bisect.divergences[0].checkpoint, diverged.checkpoint);
+
+    let profile = profile_dump(&dump, |_| None, &ProfileOptions::default()).expect("profiles");
+    assert!(!profile.intervals[index].replay.matches());
     fs::remove_dir_all(&dir).unwrap();
 }
 

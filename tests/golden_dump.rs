@@ -66,14 +66,15 @@ fn committed_v2_dump_still_loads_verifies_and_replays() {
         dir.display()
     );
 
-    let report = verify_dump(&dir).expect("golden v2 dump verifies");
-    assert!(
-        report.checkpoints >= 4,
-        "checkpoints = {}",
-        report.checkpoints
+    // `verify_dump` is `Ok` only when every first-load record decodes.
+    let verified = verify_dump(&dir).expect("golden v2 dump verifies");
+    let checkpoints = verified.manifest.total_checkpoints();
+    assert!(checkpoints >= 4, "checkpoints = {checkpoints}");
+    assert_eq!(
+        verified.manifest.embedded_images(),
+        0,
+        "v2 dumps embed no images"
     );
-    assert_eq!(report.records, report.records_decoded);
-    assert_eq!(report.images, 0, "v2 dumps embed no images");
 
     let dump = CrashDump::load(&dir).expect("golden v2 dump loads");
     assert_eq!(dump.manifest.version, DUMP_VERSION_V2);
@@ -100,14 +101,14 @@ fn committed_v3_dump_still_loads_verifies_and_replays() {
         dir.display()
     );
 
-    let report = verify_dump(&dir).expect("golden v3 dump verifies");
+    // `verify_dump` is `Ok` only when every first-load record decodes.
+    let verified = verify_dump(&dir).expect("golden v3 dump verifies");
+    let checkpoints = verified.manifest.total_checkpoints();
+    assert!(checkpoints >= 4, "checkpoints = {checkpoints}");
     assert!(
-        report.checkpoints >= 4,
-        "checkpoints = {}",
-        report.checkpoints
+        verified.manifest.embedded_images() >= 1,
+        "v3 dumps embed one image per thread"
     );
-    assert_eq!(report.records, report.records_decoded);
-    assert!(report.images >= 1, "v3 dumps embed one image per thread");
 
     let dump = CrashDump::load(&dir).expect("golden v3 dump loads");
     assert_eq!(dump.manifest.version, DUMP_VERSION_V3);
@@ -132,14 +133,14 @@ fn committed_v4_dump_still_loads_verifies_and_replays() {
         dir.display()
     );
 
-    let report = verify_dump(&dir).expect("golden v4 dump verifies");
+    // `verify_dump` is `Ok` only when every first-load record decodes.
+    let verified = verify_dump(&dir).expect("golden v4 dump verifies");
+    let checkpoints = verified.manifest.total_checkpoints();
+    assert!(checkpoints >= 4, "checkpoints = {checkpoints}");
     assert!(
-        report.checkpoints >= 4,
-        "checkpoints = {}",
-        report.checkpoints
+        verified.manifest.embedded_images() >= 1,
+        "v4 dumps embed program images"
     );
-    assert_eq!(report.records, report.records_decoded);
-    assert!(report.images >= 1, "v4 dumps embed program images");
 
     let dump = CrashDump::load(&dir).expect("golden v4 dump loads");
     assert_eq!(dump.manifest.version, DUMP_VERSION_V4);
@@ -164,15 +165,12 @@ fn committed_v5_dump_still_loads_verifies_and_replays() {
         dir.display()
     );
 
-    let report = verify_dump(&dir).expect("golden v5 dump verifies");
+    // `verify_dump` is `Ok` only when every first-load record decodes.
+    let verified = verify_dump(&dir).expect("golden v5 dump verifies");
+    let checkpoints = verified.manifest.total_checkpoints();
+    assert!(checkpoints >= 4, "checkpoints = {checkpoints}");
     assert!(
-        report.checkpoints >= 4,
-        "checkpoints = {}",
-        report.checkpoints
-    );
-    assert_eq!(report.records, report.records_decoded);
-    assert!(
-        report.images >= 1,
+        verified.manifest.embedded_images() >= 1,
         "v5 dumps embed content-addressed images"
     );
 
