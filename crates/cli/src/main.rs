@@ -76,7 +76,7 @@ bugnet — record, inspect, verify and replay BugNet crash dumps
 USAGE:
     bugnet dump --workload <SPEC> --out <DIR> [--interval <N>] [--dict <N>]
                 [--max-instructions <N>] [--codec <identity|lz>]
-                [--flush-workers <N>] [--shards <N>] [--no-embed-image]
+                [--flush-workers <N>] [--shards <N>]
                 [--metrics-json <FILE>] [--trace-out <FILE>]
         Record a workload on the simulated machine and write the retained
         log window to <DIR> as a crash-dump directory. Faults dump
@@ -92,9 +92,8 @@ USAGE:
         Dumps are format v5: each log is stored as columnar, delta-encoded
         per-field streams and each program's code-only image (code, entry,
         stack top, symbols; replay takes data from the logs) is embedded
-        content-addressed, so threads sharing one image store it once;
-        --no-embed-image omits the images. Older formats (v1-v4) still
-        load, verify and replay.
+        content-addressed, so threads sharing one image store it once.
+        Older formats (v1-v4) still load, verify and replay.
         --metrics-json turns on run telemetry, writes the metric
         snapshot to <FILE> as JSON and embeds it in the dump manifest
         (readable later with `bugnet stats <DIR>`). Telemetry makes
@@ -319,7 +318,6 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
     // either than a workload has threads would never get work.
     let flush_workers = args.size_option("--flush-workers", 0, MAX_THREADS)?;
     let store_shards = args.size_option("--shards", 0, MAX_THREADS)?;
-    let embed_image = !args.flag("--no-embed-image");
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
     args.finish()?;
@@ -338,7 +336,6 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         codec,
         flush_workers,
         store_shards,
-        embed_image,
         dump_on_crash: Some(out.clone()),
         telemetry: telemetry.clone(),
         trace: trace.clone(),

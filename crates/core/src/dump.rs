@@ -149,12 +149,13 @@ pub const DUMP_VERSION_V1: u32 = 1;
 pub const MANIFEST_FILE: &str = "manifest.bnd";
 
 /// What varies about writing one crash dump — consumed by
-/// `Machine::write_crash_dump_with` in the sim crate. `Default` is the
-/// recommended production shape: the machine's embed-image setting.
+/// `Machine::write_crash_dump_with` in the sim crate. `Default` embeds
+/// every thread's program image, as every product dump does; the option
+/// stays only so bugbench can time a dump without them (`dump.image_ms`).
 #[derive(Debug, Clone, Default)]
 pub struct DumpOptions {
-    /// Whether to embed program images. `None` keeps the writer's
-    /// configured default.
+    /// `Some(false)` leaves the program images out; `None` and
+    /// `Some(true)` embed them.
     pub embed_image: Option<bool>,
 }
 
@@ -871,7 +872,7 @@ struct EncodedDump {
 /// codec-compressed, checksummed, content-addressed `image-<hash>.bni`
 /// section (threads running the same binary share one file), making the
 /// dump self-contained for offline replay. Return `None` to dump a thread
-/// without its image (the `embed_image` knob off).
+/// without its image (`DumpOptions::embed_image: Some(false)`).
 ///
 /// The dump is committed atomically via staging + rename (see
 /// [`commit_atomic`]): `dir` either appears complete or not at all, and an

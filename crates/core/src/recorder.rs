@@ -489,10 +489,6 @@ struct ThreadShard {
     thread: ThreadId,
     /// Retained sealed logs, oldest first.
     logs: Vec<SealedCheckpoint>,
-    /// Cached sum of FLL sizes of `logs`, in bits.
-    fll_bits: u64,
-    /// Cached sum of MRL sizes of `logs`, in bits.
-    mrl_bits: u64,
     /// Cached sum of serialized-uncompressed frame bytes of `logs`.
     raw_bytes: u64,
     /// Cached sum of compressed frame bytes of `logs`.
@@ -554,7 +550,7 @@ pub struct ThreadStoreHandle {
     tx: mpsc::Sender<Vec<SealedCheckpoint>>,
     batch: Vec<SealedCheckpoint>,
     /// A sibling of the store's probe on this handle's `store-t<tid>` track
-    /// (`seal` and `handoff` spans; lock-free metrics, so no contention).
+    /// (`seal` and `handoff` spans, once per sealed interval and batch).
     probe: Probe,
 }
 
@@ -807,8 +803,8 @@ impl LogStore {
     /// eviction policy (shared tail of the serial and reconcile paths).
     fn ingest(&mut self, sealed: SealedCheckpoint) {
         let thread = sealed.fll.header.thread;
-        let fll_bits = sealed.fll.size().bits();
-        let mrl_bits = sealed.mrl.size().bits();
+        self.total_fll_bits += sealed.fll.size().bits();
+        self.total_mrl_bits += sealed.mrl.size().bits();
         let raw_bytes = sealed.fll_raw_bytes + sealed.mrl_raw_bytes;
         let stored_bytes = sealed.fll_stored_bytes() + sealed.mrl_stored_bytes();
         let instructions = sealed.fll.instructions;
@@ -820,8 +816,6 @@ impl LogStore {
                     ThreadShard {
                         thread,
                         logs: Vec::new(),
-                        fll_bits: 0,
-                        mrl_bits: 0,
                         raw_bytes: 0,
                         stored_bytes: 0,
                         instructions: 0,
@@ -831,13 +825,9 @@ impl LogStore {
             }
         };
         shard.logs.push(sealed);
-        shard.fll_bits += fll_bits;
-        shard.mrl_bits += mrl_bits;
         shard.raw_bytes += raw_bytes;
         shard.stored_bytes += stored_bytes;
         shard.instructions += instructions;
-        self.total_fll_bits += fll_bits;
-        self.total_mrl_bits += mrl_bits;
     }
 
     fn evict_to_capacity(&mut self) {
@@ -862,15 +852,11 @@ impl LogStore {
                 Some(i) => {
                     let shard = &mut self.shards[i];
                     let evicted = shard.logs.remove(0);
-                    let fll_bits = evicted.fll.size().bits();
-                    let mrl_bits = evicted.mrl.size().bits();
-                    shard.fll_bits -= fll_bits;
-                    shard.mrl_bits -= mrl_bits;
                     shard.raw_bytes -= evicted.fll_raw_bytes + evicted.mrl_raw_bytes;
                     shard.stored_bytes -= evicted.fll_stored_bytes() + evicted.mrl_stored_bytes();
                     shard.instructions -= evicted.fll.instructions;
-                    self.total_fll_bits -= fll_bits;
-                    self.total_mrl_bits -= mrl_bits;
+                    self.total_fll_bits -= evicted.fll.size().bits();
+                    self.total_mrl_bits -= evicted.mrl.size().bits();
                     self.evicted_checkpoints += 1;
                     discarded += 1;
                 }

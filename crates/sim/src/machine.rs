@@ -48,10 +48,6 @@ pub struct RecordingOptions {
     /// [`bugnet_core::recorder::DEFAULT_STORE_SHARDS`]). A resource knob,
     /// never a semantic one: recorded content is independent of shard count.
     pub store_shards: usize,
-    /// Whether crash dumps embed each thread's program image, making them
-    /// self-contained for offline replay. The image is code-only: replay
-    /// takes every first load, data included, from the FLL.
-    pub embed_image: bool,
     /// Directory to write a crash dump to as soon as a thread faults (the
     /// OS behaviour of paper §4.8); `None` disables auto-dumping.
     pub dump_on_crash: Option<PathBuf>,
@@ -75,7 +71,6 @@ impl Default for RecordingOptions {
             codec: CodecId::Lz77,
             flush_workers: 0,
             store_shards: 0,
-            embed_image: true,
             dump_on_crash: None,
             telemetry: None,
             trace: None,
@@ -155,7 +150,6 @@ impl MachineBuilder {
         let mut machine = Machine::new(machine_cfg, self.bugnet, self.fdr, workload, &opts);
         machine.workload_spec = self.workload_spec.unwrap_or_else(|| workload.name.clone());
         machine.dump_dir = opts.dump_on_crash;
-        machine.embed_image = opts.embed_image;
         if opts.flush_workers > 0 && machine.log_store.is_some() {
             let probe = machine.probe.sibling("flush");
             machine.pipeline = Some(FlushPipeline::new(opts.flush_workers, opts.codec, probe));
@@ -259,7 +253,6 @@ pub struct Machine {
     total_committed: u64,
     workload_spec: String,
     dump_dir: Option<PathBuf>,
-    embed_image: bool,
     dump_io: Option<SharedDumpIo>,
     /// Built from [`RecordingOptions::telemetry`] and
     /// [`RecordingOptions::trace`]; every observed layer (recorders, store,
@@ -339,7 +332,6 @@ impl Machine {
             total_committed: 0,
             workload_spec: String::new(),
             dump_dir: None,
-            embed_image: true,
             dump_io: None,
             probe,
             crash_dump: None,
@@ -454,8 +446,7 @@ impl Machine {
     /// Writes the retained log window of every thread to `dir` as an on-disk
     /// crash-dump directory (paper §4.8). The manifest records the recorder
     /// configuration, the workload identity string and the first fault
-    /// observed, if any; unless [`RecordingOptions::embed_image`] was turned
-    /// off, each thread's code-only program image is embedded
+    /// observed, if any, and each thread's code-only program image
     /// (content-addressed, format v5), so the dump replays offline without
     /// the workload registry.
     /// Callable at any point — after a crash for the paper's scenario, or
@@ -491,7 +482,7 @@ impl Machine {
         opts: &DumpOptions,
     ) -> Result<DumpManifest, DumpError> {
         let store = self.log_store.as_ref().ok_or(DumpError::NoRecorder)?;
-        let embed = opts.embed_image.unwrap_or(self.embed_image);
+        let embed = opts.embed_image != Some(false);
         let meta = self.dump_meta(store);
         let run = |io: &mut dyn DumpIo| {
             let io = &mut ProbedIo::new(io, self.probe.sibling("dump-io"));
@@ -1312,7 +1303,7 @@ mod tests {
         assert_eq!(dump.manifest.codec, CodecId::Lz77);
         assert!(dump.is_self_contained());
 
-        // Embed override beats the machine's (default-on) setting.
+        // `embed_image: Some(false)` leaves the images out.
         let d3 = base.join("noembed");
         machine
             .write_crash_dump_with(
@@ -1427,13 +1418,12 @@ mod tests {
         let workload = SpecProfile::gzip().build_workload(10_000, 1);
         let mut machine = MachineBuilder::new()
             .bugnet(bugnet_cfg(5_000))
-            .recording(RecordingOptions {
-                embed_image: false,
-                ..RecordingOptions::default()
-            })
             .build_with_workload(&workload);
         machine.run_to_completion();
-        machine.write_crash_dump(&dir).unwrap();
+        let no_image = DumpOptions {
+            embed_image: Some(false),
+        };
+        machine.write_crash_dump_with(&dir, &no_image).unwrap();
         let dump = CrashDump::load(&dir).unwrap();
         assert!(!dump.is_self_contained());
         assert_eq!(dump.manifest.embedded_images(), 0);

@@ -7,8 +7,7 @@
 //! wrong. This crate is that layer, kept dependency-free so every other
 //! crate (including `bugnet_core`'s hot path) can link it:
 //!
-//! * [`Counter`] — a monotonic, lock-free counter striped across cache
-//!   lines so concurrent recording threads never contend on one word.
+//! * [`Counter`] — a monotonic counter: one relaxed atomic word.
 //! * [`Gauge`] — an instantaneous signed level (queue depth, in-flight
 //!   intervals) with a high-watermark.
 //! * [`Histogram`] — fixed log2-bucket latency distribution recording
@@ -25,8 +24,8 @@
 //!   snapshot can travel *inside a crash-dump manifest*.
 //!
 //! Instrumented layers batch their hot-path counts (the recorder adds
-//! per-interval totals at interval end, not per load), which is how the
-//! bench-gated self-overhead stays under 3% of `recorder_loads_per_sec`.
+//! per-interval totals at interval end, not per load); the recorder test
+//! `probe_work_is_per_interval_never_per_load` pins that.
 
 mod hist;
 mod probe;
@@ -37,33 +36,14 @@ pub use probe::Probe;
 pub use snapshot::{HistSnapshot, MetricValue, Snapshot, SnapshotDecodeError, SnapshotJsonError};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Stripes per [`Counter`]. A small power of two: enough that a handful of
-/// recording threads land on distinct cache lines, small enough that
-/// summing on read is trivial.
-const STRIPES: usize = 8;
-
-/// One cache line worth of counter so adjacent stripes never false-share.
-#[repr(align(64))]
+/// A monotonic counter: one relaxed atomic word. Instrumented layers add
+/// per-interval totals, so threads rarely meet on it; reads may race with
+/// writers, which is fine for monotonic telemetry.
 #[derive(Debug, Default)]
-struct Stripe(AtomicU64);
-
-/// Round-robin stripe assignment for threads; each thread caches its slot.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// A monotonic, lock-free counter. `add` touches one relaxed atomic on the
-/// calling thread's stripe; `value` sums the stripes (reads may race with
-/// writers, which is fine for monotonic telemetry).
-#[derive(Debug, Default)]
-pub struct Counter {
-    stripes: [Stripe; STRIPES],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter.
@@ -71,18 +51,14 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n` on the calling thread's stripe.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        let slot = STRIPE.with(|s| *s);
-        self.stripes[slot].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current total across all stripes.
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -1,16 +1,18 @@
 //! Execution tracing for the BugNet pipeline: spans, instants and counters
-//! written to lock-free per-thread ring buffers and exported as Chrome
+//! written to bounded per-thread ring buffers and exported as Chrome
 //! trace-event JSON (loadable in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`).
 //!
 //! Where `bugnet_telemetry` aggregates (counters and histograms answer "how
 //! much / how slow overall"), this crate keeps *time-ordered* events so a
-//! recording or replay run can be inspected on a timeline. Recording
-//! threads never block: each [`ThreadTracer`] owns a bounded single-writer
-//! ring that overwrites its oldest events under pressure and counts what it
-//! dropped. Instrumented layers do not time spans here themselves:
-//! `bugnet_telemetry::Probe` stamps each span once and feeds both its
-//! latency histogram and this timeline from that one reading.
+//! recording or replay run can be inspected on a timeline. Each
+//! [`ThreadTracer`] owns a bounded ring behind a mutex that overwrites its
+//! oldest events under pressure and counts what it dropped; a snapshot taken
+//! while it writes is still a whole, gap-free window. Instrumented layers
+//! emit once per interval, seal or I/O operation, never per load. They do
+//! not time spans here themselves: `bugnet_telemetry::Probe` stamps each
+//! span once and feeds both its latency histogram and this timeline from
+//! that one reading.
 //!
 //! # Usage
 //!
@@ -44,7 +46,8 @@ use std::sync::{Arc, Mutex};
 
 use ring::Ring;
 
-/// Default per-thread ring capacity, in events (~1 MiB per traced thread).
+/// Default per-thread ring capacity, in events (at most 1.25 MiB per traced
+/// thread, allocated as events arrive).
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 /// What one [`TraceEvent`] marks on the timeline.
@@ -66,10 +69,10 @@ pub enum EventKind {
     },
 }
 
-/// One timeline event. `Copy` so the ring can hand out torn-read-safe
-/// snapshots; names and categories are `&'static str` because every emitting
-/// site names its events statically (thread *names* are dynamic and live on
-/// the session instead).
+/// One timeline event. `Copy`, so a snapshot is a plain copy of the ring;
+/// names and categories are `&'static str` because every emitting site names
+/// its events statically (thread *names* are dynamic and live on the session
+/// instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event name (what the timeline slice is labeled).
@@ -89,17 +92,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    pub(crate) fn empty() -> TraceEvent {
-        TraceEvent {
-            name: "",
-            cat: "",
-            ts_ns: 0,
-            kind: EventKind::Instant,
-            arg_name: "",
-            arg: 0,
-        }
-    }
-
     /// A span covering `[ts_ns, ts_ns + dur_ns)`.
     pub fn span(name: &'static str, cat: &'static str, ts_ns: u64, dur_ns: u64) -> TraceEvent {
         TraceEvent {
@@ -146,10 +138,9 @@ impl TraceEvent {
 
 /// The per-thread writing end: owns one ring inside a [`TraceSession`].
 ///
-/// Deliberately not `Clone` — a ring has exactly one writer, which is what
-/// makes the hot path lock-free. Mint one tracer per logical thread via
-/// [`TraceSession::thread`]; moving it across threads is fine (`Send`), as
-/// long as only one thread writes at a time, which `&mut self` enforces.
+/// Deliberately not `Clone`: one tracer is one timeline track, so its events
+/// stay in emission order. Mint one tracer per logical thread via
+/// [`TraceSession::thread`]; moving it across threads is fine (`Send`).
 #[derive(Debug)]
 pub struct ThreadTracer {
     ring: Arc<Ring>,
@@ -232,8 +223,8 @@ impl TraceSession {
     }
 
     /// Oldest-first copy of every track's retained events:
-    /// `(tid, track name, events)`. Safe to call while writers are active —
-    /// events mid-overwrite are skipped, never torn.
+    /// `(tid, track name, events)`. Safe to call while writers are active:
+    /// each track's copy is a whole window of its newest events.
     pub fn snapshot(&self) -> Vec<(u64, String, Vec<TraceEvent>)> {
         let threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
         threads
@@ -355,6 +346,32 @@ mod tests {
             std::hint::black_box(round);
         }
         assert!(reader.join().unwrap() > 0);
+    }
+
+    #[test]
+    fn concurrent_snapshots_are_whole_gap_free_windows() {
+        let session = Arc::new(TraceSession::with_capacity("test", 64));
+        let mut tracer = session.thread("hot");
+        instants(&mut tracer, 100);
+        let reader = {
+            let session = Arc::clone(&session);
+            std::thread::spawn(move || {
+                (0..2_000)
+                    .filter(|_| {
+                        let events = &session.snapshot()[0].2;
+                        let gap = events.windows(2).any(|p| p[1].arg != p[0].arg + 1);
+                        events.len() != 64 || gap
+                    })
+                    .count()
+            })
+        };
+        let mut next = 100;
+        while !reader.is_finished() {
+            tracer.emit(TraceEvent::instant("tick", "test", next).with_arg("i", next));
+            next += 1;
+        }
+        let broken = reader.join().unwrap();
+        assert_eq!(broken, 0, "{broken} snapshots were short or had a gap");
     }
 
     #[test]

@@ -1,117 +1,78 @@
-//! Lock-free bounded event ring: one writer thread, overwrite-oldest.
+//! Bounded per-track event buffer: overwrite-oldest, behind a mutex.
 //!
-//! Each slot carries a seqlock-style sequence word. The writer marks a slot
-//! odd while it rewrites the payload and even (encoding the event's global
-//! index) once the payload is whole, so a concurrent snapshot can tell a
-//! settled slot from one mid-overwrite and skip the latter instead of
-//! blocking the recording thread — the reader never takes a lock and the
-//! writer never waits.
+//! Instrumented layers emit once per interval, seal or I/O operation, never
+//! per load, so one uncontended lock per event costs little. In return a
+//! snapshot always copies a whole window: no event is read mid-write.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::TraceEvent;
 
-/// A settled slot holding event `h` has sequence `2h + 2`; `2h + 1` means the
-/// writer is currently replacing its payload with event `h`; zero is empty.
-fn settled_seq(index: u64) -> u64 {
-    2 * index + 2
-}
-
-struct Slot {
-    seq: AtomicU64,
-    event: UnsafeCell<TraceEvent>,
-}
-
-/// Bounded single-writer event buffer. The `Ring` itself is shared between
-/// the owning [`crate::ThreadTracer`] (the only writer) and the
-/// [`crate::TraceSession`] that snapshots it at export time.
+/// Bounded event buffer. The `Ring` itself is shared between the owning
+/// [`crate::ThreadTracer`] (its writer) and the [`crate::TraceSession`] that
+/// snapshots it at export time.
 pub(crate) struct Ring {
-    slots: Box<[Slot]>,
-    /// Events ever pushed; the live window is `[head - len, head)`.
-    head: AtomicU64,
-    /// Events overwritten before any snapshot saw them.
-    dropped: AtomicU64,
+    capacity: usize,
+    state: Mutex<State>,
 }
 
-// SAFETY: the payload cells are only written by the single writer thread and
-// concurrent reads validate the surrounding sequence word (seqlock protocol),
-// discarding any value read while the writer held the slot odd.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
+#[derive(Default)]
+struct State {
+    /// The retained window, oldest first. It grows as events arrive, up to
+    /// the ring's capacity, so a track allocates only for what it received.
+    events: VecDeque<TraceEvent>,
+    /// Events ever pushed (retained or not).
+    pushed: u64,
+    /// Events lost to overwrite-oldest.
+    dropped: u64,
+}
 
 impl Ring {
     pub(crate) fn new(capacity: usize) -> Ring {
-        let capacity = capacity.max(1);
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                event: UnsafeCell::new(TraceEvent::empty()),
-            })
-            .collect();
         Ring {
-            slots,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            state: Mutex::default(),
         }
     }
 
-    /// Appends one event, overwriting the oldest when full. Must only be
-    /// called from the writer thread (enforced by [`crate::ThreadTracer`]
-    /// taking `&mut self` and not being clonable).
+    /// No code panics while holding the lock, so a poisoned one still
+    /// guards a consistent window.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends one event, overwriting the oldest when full.
     pub(crate) fn push(&self, event: TraceEvent) {
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * h + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: single writer; readers validate `seq` around their read.
-        unsafe { *slot.event.get() = event };
-        slot.seq.store(settled_seq(h), Ordering::Release);
-        if h >= self.slots.len() as u64 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state();
+        if state.events.len() == self.capacity {
+            state.events.pop_front();
+            state.dropped += 1;
         }
-        self.head.store(h + 1, Ordering::Release);
+        state.events.push_back(event);
+        state.pushed += 1;
     }
 
-    /// Oldest-first copy of the retained window. Events a concurrent writer
-    /// is overwriting mid-snapshot are skipped, never torn.
+    /// Oldest-first copy of the retained window.
     pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let len = self.slots.len() as u64;
-        let start = head.saturating_sub(len);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for index in start..head {
-            let slot = &self.slots[(index % len) as usize];
-            let before = slot.seq.load(Ordering::Acquire);
-            if before != settled_seq(index) {
-                continue;
-            }
-            // SAFETY: `TraceEvent` is `Copy`; the re-check below discards the
-            // value if the writer touched the slot while we copied it.
-            let event = unsafe { std::ptr::read_volatile(slot.event.get()) };
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == before {
-                out.push(event);
-            }
-        }
-        out
+        self.state().events.iter().copied().collect()
     }
 
     /// Events lost to overwrite-oldest so far.
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state().dropped
     }
 
     /// Events ever pushed (retained or not).
     pub(crate) fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.state().pushed
     }
 }
 
 impl std::fmt::Debug for Ring {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ring")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("pushed", &self.pushed())
             .field("dropped", &self.dropped())
             .finish()
