@@ -297,8 +297,9 @@ pub fn analyze(histories: &[ThreadHistory<'_>], max_race_pairs: usize) -> RaceAn
         forward || backward
     };
 
-    // Conflicting accesses grouped by address.
-    let mut by_addr: HashMap<Addr, Vec<GlobalOp>> = HashMap::new();
+    // Conflicting accesses grouped by address, in address order, so which
+    // pairs fit under `max_race_pairs`, and their order, never vary.
+    let mut by_addr: BTreeMap<Addr, Vec<GlobalOp>> = BTreeMap::new();
     for op in &schedule {
         by_addr.entry(op.op.addr).or_default().push(*op);
     }

@@ -5,57 +5,64 @@
 //! operation forces another core to invalidate or downgrade a block, the
 //! remote core's reply carries its execution state, and the local core
 //! appends an entry to its Memory Race Log. This module implements the
-//! directory state machine and reports exactly those reply events, plus the
-//! set of remote caches that must invalidate the block (which clears their
+//! directory state machine and reports exactly those replies, plus the set
+//! of remote caches that must invalidate the block (which clears their
 //! first-load bits and is what makes first-load logging correct for shared
 //! memory and DMA, §4.5-4.6 of the paper).
+//!
+//! Both answers are core masks, bit `i` standing for core `i`, so a
+//! directory tracks at most [`MAX_CORES`] cores. A block is either modified
+//! by exactly one core or shared by a set of cores, never both: a remote
+//! load moves the owner into the sharers, and a store leaves its core the
+//! only holder. So every reply set is either the owner or the sharers, and
+//! a caller walking a mask in ascending core order sees the replies in the
+//! order the protocol sends them.
 //!
 //! The directory is conservative about silent evictions: a core that evicted
 //! a block may still be listed as a sharer, producing a spurious invalidation
 //! that the core's cache simply ignores. This only ever adds race-log edges,
 //! it never loses one.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use bugnet_types::{Addr, CoreId};
 
 use crate::cache::AccessKind;
 
-/// The kind of coherence reply a remote core sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplyKind {
-    /// The remote core acknowledged invalidating its copy (local write to a
-    /// block the remote core had cached).
-    InvalidationAck,
-    /// The remote core supplied the block and downgraded from Modified to
-    /// Shared (local read of a block the remote core had modified).
-    DataReply,
-}
+/// Most cores a [`Directory`] tracks: one bit each in a `u64` mask.
+pub const MAX_CORES: usize = 64;
 
-/// A coherence reply observed by the requesting core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CoherenceReply {
-    /// Core that sent the reply.
-    pub responder: CoreId,
-    /// Why it replied.
-    pub kind: ReplyKind,
-}
-
-/// Everything the machine must do in response to one memory access.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Everything the machine must do in response to one memory access, as
+/// core masks (bit `i` is core `i`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoherenceAction {
-    /// Reply messages received by the requesting core; each one becomes a
+    /// Cores that sent the requesting core a reply; each reply becomes a
     /// Memory Race Log entry when BugNet (or FDR) is recording.
-    pub replies: Vec<CoherenceReply>,
+    pub replies: u64,
     /// Cores whose private caches must invalidate the block (clearing its
-    /// first-load bits). The requesting core is never in this list.
-    pub invalidate: Vec<CoreId>,
+    /// first-load bits). The requesting core is never in this mask.
+    pub invalidate: u64,
 }
 
-#[derive(Debug, Clone, Default)]
+/// The cores of a mask, in ascending order.
+pub fn cores_in(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let core = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            core
+        })
+    })
+}
+
+#[derive(Debug, Clone, Copy, Default)]
 struct BlockState {
-    owner: Option<CoreId>,
-    sharers: BTreeSet<CoreId>,
+    /// Cores caching the block.
+    holders: u64,
+    /// Whether the block's one holder has modified it; otherwise every
+    /// holder shares it.
+    modified: bool,
 }
 
 /// Directory tracking, per block, which cores hold it and in what state.
@@ -63,7 +70,6 @@ struct BlockState {
 pub struct Directory {
     block_bytes: u64,
     blocks: HashMap<u64, BlockState>,
-    messages: u64,
 }
 
 impl Directory {
@@ -77,7 +83,6 @@ impl Directory {
         Directory {
             block_bytes,
             blocks: HashMap::new(),
-            messages: 0,
         }
     }
 
@@ -87,86 +92,52 @@ impl Directory {
 
     /// Records a memory access by `core` and returns the coherence activity
     /// it caused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is [`MAX_CORES`] or above.
     pub fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> CoherenceAction {
+        let bit = 1u64.checked_shl(core.0).expect("core id below MAX_CORES");
         let block = self.block_of(addr);
         let state = self.blocks.entry(block).or_default();
-        let mut action = CoherenceAction::default();
-
         match kind {
             AccessKind::Load => {
-                if let Some(owner) = state.owner {
-                    if owner != core {
-                        // Remote core downgrades M -> S and supplies the data.
-                        action.replies.push(CoherenceReply {
-                            responder: owner,
-                            kind: ReplyKind::DataReply,
-                        });
-                        state.sharers.insert(owner);
-                        state.owner = None;
-                    }
+                let mut replies = 0;
+                if state.modified && state.holders != bit {
+                    // The owner downgrades M -> S and supplies the data.
+                    replies = state.holders;
+                    state.modified = false;
                 }
-                if state.owner != Some(core) {
-                    state.sharers.insert(core);
+                if !state.modified {
+                    state.holders |= bit;
+                }
+                CoherenceAction {
+                    replies,
+                    invalidate: 0,
                 }
             }
             AccessKind::Store => {
-                if state.owner == Some(core) {
-                    // Already exclusive: silent upgrade, no messages.
-                } else {
-                    if let Some(owner) = state.owner.take() {
-                        if owner != core {
-                            action.replies.push(CoherenceReply {
-                                responder: owner,
-                                kind: ReplyKind::InvalidationAck,
-                            });
-                            action.invalidate.push(owner);
-                        }
-                    }
-                    for sharer in std::mem::take(&mut state.sharers) {
-                        if sharer != core {
-                            action.replies.push(CoherenceReply {
-                                responder: sharer,
-                                kind: ReplyKind::InvalidationAck,
-                            });
-                            action.invalidate.push(sharer);
-                        }
-                    }
-                    state.owner = Some(core);
+                // Every other holder acknowledges its invalidation; a store
+                // by the block's owner finds none and is a silent upgrade.
+                let others = state.holders & !bit;
+                *state = BlockState {
+                    holders: bit,
+                    modified: true,
+                };
+                CoherenceAction {
+                    replies: others,
+                    invalidate: others,
                 }
             }
         }
-        self.messages += action.replies.len() as u64;
-        action
     }
 
-    /// Records a DMA write to the block containing `addr`: every core caching
-    /// it must invalidate (clearing first-load bits); the directory entry is
-    /// reset to uncached.
-    pub fn dma_write(&mut self, addr: Addr) -> Vec<CoreId> {
+    /// Records a DMA write to the block containing `addr`: the directory
+    /// entry is reset to uncached. The caller invalidates the block in every
+    /// core's caches (clearing first-load bits).
+    pub fn dma_write(&mut self, addr: Addr) {
         let block = self.block_of(addr);
-        match self.blocks.remove(&block) {
-            Some(state) => {
-                let mut cores: Vec<CoreId> = state.sharers.into_iter().collect();
-                if let Some(owner) = state.owner {
-                    if !cores.contains(&owner) {
-                        cores.push(owner);
-                    }
-                }
-                cores.sort();
-                cores
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Total coherence reply messages generated so far.
-    pub fn reply_messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Number of blocks with directory state.
-    pub fn tracked_blocks(&self) -> usize {
-        self.blocks.len()
+        self.blocks.remove(&block);
     }
 }
 
@@ -185,19 +156,10 @@ mod tests {
     #[test]
     fn private_access_generates_no_replies() {
         let mut d = dir();
-        assert!(d
-            .access(C0, Addr::new(0x100), AccessKind::Load)
-            .replies
-            .is_empty());
-        assert!(d
-            .access(C0, Addr::new(0x100), AccessKind::Store)
-            .replies
-            .is_empty());
-        assert!(d
-            .access(C0, Addr::new(0x100), AccessKind::Load)
-            .replies
-            .is_empty());
-        assert_eq!(d.reply_messages(), 0);
+        let none = CoherenceAction::default();
+        assert_eq!(d.access(C0, Addr::new(0x100), AccessKind::Load), none);
+        assert_eq!(d.access(C0, Addr::new(0x100), AccessKind::Store), none);
+        assert_eq!(d.access(C0, Addr::new(0x100), AccessKind::Load), none);
     }
 
     #[test]
@@ -206,14 +168,8 @@ mod tests {
         d.access(C0, Addr::new(0x100), AccessKind::Load);
         d.access(C1, Addr::new(0x100), AccessKind::Load);
         let action = d.access(C2, Addr::new(0x100), AccessKind::Store);
-        assert_eq!(action.replies.len(), 2);
-        assert!(action
-            .replies
-            .iter()
-            .all(|r| r.kind == ReplyKind::InvalidationAck));
-        let mut inv = action.invalidate.clone();
-        inv.sort();
-        assert_eq!(inv, vec![C0, C1]);
+        assert_eq!(action.replies, 0b011);
+        assert_eq!(action.invalidate, 0b011);
     }
 
     #[test]
@@ -221,18 +177,12 @@ mod tests {
         let mut d = dir();
         d.access(C0, Addr::new(0x200), AccessKind::Store);
         let action = d.access(C1, Addr::new(0x200), AccessKind::Load);
-        assert_eq!(
-            action.replies,
-            vec![CoherenceReply {
-                responder: C0,
-                kind: ReplyKind::DataReply
-            }]
-        );
+        assert_eq!(action.replies, 0b001);
         // Downgrade does not invalidate the owner's copy.
-        assert!(action.invalidate.is_empty());
+        assert_eq!(action.invalidate, 0);
         // A later store by C1 must now invalidate C0's shared copy.
         let action = d.access(C1, Addr::new(0x200), AccessKind::Store);
-        assert_eq!(action.invalidate, vec![C0]);
+        assert_eq!(action.invalidate, 0b001);
     }
 
     #[test]
@@ -240,18 +190,9 @@ mod tests {
         let mut d = dir();
         d.access(C0, Addr::new(0x300), AccessKind::Store);
         let action = d.access(C1, Addr::new(0x300), AccessKind::Store);
-        assert_eq!(
-            action.replies,
-            vec![CoherenceReply {
-                responder: C0,
-                kind: ReplyKind::InvalidationAck
-            }]
-        );
+        assert_eq!(action.replies, 0b001);
         // Second store by the same new owner is silent.
-        assert!(d
-            .access(C1, Addr::new(0x300), AccessKind::Store)
-            .replies
-            .is_empty());
+        assert_eq!(d.access(C1, Addr::new(0x300), AccessKind::Store).replies, 0);
     }
 
     #[test]
@@ -259,9 +200,10 @@ mod tests {
         let mut d = dir();
         d.access(C0, Addr::new(0x400), AccessKind::Load);
         d.access(C1, Addr::new(0x400), AccessKind::Load);
-        assert_eq!(d.dma_write(Addr::new(0x400)), vec![C0, C1]);
+        d.dma_write(Addr::new(0x400));
         // Once cleared, nothing to invalidate.
-        assert!(d.dma_write(Addr::new(0x400)).is_empty());
+        let action = d.access(C2, Addr::new(0x400), AccessKind::Store);
+        assert_eq!(action, CoherenceAction::default());
     }
 
     #[test]
@@ -270,16 +212,19 @@ mod tests {
         d.access(C0, Addr::new(0x500), AccessKind::Load);
         // 0x520 is in the same 64-byte block as 0x500.
         let action = d.access(C1, Addr::new(0x520), AccessKind::Store);
-        assert_eq!(action.invalidate, vec![C0]);
+        assert_eq!(action.invalidate, 0b001);
     }
 
     #[test]
-    fn message_counter_accumulates() {
-        let mut d = dir();
-        d.access(C0, Addr::new(0x600), AccessKind::Store);
-        d.access(C1, Addr::new(0x600), AccessKind::Load);
-        d.access(C1, Addr::new(0x600), AccessKind::Store);
-        assert_eq!(d.reply_messages(), 2);
-        assert_eq!(d.tracked_blocks(), 1);
+    fn masks_walk_in_ascending_core_order() {
+        assert_eq!(cores_in(0).count(), 0);
+        let mask = 1 | 1 << 5 | 1 << 63;
+        assert_eq!(cores_in(mask).collect::<Vec<_>>(), vec![0, 5, 63]);
+    }
+
+    #[test]
+    #[should_panic(expected = "core id below MAX_CORES")]
+    fn cores_at_or_above_the_cap_are_rejected() {
+        dir().access(CoreId(MAX_CORES as u32), Addr::new(0x700), AccessKind::Load);
     }
 }

@@ -9,15 +9,18 @@
 //!
 //! * [`SparseMemory`] — functional word-granularity main memory, in 4 KiB
 //!   pages allocated on first write: the one memory of the recording
-//!   machine, the replayer, the plain interpreter port and the DMA engine.
+//!   machine (DMA input included), the replayer and the plain interpreter
+//!   port.
 //! * [`CacheHierarchy`] — a private L1+L2 pair per core that tracks block
 //!   residency and per-word first-load bits (metadata only; data values come
 //!   from [`SparseMemory`], which is exact).
 //! * [`Directory`] — an MSI directory coherence protocol over the cores'
 //!   private hierarchies; its reply messages are what BugNet and FDR
-//!   piggy-back memory-race information on.
-//! * [`DmaEngine`] — external writes into memory that invalidate cached
-//!   blocks, modelling DMA transfers from I/O devices.
+//!   piggy-back memory-race information on. A block's state is one `u64`
+//!   mask of the cores holding it plus a modified flag, and each access
+//!   answers with two masks, the cores that reply and the cores that
+//!   invalidate, so a directory serves at most [`MAX_CORES`] cores. DMA
+//!   input resets a block to uncached ([`Directory::dma_write`]).
 //!
 //! # Examples
 //!
@@ -34,10 +37,8 @@
 
 pub mod cache;
 pub mod coherence;
-pub mod dma;
 pub mod memory;
 
 pub use cache::{AccessKind, CacheHierarchy, CacheStats, FirstAccess};
-pub use coherence::{CoherenceAction, CoherenceReply, Directory, ReplyKind};
-pub use dma::DmaEngine;
+pub use coherence::{cores_in, CoherenceAction, Directory, MAX_CORES};
 pub use memory::SparseMemory;

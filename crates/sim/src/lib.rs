@@ -1,11 +1,13 @@
 //! Full-machine simulation harness.
 //!
 //! This crate wires the substrates together into the machine the paper's
-//! evaluation assumes: one or more cores with private L1/L2 caches carrying
-//! first-load bits, a directory coherence protocol, a DMA engine, an OS-lite
-//! layer (timer interrupts, syscalls with external input, context switches,
-//! fault detection), and — attached to all of it — the BugNet recorder and,
-//! optionally, the FDR baseline model observing the same execution.
+//! evaluation assumes: one to [`bugnet_memsys::MAX_CORES`] cores with
+//! private L1/L2 caches carrying first-load bits, a directory coherence
+//! protocol, an OS-lite layer (timer interrupts, syscalls whose external
+//! input arrives by DMA and invalidates the cached blocks it lands in,
+//! context switches, fault detection), and — attached to all of it — the
+//! BugNet recorder and, optionally, the FDR baseline model observing the
+//! same execution.
 //!
 //! * [`machine`] — [`Machine`], [`MachineBuilder`], the scheduling loop and
 //!   the recording memory path.

@@ -13,10 +13,9 @@ use bugnet_core::{estimate_overhead, OverheadInputs, OverheadReport};
 use bugnet_cpu::{Cpu, Fault, MemoryPort, StepEvent};
 use bugnet_fdr::{FdrConfig, FdrLogReport, FdrRecorder};
 use bugnet_isa::{Program, SyscallCode};
-use bugnet_memsys::dma::DmaTransfer;
 use bugnet_memsys::{
-    AccessKind, CacheHierarchy, CacheStats, CoherenceAction, Directory, DmaEngine, FirstAccess,
-    SparseMemory,
+    cores_in, AccessKind, CacheHierarchy, CacheStats, CoherenceAction, Directory, FirstAccess,
+    SparseMemory, MAX_CORES,
 };
 use bugnet_telemetry::Probe;
 use bugnet_types::{
@@ -102,7 +101,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets the number of cores (keeping other machine parameters).
+    /// Sets the number of cores (keeping other machine parameters). The
+    /// built machine has at most [`MAX_CORES`], the directory's limit.
     pub fn cores(mut self, cores: usize) -> Self {
         self.machine.cores = cores.max(1);
         self.cores_explicit = true;
@@ -139,13 +139,15 @@ impl MachineBuilder {
     /// Builds the machine and loads the workload.
     ///
     /// The machine gets at least as many cores as the workload has threads
-    /// unless the core count was set explicitly (in which case threads share
-    /// cores through context switches).
+    /// unless the core count was set explicitly, and never more than
+    /// [`MAX_CORES`]. Threads beyond the cores share them through context
+    /// switches.
     pub fn build_with_workload(self, workload: &Workload) -> Machine {
         let mut machine_cfg = self.machine;
-        if !self.cores_explicit && machine_cfg.cores < workload.thread_count() {
-            machine_cfg.cores = workload.thread_count();
+        if !self.cores_explicit {
+            machine_cfg.cores = machine_cfg.cores.max(workload.thread_count());
         }
+        machine_cfg.cores = machine_cfg.cores.min(MAX_CORES);
         let opts = self.recording;
         let mut machine = Machine::new(machine_cfg, self.bugnet, self.fdr, workload, &opts);
         machine.workload_spec = self.workload_spec.unwrap_or_else(|| workload.name.clone());
@@ -237,7 +239,6 @@ pub struct Machine {
     cfg: MachineConfig,
     memory: SparseMemory,
     directory: Directory,
-    dma: DmaEngine,
     cores: Vec<CoreCtx>,
     threads: Vec<ThreadCtx>,
     bugnet_cfg: Option<BugNetConfig>,
@@ -316,7 +317,6 @@ impl Machine {
         });
         Machine {
             directory: Directory::new(cfg.cache.l1.block_bytes),
-            dma: DmaEngine::new(),
             cores,
             threads,
             bugnet_cfg,
@@ -661,7 +661,7 @@ impl Machine {
                     let cpu = self.threads[thread].cpu.as_ref().expect("cpu present");
                     let addr = cpu.regs().read(bugnet_isa::Reg::R3).get() as u64;
                     let count = cpu.regs().read(bugnet_isa::Reg::R4).get().clamp(1, 4096) as u64;
-                    (Addr::new(addr), count)
+                    (Addr::new(addr).word_aligned(), count)
                 };
                 if addr.raw() >= 0x1000 {
                     let words: Vec<Word> = (0..count)
@@ -673,10 +673,11 @@ impl Machine {
                             }
                         })
                         .collect();
-                    let transfer = DmaTransfer::new(addr, words);
+                    self.memory.write_block(addr, &words);
                     let block_bytes = self.cfg.cache.l1.block_bytes;
-                    let blocks = self.dma.perform(&mut self.memory, &transfer, block_bytes);
-                    for block in blocks {
+                    let first = addr.block_aligned(block_bytes).raw();
+                    for block in (first..addr.raw() + count * 4).step_by(block_bytes as usize) {
+                        let block = Addr::new(block);
                         self.directory.dma_write(block);
                         for c in &mut self.cores {
                             c.caches.invalidate_block(block);
@@ -897,13 +898,11 @@ struct MachinePort<'a> {
 }
 
 impl MachinePort<'_> {
-    fn apply_coherence(&mut self, addr: Addr, action: &CoherenceAction) {
+    fn apply_coherence(&mut self, addr: Addr, action: CoherenceAction) {
         let m = &mut *self.machine;
-        for reply in &action.replies {
-            let remote_core = reply.responder.0 as usize;
+        for remote_core in cores_in(action.replies) {
             if m.recording() {
-                if let Some(remote_thread) = m.cores.get(remote_core).and_then(|c| c.active_thread)
-                {
+                if let Some(remote_thread) = m.cores[remote_core].active_thread {
                     if remote_thread != self.thread && m.recorders[remote_thread].is_recording() {
                         let remote_state = m.recorders[remote_thread].remote_exec_state();
                         m.recorders[self.thread].record_coherence_reply(remote_state);
@@ -914,10 +913,8 @@ impl MachinePort<'_> {
                 fdr.on_coherence_reply();
             }
         }
-        for core_id in &action.invalidate {
-            if let Some(core) = m.cores.get_mut(core_id.0 as usize) {
-                core.caches.invalidate_block(addr);
-            }
+        for core in cores_in(action.invalidate) {
+            m.cores[core].caches.invalidate_block(addr);
         }
     }
 }
@@ -930,7 +927,7 @@ impl MemoryPort for MachinePort<'_> {
                 self.machine
                     .directory
                     .access(CoreId(self.core as u32), addr, AccessKind::Load);
-            self.apply_coherence(addr, &action);
+            self.apply_coherence(addr, action);
         }
         let m = &mut *self.machine;
         let value = m.memory.read(addr);
@@ -948,7 +945,7 @@ impl MemoryPort for MachinePort<'_> {
                 self.machine
                     .directory
                     .access(CoreId(self.core as u32), addr, AccessKind::Store);
-            self.apply_coherence(addr, &action);
+            self.apply_coherence(addr, action);
         }
         let m = &mut *self.machine;
         let was_cached = m.cores[self.core].caches.contains_block(addr);
@@ -1633,6 +1630,122 @@ mod tests {
         let fdr = machine.fdr_report().unwrap();
         assert_eq!(fdr.input_log.bytes(), 64 * 8);
         assert!(fdr.dma_log.bytes() >= 256);
+    }
+
+    /// A thread that loads (or stores) the word at `addr` `times` times.
+    fn word_loop(name: &str, addr: u32, times: u32, store: bool) -> Arc<Program> {
+        use bugnet_isa::{AluOp, BranchCond, ProgramBuilder, Reg};
+        let mut b = ProgramBuilder::new(name);
+        b.li(Reg::R3, addr);
+        b.li(Reg::R4, 0);
+        b.li(Reg::R5, times);
+        let top = b.here();
+        if store {
+            b.store(Reg::R4, Reg::R3, 0);
+        } else {
+            b.load(Reg::R6, Reg::R3, 0);
+        }
+        b.alu_imm(AluOp::Add, Reg::R4, Reg::R4, 1);
+        b.branch(BranchCond::Lt, Reg::R4, Reg::R5, top);
+        b.halt();
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn invalidation_replies_arrive_in_core_order() {
+        // Thread i runs on core i: thread 0 keeps storing a word that
+        // threads 1 and 2 keep loading, so its stores find both readers
+        // sharing the block and collect one reply from each.
+        use bugnet_workloads::ThreadSpec;
+        let shared = 0x4000_2000;
+        let workload = Workload::new(
+            "one-writer-two-readers",
+            vec![
+                ThreadSpec::new(word_loop("writer", shared, 400, true)),
+                ThreadSpec::new(word_loop("reader", shared, 400, false)),
+                ThreadSpec::new(word_loop("reader", shared, 400, false)),
+            ],
+        );
+        let mut machine = MachineBuilder::new()
+            .bugnet(bugnet_cfg(1_000_000))
+            .build_with_workload(&workload);
+        let outcome = machine.run_to_completion();
+        assert!(outcome.threads.iter().all(|t| t.halted), "{outcome:?}");
+        let store = machine.log_store().unwrap();
+        let replies: Vec<(u64, u32)> = store
+            .thread_logs(ThreadId(0))
+            .iter()
+            .flat_map(|logs| logs.mrl.entries())
+            .map(|e| (e.local_ic.0, e.remote.thread.0))
+            .collect();
+        let same_store: Vec<_> = replies
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .collect();
+        assert!(
+            !same_store.is_empty(),
+            "no store collected two replies: {replies:?}"
+        );
+        for pair in same_store {
+            assert_eq!((pair[0].1, pair[1].1), (1, 2), "{replies:?}");
+        }
+    }
+
+    #[test]
+    fn dma_invalidates_every_block_it_spans() {
+        // Cache the four blocks from 0x4000_3000 by loading 37 words from
+        // mid-block, then take `words` words of input at `base`: the
+        // transfer must invalidate each 64-byte block it writes into.
+        use bugnet_isa::{AluOp, BranchCond, ProgramBuilder, Reg};
+        let invalidations = |base: u32, words: u32| {
+            let mut b = ProgramBuilder::new("input-over-cached-words");
+            b.li(Reg::R10, 0x4000_3030);
+            b.li(Reg::R11, 37);
+            b.li(Reg::R5, 0);
+            let top = b.here();
+            b.alu_imm(AluOp::Shl, Reg::R6, Reg::R5, 2);
+            b.alu(AluOp::Add, Reg::R6, Reg::R10, Reg::R6);
+            b.load(Reg::R7, Reg::R6, 0);
+            b.alu_imm(AluOp::Add, Reg::R5, Reg::R5, 1);
+            b.branch(BranchCond::Lt, Reg::R5, Reg::R11, top);
+            b.li(Reg::R3, base);
+            b.li(Reg::R4, words);
+            b.syscall(SyscallCode::ReadInput);
+            b.halt();
+            let workload = Workload::single("input", Arc::new(b.build()));
+            let mut machine = MachineBuilder::new()
+                .bugnet(bugnet_cfg(1_000_000))
+                .build_with_workload(&workload);
+            assert!(machine.run_to_completion().threads[0].halted);
+            machine.cache_stats().invalidations
+        };
+        // 0x4000_3030 + 4 * words ends in the first, second, third or
+        // fourth block.
+        assert_eq!(invalidations(0x4000_3030, 4), 1);
+        assert_eq!(invalidations(0x4000_3030, 20), 2);
+        assert_eq!(invalidations(0x4000_3030, 21), 3);
+        assert_eq!(invalidations(0x4000_3030, 37), 4);
+        // Input at an unaligned address starts at its word: 20 words for
+        // 0x4000_3033 fill 0x4000_3030 to 0x4000_307f, two blocks.
+        assert_eq!(invalidations(0x4000_3033, 20), 2);
+    }
+
+    #[test]
+    fn machines_cap_cores_at_max_cores() {
+        let workload = mt::racy_counter(MAX_CORES + 1, 20);
+        let mut machine = MachineBuilder::new()
+            .bugnet(bugnet_cfg(5_000))
+            .build_with_workload(&workload);
+        assert_eq!(machine.config().cores, MAX_CORES);
+        let outcome = machine.run_to_completion();
+        assert_eq!(outcome.threads.len(), MAX_CORES + 1);
+        assert!(outcome.threads.iter().all(|t| t.halted), "{outcome:?}");
+        assert!(machine.replay_and_verify().unwrap().all_match());
+
+        let explicit = MachineBuilder::new()
+            .cores(100)
+            .build_with_workload(&mt::racy_counter(2, 20));
+        assert_eq!(explicit.config().cores, MAX_CORES);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Three small two-or-more-thread workloads:
 //!
 //! * [`locked_counter`] — every thread increments a shared counter under a
-//!   spin lock built from the ISA's atomic swap; all cross-thread ordering is
-//!   captured by coherence replies, so the analysis finds no races on the
-//!   counter.
+//!   spin lock built from the ISA's atomic swap; coherence replies order
+//!   every lock hand-off. Replies from a core whose thread has halted are
+//!   not logged, so the analysis still flags that thread's last accesses
+//!   against the other threads' later ones.
 //! * [`racy_counter`] — the same increments without the lock; the conflicting
 //!   unordered accesses are exactly what a data-race detector should flag.
 //! * [`producer_consumer`] — one thread fills a shared buffer and raises a

@@ -1,9 +1,14 @@
 //! Multithreaded recording: Memory Race Logs and data-race inference.
 //!
-//! Records a correctly-locked shared counter and an unsynchronized (racy)
-//! one, replays both, and shows that the ordering information captured by the
-//! Memory Race Logs lets the offline analysis flag the racy accesses while
-//! the locked version stays clean.
+//! Records a correctly-locked shared counter, an unsynchronized (racy) one
+//! and a producer/consumer pair, replays all three, and runs the offline
+//! race analysis over the orderings their Memory Race Logs captured. The
+//! analysis flags the racy counter's unordered increments. It flags the
+//! locked counter too: once a thread halts, its core runs no thread, so the
+//! coherence replies to the other thread's later accesses are not logged,
+//! and the halted thread's last accesses look unordered against them. Each
+//! report stops at 16 candidate pairs, taken in address order, so two runs
+//! print the same bytes.
 //!
 //! Run with: `cargo run --release --example multithreaded_race`
 

@@ -9,12 +9,15 @@
 //!    original implementation did, and compared byte for byte.
 //! 2. The serialized dumps of two fixed workloads' logs (gzip and mcf) are
 //!    hashed (FNV-1a) and compared against committed constants, so any
-//!    unintended format change — however subtle — fails loudly.
+//!    unintended format change — however subtle — fails loudly. Three
+//!    multithreaded kernels are pinned the same way, which covers the
+//!    Memory Race Logs that coherence replies fill.
 
 use bugnet::core::fll::{EncodedValue, FirstLoadLog, FllCodec};
 use bugnet::sim::MachineBuilder;
 use bugnet::types::{BugNetConfig, ThreadId};
 use bugnet::workloads::spec::SpecProfile;
+use bugnet::workloads::{mt, Workload};
 
 /// Reference bit-at-a-time writer, copied from the pre-optimization
 /// implementation of `bugnet_core::bitstream::BitWriter`.
@@ -180,5 +183,58 @@ fn print_golden_hashes() {
         let name = profile.name;
         let (fll_hash, mrl_hash) = log_hashes(profile);
         println!("{name}: FLL {fll_hash:#018x}, MRL {mrl_hash:#018x}");
+    }
+}
+
+/// FNV-1a hashes of a multithreaded workload's FLL and MRL dumps, recorded
+/// at 5k-instruction intervals and concatenated with threads in id order,
+/// plus its MRL entry count.
+fn multithreaded_log_hashes(workload: &Workload) -> (u64, u64, usize) {
+    let mut machine = MachineBuilder::new()
+        .bugnet(BugNetConfig::default().with_checkpoint_interval(5_000))
+        .build_with_workload(workload);
+    machine.run_to_completion();
+    let store = machine.log_store().expect("recorder attached");
+    let mut fll_dump = Vec::new();
+    let mut mrl_dump = Vec::new();
+    let mut entries = 0;
+    for thread in store.threads() {
+        for logs in store.thread_logs(thread) {
+            fll_dump.extend_from_slice(&logs.fll.to_bytes());
+            mrl_dump.extend_from_slice(&logs.mrl.to_bytes());
+            entries += logs.mrl.entries().len();
+        }
+    }
+    (fnv1a(&fll_dump), fnv1a(&mrl_dump), entries)
+}
+
+#[test]
+fn multithreaded_log_hashes_are_stable() {
+    let golden = [
+        (
+            mt::racy_counter(8, 200),
+            0x2462_2dde_4ef1_1c97,
+            0xb9af_08b9_f987_f785,
+            120,
+        ),
+        (
+            mt::locked_counter(4, 100),
+            0x6e49_cf33_2c13_68ea,
+            0xa56e_9d19_204b_2238,
+            84,
+        ),
+        (
+            mt::producer_consumer(256),
+            0x7459_5c7c_a72c_062e,
+            0xd6d6_5a72_749f_bd23,
+            1,
+        ),
+    ];
+    for (workload, fll, mrl, entries) in golden {
+        let name = &workload.name;
+        let (fll_hash, mrl_hash, mrl_entries) = multithreaded_log_hashes(&workload);
+        assert_eq!(fll_hash, fll, "{name}: FLL dump bytes changed");
+        assert_eq!(mrl_hash, mrl, "{name}: MRL dump bytes changed");
+        assert_eq!(mrl_entries, entries, "{name}: MRL entry count changed");
     }
 }

@@ -86,6 +86,20 @@ fn race_analysis_schedule_covers_every_traced_operation() {
 }
 
 #[test]
+fn race_reports_are_deterministic() {
+    // More candidate pairs than the cap, so the report shows which ones
+    // survive it and in what order.
+    let mut machine = MachineBuilder::new()
+        .bugnet(cfg())
+        .build_with_workload(&mt::producer_consumer(256));
+    machine.run_to_completion();
+    let first = machine.race_analysis(8).unwrap();
+    assert_eq!(first.races.len(), 8);
+    let second = machine.race_analysis(8).unwrap();
+    assert_eq!(first.races, second.races);
+}
+
+#[test]
 fn race_analysis_runs_on_a_loaded_dump() {
     // The offline race analysis (paper §5.2) needs nothing a dump lacks: a
     // loaded thread's intervals are the recorder's own logs, so they replay
