@@ -7,8 +7,14 @@
 //! be correct; it only has to model *when bits are lost* (evictions and
 //! invalidations), because lost bits cause re-logging, which is exactly the
 //! effect the paper's log-size results capture.
+//!
+//! Each level is three flat arrays with one entry per way, way `w` of set `s`
+//! at index `s * ways + w`: the block's tag, its first-load bits as one word
+//! mask (bit `i` is word `i` of the block) and its LRU stamp. The set index
+//! and the tag are bit fields of the address, so a level's set count must be
+//! a power of two, and a block holds at most 64 words (256 B).
 
-use bugnet_types::{Addr, CacheConfig, CacheLevelConfig};
+use bugnet_types::{Addr, CacheConfig, CacheLevelConfig, WORD_BYTES};
 
 /// Whether a memory access reads or writes the word.
 ///
@@ -58,132 +64,105 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct BlockEntry {
-    valid: bool,
-    tag: u64,
-    first_load: Vec<bool>,
-    lru: u64,
-}
+/// Tag of an empty way. A tag is an address shifted right past a block of
+/// at least one word, so no block's tag reaches it.
+const EMPTY: u64 = u64::MAX;
 
+/// One cache level as flat set arrays, indexed by `set * ways + way`.
 #[derive(Debug, Clone)]
 struct CacheLevel {
-    cfg: CacheLevelConfig,
-    sets: Vec<Vec<BlockEntry>>,
+    ways: usize,
+    block_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
+    /// The tag of the block in each way, or [`EMPTY`].
+    tags: Vec<u64>,
+    /// Each way's first-load word mask; zero in an empty way.
+    bits: Vec<u64>,
+    /// Each way's last-use stamp: zero in an empty way and above zero in a
+    /// full one, so a set's least recently used way is its first empty way
+    /// while it has one.
+    stamps: Vec<u64>,
     tick: u64,
-}
-
-#[derive(Debug)]
-struct Evicted {
-    block_addr: Addr,
-    first_load: Vec<bool>,
 }
 
 impl CacheLevel {
     fn new(cfg: CacheLevelConfig) -> Self {
-        let words = cfg.words_per_block();
-        let sets = (0..cfg.num_sets())
-            .map(|_| {
-                (0..cfg.associativity)
-                    .map(|_| BlockEntry {
-                        valid: false,
-                        tag: 0,
-                        first_load: vec![false; words],
-                        lru: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-        CacheLevel { cfg, sets, tick: 0 }
+        let sets = cfg.num_sets();
+        let entries = sets as usize * cfg.associativity;
+        let block_shift = cfg.block_bytes.trailing_zeros();
+        CacheLevel {
+            ways: cfg.associativity,
+            block_shift,
+            set_mask: sets - 1,
+            tag_shift: block_shift + sets.trailing_zeros(),
+            tags: vec![EMPTY; entries],
+            bits: vec![0; entries],
+            stamps: vec![0; entries],
+            tick: 0,
+        }
     }
 
-    fn set_index(&self, block_addr: Addr) -> usize {
-        ((block_addr.raw() / self.cfg.block_bytes) % self.cfg.num_sets()) as usize
+    /// The first entry of the set `addr` maps to, and `addr`'s tag.
+    fn slot(&self, addr: Addr) -> (usize, u64) {
+        let set = (addr.raw() >> self.block_shift) & self.set_mask;
+        (set as usize * self.ways, addr.raw() >> self.tag_shift)
     }
 
-    fn tag(&self, block_addr: Addr) -> u64 {
-        block_addr.raw() / self.cfg.block_bytes / self.cfg.num_sets()
+    /// The entry holding the block that contains `addr`.
+    fn find(&self, addr: Addr) -> Option<usize> {
+        let (base, tag) = self.slot(addr);
+        let set = &self.tags[base..base + self.ways];
+        set.iter().position(|&t| t == tag).map(|way| base + way)
     }
 
-    fn lookup_mut(&mut self, block_addr: Addr) -> Option<&mut BlockEntry> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(block_addr);
-        let tag = self.tag(block_addr);
-        let entry = self.sets[set]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)?;
-        entry.lru = tick;
+    /// Like [`CacheLevel::find`], and marks the entry most recently used.
+    fn lookup(&mut self, addr: Addr) -> Option<usize> {
+        let entry = self.find(addr)?;
+        self.stamp(entry);
         Some(entry)
     }
 
-    fn contains(&self, block_addr: Addr) -> bool {
-        let set = self.set_index(block_addr);
-        let tag = self.tag(block_addr);
-        self.sets[set].iter().any(|e| e.valid && e.tag == tag)
-    }
-
-    /// Inserts a block (with the given bits), evicting the LRU way if needed.
-    fn insert(&mut self, block_addr: Addr, first_load: Vec<bool>) -> Option<Evicted> {
+    fn stamp(&mut self, entry: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_index(block_addr);
-        let tag = self.tag(block_addr);
-        let block_bytes = self.cfg.block_bytes;
-        let num_sets = self.cfg.num_sets();
-        let set = &mut self.sets[set_idx];
+        self.stamps[entry] = self.tick;
+    }
 
-        // Reuse an invalid way if one exists.
-        if let Some(way) = set.iter_mut().find(|e| !e.valid) {
-            way.valid = true;
-            way.tag = tag;
-            way.first_load = first_load;
-            way.lru = tick;
-            return None;
-        }
-        // Otherwise evict the least recently used way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| e.lru)
+    /// Puts the block containing `addr`, with `bits`, into the least recently
+    /// used way of its set, and returns the address and bits of the block it
+    /// evicts.
+    fn fill(&mut self, addr: Addr, bits: u64) -> Option<(Addr, u64)> {
+        let (base, tag) = self.slot(addr);
+        let stamps = &self.stamps[base..base + self.ways];
+        // `min_by_key` returns the first of equal minima.
+        let way = (0..self.ways)
+            .min_by_key(|&way| stamps[way])
             .expect("associativity > 0");
-        let victim_addr = Addr::new((victim.tag * num_sets + set_idx as u64) * block_bytes);
-        let evicted = Evicted {
-            block_addr: victim_addr,
-            first_load: std::mem::replace(&mut victim.first_load, first_load),
+        let entry = base + way;
+        let victim = std::mem::replace(&mut self.tags[entry], tag);
+        let victim_bits = std::mem::replace(&mut self.bits[entry], bits);
+        self.stamp(entry);
+        let set = (base / self.ways) as u64;
+        (victim != EMPTY).then(|| {
+            let victim_addr = (victim << self.tag_shift) | (set << self.block_shift);
+            (Addr::new(victim_addr), victim_bits)
+        })
+    }
+
+    /// Empties the way holding the block containing `addr`, clearing its
+    /// bits. Returns `true` if the block was present.
+    fn invalidate(&mut self, addr: Addr) -> bool {
+        let Some(entry) = self.find(addr) else {
+            return false;
         };
-        victim.tag = tag;
-        victim.lru = tick;
-        victim.valid = true;
-        Some(evicted)
-    }
-
-    /// Removes a block, returning its first-load bits if it was present.
-    fn invalidate(&mut self, block_addr: Addr) -> Option<Vec<bool>> {
-        let set = self.set_index(block_addr);
-        let tag = self.tag(block_addr);
-        let words = self.cfg.words_per_block();
-        self.sets[set]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)
-            .map(|e| {
-                e.valid = false;
-                std::mem::replace(&mut e.first_load, vec![false; words])
-            })
-    }
-
-    fn clear_first_load_bits(&mut self) {
-        for set in &mut self.sets {
-            for entry in set {
-                entry.first_load.iter_mut().for_each(|b| *b = false);
-            }
-        }
+        self.tags[entry] = EMPTY;
+        self.bits[entry] = 0;
+        self.stamps[entry] = 0;
+        true
     }
 
     fn resident_blocks(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|e| e.valid).count())
-            .sum()
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count()
     }
 }
 
@@ -202,6 +181,7 @@ impl CacheLevel {
 pub struct CacheHierarchy {
     l1: CacheLevel,
     l2: CacheLevel,
+    block_bytes: u64,
     stats: CacheStats,
 }
 
@@ -211,25 +191,37 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics if the two levels have different block sizes (the bit
-    /// propagation between levels assumes a common block geometry).
+    /// propagation between levels assumes a common block geometry), if a
+    /// level's set count is not a power of two, or if a block holds fewer
+    /// than 1 or more than 64 words (one bit per word of a `u64` mask).
     pub fn new(cfg: CacheConfig) -> Self {
         assert_eq!(
             cfg.l1.block_bytes, cfg.l2.block_bytes,
             "L1 and L2 must share a block size"
         );
+        for level in [cfg.l1, cfg.l2] {
+            assert!(
+                level.num_sets().is_power_of_two(),
+                "a cache level's set count must be a power of two, not {}",
+                level.num_sets()
+            );
+        }
+        assert!(
+            (1..=u64::BITS as usize).contains(&cfg.l1.words_per_block()),
+            "a cache block must hold 1 to 64 words, not {} B",
+            cfg.l1.block_bytes
+        );
         CacheHierarchy {
             l1: CacheLevel::new(cfg.l1),
             l2: CacheLevel::new(cfg.l2),
+            block_bytes: cfg.l1.block_bytes,
             stats: CacheStats::default(),
         }
     }
 
-    fn block_bytes(&self) -> u64 {
-        self.l1.cfg.block_bytes
-    }
-
-    fn word_in_block(&self, addr: Addr) -> usize {
-        ((addr.word_aligned().raw() - addr.block_aligned(self.block_bytes()).raw()) / 4) as usize
+    /// The mask bit of the word containing `addr` within its block.
+    fn word_bit(&self, addr: Addr) -> u64 {
+        1 << ((addr.raw() & (self.block_bytes - 1)) / WORD_BYTES)
     }
 
     /// Consults (and sets) the first-load bit for an access to `addr`.
@@ -237,43 +229,36 @@ impl CacheHierarchy {
     /// Returns [`FirstAccess::MustLog`] exactly when the access is a load and
     /// the word's bit was not yet set.
     pub fn touch(&mut self, addr: Addr, kind: AccessKind) -> FirstAccess {
-        let block = addr.block_aligned(self.block_bytes());
-        let word = self.word_in_block(addr);
-
-        let was_set = if let Some(entry) = self.l1.lookup_mut(block) {
+        let bit = self.word_bit(addr);
+        let was_set = if let Some(entry) = self.l1.lookup(addr) {
             self.stats.l1_hits += 1;
-            let was = entry.first_load[word];
-            entry.first_load[word] = true;
+            let was = self.l1.bits[entry] & bit != 0;
+            self.l1.bits[entry] |= bit;
             was
         } else {
             self.stats.l1_misses += 1;
             // Fill from the L2 (taking over its bits) or from memory.
-            let mut bits = if let Some(entry) = self.l2.lookup_mut(block) {
+            let bits = if let Some(entry) = self.l2.lookup(addr) {
                 self.stats.l2_hits += 1;
-                entry.first_load.clone()
+                self.l2.bits[entry]
             } else {
                 self.stats.l2_misses += 1;
                 // Allocate in the L2 as well (inclusive hierarchy).
-                if let Some(evicted) = self
-                    .l2
-                    .insert(block, vec![false; self.l2.cfg.words_per_block()])
-                {
+                if let Some((victim, _)) = self.l2.fill(addr, 0) {
                     self.stats.l2_evictions += 1;
                     // Back-invalidate the L1 copy: its bits are lost with the
                     // L2 block, per the paper.
-                    self.l1.invalidate(evicted.block_addr);
+                    self.l1.invalidate(victim);
                 }
-                vec![false; self.l2.cfg.words_per_block()]
+                0
             };
-            let was = bits[word];
-            bits[word] = true;
-            if let Some(evicted) = self.l1.insert(block, bits) {
+            if let Some((victim, victim_bits)) = self.l1.fill(addr, bits | bit) {
                 // An evicted L1 block deposits its bits into the L2 copy.
-                if let Some(l2_entry) = self.l2.lookup_mut(evicted.block_addr) {
-                    l2_entry.first_load = evicted.first_load;
+                if let Some(entry) = self.l2.lookup(victim) {
+                    self.l2.bits[entry] = victim_bits;
                 }
             }
-            was
+            bits & bit != 0
         };
 
         match (kind, was_set) {
@@ -284,8 +269,8 @@ impl CacheHierarchy {
 
     /// Clears every first-load bit (start of a new checkpoint interval).
     pub fn clear_first_load_bits(&mut self) {
-        self.l1.clear_first_load_bits();
-        self.l2.clear_first_load_bits();
+        self.l1.bits.fill(0);
+        self.l2.bits.fill(0);
     }
 
     /// Invalidates the block containing `addr` in both levels (coherence
@@ -293,9 +278,8 @@ impl CacheHierarchy {
     ///
     /// Returns `true` if a block was actually present.
     pub fn invalidate_block(&mut self, addr: Addr) -> bool {
-        let block = addr.block_aligned(self.block_bytes());
-        let in_l1 = self.l1.invalidate(block).is_some();
-        let in_l2 = self.l2.invalidate(block).is_some();
+        let in_l1 = self.l1.invalidate(addr);
+        let in_l2 = self.l2.invalidate(addr);
         if in_l1 || in_l2 {
             self.stats.invalidations += 1;
             true
@@ -306,24 +290,17 @@ impl CacheHierarchy {
 
     /// Whether the block containing `addr` is resident in either level.
     pub fn contains_block(&self, addr: Addr) -> bool {
-        let block = addr.block_aligned(self.block_bytes());
-        self.l1.contains(block) || self.l2.contains(block)
+        self.l1.find(addr).is_some() || self.l2.find(addr).is_some()
     }
 
     /// Whether the first-load bit for the word containing `addr` is currently
     /// set in the level closest to the processor that holds the block.
     pub fn first_load_bit(&self, addr: Addr) -> bool {
-        let block = addr.block_aligned(self.block_bytes());
-        let word = self.word_in_block(addr);
-        let probe = |level: &CacheLevel| {
-            let set = level.set_index(block);
-            let tag = level.tag(block);
-            level.sets[set]
-                .iter()
-                .find(|e| e.valid && e.tag == tag)
-                .map(|e| e.first_load[word])
-        };
-        probe(&self.l1).or_else(|| probe(&self.l2)).unwrap_or(false)
+        let bit = self.word_bit(addr);
+        [&self.l1, &self.l2]
+            .into_iter()
+            .find_map(|level| level.find(addr).map(|entry| level.bits[entry] & bit != 0))
+            .unwrap_or(false)
     }
 
     /// Cache statistics accumulated so far.
@@ -340,7 +317,7 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugnet_types::CacheLevelConfig;
+    use bugnet_types::{CacheLevelConfig, SplitMix64};
 
     fn tiny_config() -> CacheConfig {
         // 2 sets x 2 ways x 64B blocks L1; 4 sets x 2 ways L2.
@@ -442,5 +419,294 @@ mod tests {
         assert!(c.first_load_bit(a));
         assert!(!c.first_load_bit(Addr::new(0x5004)));
         assert!(c.contains_block(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn set_counts_must_be_powers_of_two() {
+        // An L1 of 3 sets x 2 ways x 64 B.
+        CacheHierarchy::new(CacheConfig {
+            l1: CacheLevelConfig::new(384, 2, 64),
+            l2: CacheLevelConfig::new(512, 2, 64),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold 1 to 64 words")]
+    fn blocks_hold_at_most_64_words() {
+        // 512 B blocks hold 128 words.
+        CacheHierarchy::new(CacheConfig {
+            l1: CacheLevelConfig::new(2048, 2, 512),
+            l2: CacheLevelConfig::new(4096, 2, 512),
+        });
+    }
+
+    /// One level of the reference cache: a `Vec` of ways per set, each way
+    /// with its own `Vec<bool>` of first-load bits, found by division.
+    struct RefLevel {
+        cfg: CacheLevelConfig,
+        sets: Vec<Vec<RefWay>>,
+        tick: u64,
+    }
+
+    #[derive(Clone)]
+    struct RefWay {
+        valid: bool,
+        tag: u64,
+        bits: Vec<bool>,
+        lru: u64,
+    }
+
+    impl RefLevel {
+        fn new(cfg: CacheLevelConfig) -> Self {
+            let way = RefWay {
+                valid: false,
+                tag: 0,
+                bits: vec![false; cfg.words_per_block()],
+                lru: 0,
+            };
+            let sets = vec![vec![way; cfg.associativity]; cfg.num_sets() as usize];
+            RefLevel { cfg, sets, tick: 0 }
+        }
+
+        fn set_and_tag(&self, block: Addr) -> (usize, u64) {
+            let number = block.raw() / self.cfg.block_bytes;
+            let sets = self.cfg.num_sets();
+            ((number % sets) as usize, number / sets)
+        }
+
+        fn find(&self, block: Addr) -> Option<&RefWay> {
+            let (set, tag) = self.set_and_tag(block);
+            self.sets[set].iter().find(|w| w.valid && w.tag == tag)
+        }
+
+        fn lookup_mut(&mut self, block: Addr) -> Option<&mut RefWay> {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_and_tag(block);
+            let way = self.sets[set]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)?;
+            way.lru = tick;
+            Some(way)
+        }
+
+        /// Fills the first invalid way, else evicts the least recently used.
+        fn insert(&mut self, block: Addr, bits: Vec<bool>) -> Option<(Addr, Vec<bool>)> {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set_index, tag) = self.set_and_tag(block);
+            let (num_sets, block_bytes) = (self.cfg.num_sets(), self.cfg.block_bytes);
+            let set = &mut self.sets[set_index];
+            let filled = RefWay {
+                valid: true,
+                tag,
+                bits,
+                lru: tick,
+            };
+            if let Some(way) = set.iter_mut().find(|w| !w.valid) {
+                *way = filled;
+                return None;
+            }
+            let victim = set.iter_mut().min_by_key(|w| w.lru).expect("ways > 0");
+            let victim_addr = (victim.tag * num_sets + set_index as u64) * block_bytes;
+            let evicted = std::mem::replace(victim, filled);
+            Some((Addr::new(victim_addr), evicted.bits))
+        }
+
+        fn invalidate(&mut self, block: Addr) -> bool {
+            let (set, tag) = self.set_and_tag(block);
+            let words = self.cfg.words_per_block();
+            self.sets[set]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)
+                .map(|w| {
+                    w.valid = false;
+                    w.bits = vec![false; words];
+                })
+                .is_some()
+        }
+
+        fn resident_blocks(&self) -> usize {
+            self.sets.iter().flatten().filter(|w| w.valid).count()
+        }
+    }
+
+    /// The hierarchy of per-way `Vec<bool>` bits that the flat arrays
+    /// replaced, kept to check them against.
+    struct RefHierarchy {
+        l1: RefLevel,
+        l2: RefLevel,
+        stats: CacheStats,
+    }
+
+    impl RefHierarchy {
+        fn new(cfg: CacheConfig) -> Self {
+            RefHierarchy {
+                l1: RefLevel::new(cfg.l1),
+                l2: RefLevel::new(cfg.l2),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn block_and_word(&self, addr: Addr) -> (Addr, usize) {
+            let block = addr.block_aligned(self.l1.cfg.block_bytes);
+            let word = (addr.word_aligned().raw() - block.raw()) / WORD_BYTES;
+            (block, word as usize)
+        }
+
+        fn touch(&mut self, addr: Addr, kind: AccessKind) -> FirstAccess {
+            let (block, word) = self.block_and_word(addr);
+            let was_set = if let Some(way) = self.l1.lookup_mut(block) {
+                self.stats.l1_hits += 1;
+                std::mem::replace(&mut way.bits[word], true)
+            } else {
+                self.stats.l1_misses += 1;
+                let mut bits = if let Some(way) = self.l2.lookup_mut(block) {
+                    self.stats.l2_hits += 1;
+                    way.bits.clone()
+                } else {
+                    self.stats.l2_misses += 1;
+                    let words = self.l2.cfg.words_per_block();
+                    if let Some((victim, _)) = self.l2.insert(block, vec![false; words]) {
+                        self.stats.l2_evictions += 1;
+                        self.l1.invalidate(victim);
+                    }
+                    vec![false; words]
+                };
+                let was = std::mem::replace(&mut bits[word], true);
+                if let Some((victim, victim_bits)) = self.l1.insert(block, bits) {
+                    if let Some(way) = self.l2.lookup_mut(victim) {
+                        way.bits = victim_bits;
+                    }
+                }
+                was
+            };
+            match (kind, was_set) {
+                (AccessKind::Load, false) => FirstAccess::MustLog,
+                _ => FirstAccess::AlreadyCovered,
+            }
+        }
+
+        fn clear_first_load_bits(&mut self) {
+            for level in [&mut self.l1, &mut self.l2] {
+                for way in level.sets.iter_mut().flatten() {
+                    way.bits.fill(false);
+                }
+            }
+        }
+
+        fn invalidate_block(&mut self, addr: Addr) -> bool {
+            let (block, _) = self.block_and_word(addr);
+            let in_l1 = self.l1.invalidate(block);
+            let in_l2 = self.l2.invalidate(block);
+            if in_l1 || in_l2 {
+                self.stats.invalidations += 1;
+            }
+            in_l1 || in_l2
+        }
+
+        fn contains_block(&self, addr: Addr) -> bool {
+            let (block, _) = self.block_and_word(addr);
+            self.l1.find(block).is_some() || self.l2.find(block).is_some()
+        }
+
+        fn first_load_bit(&self, addr: Addr) -> bool {
+            let (block, word) = self.block_and_word(addr);
+            let l1 = self.l1.find(block).map(|w| w.bits[word]);
+            l1.or_else(|| self.l2.find(block).map(|w| w.bits[word]))
+                .unwrap_or(false)
+        }
+
+        fn resident_blocks(&self) -> (usize, usize) {
+            (self.l1.resident_blocks(), self.l2.resident_blocks())
+        }
+    }
+
+    #[test]
+    fn flat_arrays_match_the_reference_hierarchy() {
+        let geometries = [
+            tiny_config(),
+            // One set, fully associative, with 64-word (256 B) blocks.
+            CacheConfig {
+                l1: CacheLevelConfig::new(4 * 256, 4, 256),
+                l2: CacheLevelConfig::new(8 * 256, 8, 256),
+            },
+            CacheConfig::default(),
+        ];
+        for (seed, cfg) in geometries.into_iter().enumerate() {
+            let mut flat = CacheHierarchy::new(cfg);
+            let mut reference = RefHierarchy::new(cfg);
+            let mut rng = SplitMix64::new(seed as u64);
+            // Blocks from up to four L2 sets, twice as many as their ways
+            // hold, so both levels hit, evict and refill.
+            let block_bytes = cfg.l2.block_bytes;
+            let set_span = cfg.l2.num_sets() * block_bytes;
+            let sets = cfg.l2.num_sets().min(4);
+            let tags = 2 * cfg.l2.associativity as u64;
+            let random_addr = |rng: &mut SplitMix64| {
+                let block = rng.next_range(tags) * set_span + rng.next_range(sets) * block_bytes;
+                Addr::new(block + rng.next_range(block_bytes))
+            };
+            for step in 0..5_000 {
+                let addr = random_addr(&mut rng);
+                let op = rng.next_range(100);
+                let context = format!("geometry {seed}, step {step}, {addr}, op {op}");
+                match op {
+                    0..=2 => assert_eq!(
+                        flat.invalidate_block(addr),
+                        reference.invalidate_block(addr),
+                        "{context}"
+                    ),
+                    3 => {
+                        flat.clear_first_load_bits();
+                        reference.clear_first_load_bits();
+                    }
+                    _ => {
+                        let kind = if op < 60 {
+                            AccessKind::Load
+                        } else {
+                            AccessKind::Store
+                        };
+                        assert_eq!(
+                            flat.touch(addr, kind),
+                            reference.touch(addr, kind),
+                            "{context}"
+                        );
+                    }
+                }
+                assert_eq!(flat.stats(), reference.stats, "{context}");
+                assert_eq!(
+                    flat.resident_blocks(),
+                    reference.resident_blocks(),
+                    "{context}"
+                );
+                for probe in [addr, addr.offset(4), random_addr(&mut rng)] {
+                    assert_eq!(
+                        flat.first_load_bit(probe),
+                        reference.first_load_bit(probe),
+                        "{context}, probe {probe}"
+                    );
+                    assert_eq!(
+                        flat.contains_block(probe),
+                        reference.contains_block(probe),
+                        "{context}, probe {probe}"
+                    );
+                }
+            }
+            let CacheStats {
+                l2_evictions,
+                invalidations,
+                ..
+            } = flat.stats();
+            assert!(
+                l2_evictions > 100,
+                "geometry {seed}: {l2_evictions} L2 evictions"
+            );
+            assert!(
+                invalidations > 10,
+                "geometry {seed}: {invalidations} invalidations"
+            );
+        }
     }
 }

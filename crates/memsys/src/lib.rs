@@ -13,7 +13,10 @@
 //!   port.
 //! * [`CacheHierarchy`] — a private L1+L2 pair per core that tracks block
 //!   residency and per-word first-load bits (metadata only; data values come
-//!   from [`SparseMemory`], which is exact).
+//!   from [`SparseMemory`], which is exact). Each level is flat set arrays
+//!   holding one tag, one LRU stamp and one `u64` word mask of first-load
+//!   bits per block, so a level's set count is a power of two and a block
+//!   holds at most 64 words (256 B).
 //! * [`Directory`] — an MSI directory coherence protocol over the cores'
 //!   private hierarchies; its reply messages are what BugNet and FDR
 //!   piggy-back memory-race information on. A block's state is one `u64`

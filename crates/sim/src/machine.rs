@@ -948,11 +948,11 @@ impl MemoryPort for MachinePort<'_> {
             self.apply_coherence(addr, action);
         }
         let m = &mut *self.machine;
-        let was_cached = m.cores[self.core].caches.contains_block(addr);
-        m.cores[self.core].caches.touch(addr, AccessKind::Store);
+        let caches = &mut m.cores[self.core].caches;
         if let Some(fdr) = &mut m.fdr {
-            fdr.on_store(addr, was_cached);
+            fdr.on_store(addr, caches.contains_block(addr));
         }
+        caches.touch(addr, AccessKind::Store);
         if m.recording() {
             m.recorders[self.thread].record_store(addr, value);
         }

@@ -12,6 +12,7 @@
 //!
 //! Run with: `cargo run --release --example multithreaded_race`
 
+use bugnet::core::race::GlobalOp;
 use bugnet::sim::MachineBuilder;
 use bugnet::types::BugNetConfig;
 use bugnet::workloads::mt;
@@ -44,11 +45,21 @@ fn investigate(name: &str, workload: &bugnet::workloads::Workload) {
     );
     for race in analysis.races.iter().take(3) {
         println!(
-            "    race on {} between {} (ic {}) and {} (ic {})",
-            race.addr, race.first.thread, race.first.ic, race.second.thread, race.second.ic
+            "    race on {} between {} and {}",
+            race.addr,
+            side(&race.first),
+            side(&race.second)
         );
     }
     println!();
+}
+
+/// One side of a race: its thread, access kind, value and instruction count.
+/// An atomic swap is a load and a store at one count, so the kind tells its
+/// two races apart.
+fn side(op: &GlobalOp) -> String {
+    let kind = if op.op.is_store { "store" } else { "load" };
+    format!("{} {kind} {} (ic {})", op.thread, op.op.value.get(), op.ic)
 }
 
 fn main() {

@@ -12,9 +12,14 @@
 //!    unintended format change — however subtle — fails loudly. Three
 //!    multithreaded kernels are pinned the same way, which covers the
 //!    Memory Race Logs that coherence replies fill.
+//!
+//! The simulated caches' statistics are pinned for four recordings, one of
+//! which overflows the L2, and that recording's FLL is hashed too: L2
+//! evictions lose first-load bits, and the words they covered are logged
+//! again.
 
 use bugnet::core::fll::{EncodedValue, FirstLoadLog, FllCodec};
-use bugnet::sim::MachineBuilder;
+use bugnet::sim::{Machine, MachineBuilder};
 use bugnet::types::{BugNetConfig, ThreadId};
 use bugnet::workloads::spec::SpecProfile;
 use bugnet::workloads::{mt, Workload};
@@ -83,15 +88,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Runs `workload` to completion under the recorder, with 5k-instruction
+/// checkpoint intervals.
+fn record(workload: &Workload) -> Machine {
+    let mut machine = MachineBuilder::new()
+        .bugnet(BugNetConfig::default().with_checkpoint_interval(5_000))
+        .build_with_workload(workload);
+    machine.run_to_completion();
+    machine
+}
+
 /// Records a golden workload: a single-threaded SPEC profile, 30k
 /// instructions, 5k-instruction checkpoint intervals.
 fn golden_logs(profile: SpecProfile) -> Vec<bugnet::core::CheckpointLogs> {
-    let workload = profile.build_workload(30_000, 1);
-    let mut machine = MachineBuilder::new()
-        .bugnet(BugNetConfig::default().with_checkpoint_interval(5_000))
-        .build_with_workload(&workload);
-    machine.run_to_completion();
-    machine
+    record(&profile.build_workload(30_000, 1))
         .log_store()
         .expect("recorder attached")
         .dump_thread(ThreadId(0))
@@ -186,14 +196,11 @@ fn print_golden_hashes() {
     }
 }
 
-/// FNV-1a hashes of a multithreaded workload's FLL and MRL dumps, recorded
-/// at 5k-instruction intervals and concatenated with threads in id order,
-/// plus its MRL entry count.
-fn multithreaded_log_hashes(workload: &Workload) -> (u64, u64, usize) {
-    let mut machine = MachineBuilder::new()
-        .bugnet(BugNetConfig::default().with_checkpoint_interval(5_000))
-        .build_with_workload(workload);
-    machine.run_to_completion();
+/// FNV-1a hashes of a workload's FLL and MRL dumps, recorded at
+/// 5k-instruction intervals and concatenated with threads in id order, plus
+/// its MRL entry count.
+fn recorded_log_hashes(workload: &Workload) -> (u64, u64, usize) {
+    let machine = record(workload);
     let store = machine.log_store().expect("recorder attached");
     let mut fll_dump = Vec::new();
     let mut mrl_dump = Vec::new();
@@ -232,9 +239,60 @@ fn multithreaded_log_hashes_are_stable() {
     ];
     for (workload, fll, mrl, entries) in golden {
         let name = &workload.name;
-        let (fll_hash, mrl_hash, mrl_entries) = multithreaded_log_hashes(&workload);
+        let (fll_hash, mrl_hash, mrl_entries) = recorded_log_hashes(&workload);
         assert_eq!(fll_hash, fll, "{name}: FLL dump bytes changed");
         assert_eq!(mrl_hash, mrl, "{name}: MRL dump bytes changed");
         assert_eq!(mrl_entries, entries, "{name}: MRL entry count changed");
     }
+}
+
+/// `Machine::cache_stats()` after recording, as (L1 hits, L1 misses, L2
+/// hits, L2 misses, L2 evictions, invalidations). The 30k goldens never
+/// evict from the L2; a 200k-instruction mcf run overflows it, and the
+/// racy counter's stores invalidate the other cores' copies.
+#[test]
+fn simulated_cache_statistics_are_stable() {
+    let golden = [
+        (
+            SpecProfile::gzip().build_workload(30_000, 1),
+            (7437, 2055, 570, 1485, 0, 0),
+        ),
+        (
+            SpecProfile::mcf().build_workload(30_000, 1),
+            (3776, 3244, 104, 3140, 0, 0),
+        ),
+        (
+            SpecProfile::mcf().build_workload(200_000, 1),
+            (25336, 21704, 5428, 16276, 1555, 0),
+        ),
+        (mt::racy_counter(8, 200), (3072, 128, 0, 128, 0, 127)),
+    ];
+    for (workload, stats) in golden {
+        let s = record(&workload).cache_stats();
+        assert_eq!(
+            (
+                s.l1_hits,
+                s.l1_misses,
+                s.l2_hits,
+                s.l2_misses,
+                s.l2_evictions,
+                s.invalidations
+            ),
+            stats,
+            "{}: cache statistics changed",
+            workload.name
+        );
+    }
+}
+
+/// The FLL of a recording whose L2 evictions lose first-load bits, so the
+/// words they covered are logged again.
+#[test]
+fn l2_evicting_mcf_log_hash_is_stable() {
+    let workload = SpecProfile::mcf().build_workload(200_000, 1);
+    let (fll_hash, _, _) = recorded_log_hashes(&workload);
+    assert_eq!(
+        fll_hash, 0xd53e_95f8_5a66_3e1d,
+        "mcf 200k: FLL dump bytes changed"
+    );
 }
