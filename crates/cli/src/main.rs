@@ -85,10 +85,13 @@ USAGE:
         complete or not at all, and orphaned staging directories from
         prior crashed runs are swept first. --codec selects the back-end
         frame compressor (default: lz); --flush-workers seals intervals on
-        N background threads and --shards sets the store's hand-off lane
-        count (recorded content is identical for any worker/shard count;
-        both are at most 64, the most threads a workload has, and --dict
-        is at most 65536).
+        N background threads (default: 1; 0 seals every interval on the
+        machine thread), started once the run has committed one
+        --interval's worth of instructions, so a shorter run seals in place
+        and starts none. --shards sets the store's hand-off lane count
+        (recorded content is identical for any worker/shard count; both
+        are at most 64, the most threads a workload has, and --dict is at
+        most 65536).
         Dumps are format v5: each log is stored as columnar, delta-encoded
         per-field streams and each program's code-only image (code, entry,
         stack top, symbols; replay takes data from the logs) is embedded
@@ -316,7 +319,11 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
     };
     // Thread `t` uses worker `t % workers` and lane `t % shards`, so more of
     // either than a workload has threads would never get work.
-    let flush_workers = args.size_option("--flush-workers", 0, MAX_THREADS)?;
+    let flush_workers = args.size_option(
+        "--flush-workers",
+        RecordingOptions::default().flush_workers,
+        MAX_THREADS,
+    )?;
     let store_shards = args.size_option("--shards", 0, MAX_THREADS)?;
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);

@@ -5,7 +5,16 @@
 //! lands in the [`LogStore`]. Sealing is the CPU-heavy part of a flush and a
 //! pure function of `(logs, codec)`, so this module moves it off the machine
 //! loop onto a hand-rolled pool of worker threads (no external dependencies
-//! are available offline):
+//! are available offline).
+//!
+//! A recording machine runs one worker by default
+//! (`RecordingOptions::flush_workers`), and builds the pipeline, spawning
+//! its workers, when an interval closes after the run has committed at
+//! least one checkpoint interval's worth of instructions. Intervals that
+//! close before that are sealed on the machine thread, so a run shorter
+//! than one interval starts no thread. From then on every interval goes
+//! through the pipeline, behind the ones already sealed into the store, so
+//! each thread's intervals stay in order across the switch:
 //!
 //! ```text
 //! machine loop ── submit(store, logs) ──► worker = tid % N   (seal: serialize+LZ)
@@ -175,8 +184,12 @@ impl FlushPipeline {
 
     /// Non-blocking drain: reconciles whatever sealed batches the workers
     /// have already handed to the store's lanes. Called from the machine
-    /// loop so the store tracks the execution closely without stalling it.
+    /// loop so the store tracks the execution closely without stalling it;
+    /// with no interval in flight it returns without polling the lanes.
     pub fn drain_ready(&mut self, store: &mut LogStore) {
+        if self.in_flight() == 0 {
+            return;
+        }
         let drained = store.reconcile() as u64;
         if drained > 0 {
             self.reconciled += drained;

@@ -40,8 +40,13 @@ pub struct RecordingOptions {
     /// the log store (and therefore the codec of any crash dump written
     /// from it).
     pub codec: CodecId,
-    /// Background sealing threads; zero seals inline on the machine loop.
-    /// See [`crate::flush`] for the ordering guarantee.
+    /// Background sealing threads (default 1); zero seals every interval
+    /// inline on the machine loop. The machine starts them when an interval
+    /// closes after the run has committed at least one checkpoint
+    /// interval's worth of instructions. Intervals that close before that
+    /// are sealed in place, so a shorter run starts no thread; once started,
+    /// every interval goes through them. See [`crate::flush`] for the
+    /// ordering guarantee.
     pub flush_workers: usize,
     /// Hand-off lanes of the sharded [`LogStore`] (zero picks
     /// [`bugnet_core::recorder::DEFAULT_STORE_SHARDS`]). A resource knob,
@@ -68,7 +73,7 @@ impl Default for RecordingOptions {
     fn default() -> Self {
         RecordingOptions {
             codec: CodecId::Lz77,
-            flush_workers: 0,
+            flush_workers: 1,
             store_shards: 0,
             dump_on_crash: None,
             telemetry: None,
@@ -152,10 +157,6 @@ impl MachineBuilder {
         let mut machine = Machine::new(machine_cfg, self.bugnet, self.fdr, workload, &opts);
         machine.workload_spec = self.workload_spec.unwrap_or_else(|| workload.name.clone());
         machine.dump_dir = opts.dump_on_crash;
-        if opts.flush_workers > 0 && machine.log_store.is_some() {
-            let probe = machine.probe.sibling("flush");
-            machine.pipeline = Some(FlushPipeline::new(opts.flush_workers, opts.codec, probe));
-        }
         machine
     }
 }
@@ -244,6 +245,9 @@ pub struct Machine {
     bugnet_cfg: Option<BugNetConfig>,
     recorders: Vec<ThreadRecorder>,
     log_store: Option<LogStore>,
+    /// [`RecordingOptions::flush_workers`]; the pipeline is built from it
+    /// once the run has filled an interval (see `end_interval`).
+    flush_workers: usize,
     pipeline: Option<FlushPipeline>,
     fdr: Option<FdrRecorder>,
     clock: u64,
@@ -322,6 +326,7 @@ impl Machine {
             bugnet_cfg,
             recorders,
             log_store,
+            flush_workers: opts.flush_workers,
             pipeline: None,
             fdr: fdr_cfg.map(FdrRecorder::new),
             clock: 0,
@@ -578,15 +583,27 @@ impl Machine {
             .as_ref()
             .expect("cpu present when ending an interval")
             .arch_state();
-        if let Some(logs) = self.recorders[thread].end_interval(cause, &arch) {
-            match (&mut self.pipeline, &mut self.log_store) {
-                // Parallel flush: sealing happens on the worker pool and
-                // lands in the store's shard lanes; the drain calls
-                // reconcile it in (per-thread order preserved).
-                (Some(pipeline), Some(store)) => pipeline.submit(store, logs),
-                (_, Some(store)) => store.push(logs),
-                _ => {}
-            }
+        let Some(logs) = self.recorders[thread].end_interval(cause, &arch) else {
+            return;
+        };
+        let store = self.log_store.as_mut().expect("a recorder implies a store");
+        // A background sealer pays for its thread only on a run long enough
+        // to fill an interval; intervals closing earlier are sealed here.
+        let filled = self
+            .bugnet_cfg
+            .as_ref()
+            .is_some_and(|c| self.total_committed >= c.checkpoint_interval);
+        if filled && self.pipeline.is_none() && self.flush_workers > 0 {
+            let probe = self.probe.sibling("flush");
+            self.pipeline = Some(FlushPipeline::new(self.flush_workers, store.codec(), probe));
+        }
+        match &mut self.pipeline {
+            // Sealing happens on the worker pool and lands in the store's
+            // shard lanes; the drain calls reconcile it in. Once started,
+            // the pipeline takes every interval, so each thread's intervals
+            // reach the store in order.
+            Some(pipeline) => pipeline.submit(store, logs),
+            None => store.push(logs),
         }
     }
 
@@ -1091,39 +1108,79 @@ mod tests {
     fn parallel_flush_dumps_are_byte_identical_to_serial() {
         let base = std::env::temp_dir().join(format!("bugnet-parflush-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
+        // Each run fills its interval, so that every arm with workers
+        // starts its pool and seals through it.
         let workloads = [
-            ("gzip", SpecProfile::gzip().build_workload(30_000, 1)),
-            ("racy", mt::racy_counter(2, 400)),
+            ("gzip", SpecProfile::gzip().build_workload(30_000, 1), 5_000),
+            ("racy", mt::racy_counter(2, 400), 1_000),
+            (
+                "bug",
+                bugnet_workloads::registry::resolve("bug:gzip-1.2.4:1000").unwrap(),
+                5_000,
+            ),
         ];
-        for (name, workload) in &workloads {
-            let dump_with = |workers: usize| -> std::path::PathBuf {
-                let dir = base.join(format!("{name}-{workers}"));
-                let mut machine = MachineBuilder::new()
-                    .bugnet(bugnet_cfg(5_000))
-                    .recording(RecordingOptions {
-                        flush_workers: workers,
-                        ..RecordingOptions::default()
-                    })
-                    .build_with_workload(workload);
-                machine.run_to_completion();
-                machine.write_crash_dump(&dir).expect("dump writes");
-                dir
-            };
-            let serial = dump_with(0);
-            let parallel = dump_with(3);
-            let mut names: Vec<String> = std::fs::read_dir(&serial)
+        let file_names = |dir: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
                 .unwrap()
                 .map(|e| e.unwrap().file_name().into_string().unwrap())
                 .collect();
             names.sort();
+            names
+        };
+        for (name, workload, interval) in &workloads {
+            // Writes the arm's dump and returns its directory and the
+            // number of sealers the run started.
+            let dump_with = |arm: &str, opts: RecordingOptions| {
+                let dir = base.join(format!("{name}-{arm}"));
+                let mut machine = MachineBuilder::new()
+                    .bugnet(bugnet_cfg(*interval))
+                    .recording(opts)
+                    .build_with_workload(workload);
+                machine.run_to_completion();
+                machine.write_crash_dump(&dir).expect("dump writes");
+                let sealers = machine.pipeline.as_ref().map_or(0, FlushPipeline::workers);
+                (dir, sealers)
+            };
+            let workers = |flush_workers: usize| RecordingOptions {
+                flush_workers,
+                ..RecordingOptions::default()
+            };
+            let (serial, _) = dump_with("serial", workers(0));
+            let names = file_names(&serial);
             assert!(!names.is_empty());
-            for file in &names {
-                let a = std::fs::read(serial.join(file)).unwrap();
-                let b = std::fs::read(parallel.join(file)).unwrap();
-                assert_eq!(a, b, "{name}/{file} differs between serial and parallel");
+            for (arm, opts, started) in [
+                ("default", RecordingOptions::default(), 1),
+                ("parallel", workers(3), 3),
+            ] {
+                let (dir, sealers) = dump_with(arm, opts);
+                assert_eq!(sealers, started, "{name}: {arm} started {sealers} sealers");
+                assert_eq!(file_names(&dir), names, "{name}: {arm} wrote other files");
+                for file in &names {
+                    let a = std::fs::read(serial.join(file)).unwrap();
+                    let b = std::fs::read(dir.join(file)).unwrap();
+                    assert_eq!(a, b, "{name}/{file} differs between serial and {arm}");
+                }
             }
         }
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn the_default_sealer_starts_once_a_run_fills_an_interval() {
+        let sealers = |workload: &Workload, interval: u64| {
+            let mut machine = MachineBuilder::new()
+                .bugnet(bugnet_cfg(interval))
+                .build_with_workload(workload);
+            machine.run_to_completion();
+            assert!(machine.log_report().intervals > 0);
+            machine.pipeline.as_ref().map_or(0, FlushPipeline::workers)
+        };
+        // Shorter than its interval: every interval is sealed in place.
+        let gzip = SpecProfile::gzip().build_workload(30_000, 1);
+        assert_eq!(sealers(&gzip, 1_000_000), 0);
+        assert_eq!(sealers(&BugSpec::all()[0].build(1.0), 1_000_000), 0);
+        // At 5k-instruction intervals the first to close starts the sealer.
+        assert_eq!(sealers(&gzip, 5_000), 1);
     }
 
     #[test]

@@ -50,7 +50,16 @@ fn sharded_recording_replays_digest_identical_to_serial() {
     ] {
         let serial_dir = temp_dir(&format!("{name}-serial"));
         let sharded_dir = temp_dir(&format!("{name}-sharded"));
-        let serial = record_and_dump(spec, interval, RecordingOptions::default(), &serial_dir);
+        // No workers: every interval is sealed on the machine thread.
+        let serial = record_and_dump(
+            spec,
+            interval,
+            RecordingOptions {
+                flush_workers: 0,
+                ..RecordingOptions::default()
+            },
+            &serial_dir,
+        );
         let sharded = record_and_dump(
             spec,
             interval,
