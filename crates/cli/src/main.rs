@@ -127,19 +127,23 @@ USAGE:
     bugnet replay <DIR> [--at <N>] [--workload <SPEC>] [--salvage]
                   [--metrics-json <FILE>] [--trace-out <FILE>]
         Replay every retained interval and compare against the recorded
-        execution digests. Self-contained (v3+) dumps replay from their
-        embedded program images; v1/v2 dumps rebuild the programs from the
-        manifest's workload spec. --workload overrides both, here and in
-        bisect and profile alike (a mismatch against the recorded spec is
-        reported up front). --at <N> seeks straight to checkpoint N and
-        replays from there onward — every interval carries its full
-        start-of-interval state, so earlier intervals are never
-        re-executed. --salvage accepts a damaged dump and replays up to
-        the last fully-intact interval of each thread instead of refusing
-        to load. --metrics-json records replay telemetry (instructions,
-        interval latency, digest comparisons) and writes the snapshot to
-        <FILE> as JSON. --trace-out writes a per-interval replay timeline
-        as Chrome trace-event JSON. --at combines with every other flag.
+        execution digests. Intervals replay independently, on up to one
+        thread per CPU; the report is the same on any number. Self-contained
+        (v3+) dumps replay from their embedded program images; v1/v2 dumps
+        rebuild the programs from the manifest's workload spec. --workload
+        overrides both, here and in bisect and profile alike (a mismatch
+        against the recorded spec is reported up front). --at <N> seeks
+        straight to each thread's first interval with checkpoint id N and
+        replays from there to the end of the window — every interval carries
+        its full start-of-interval state, so earlier intervals are never
+        re-executed. Ids wrap (at 256 by default), so intervals after the
+        wrap replay too, whatever their id. --salvage accepts a damaged dump
+        and replays up to the last fully-intact interval of each thread
+        instead of refusing to load. --metrics-json records replay telemetry
+        (instructions, interval latency, digest comparisons) and writes the
+        snapshot to <FILE> as JSON. --trace-out writes a per-interval replay
+        timeline as Chrome trace-event JSON. --at combines with every other
+        flag.
 
     bugnet bisect <DIR> [--workload <SPEC>]
         Binary-search each thread's retained window for the first interval
@@ -660,8 +664,8 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     if let Some(n) = at {
         // Checkpoint-seeking time travel: every FLL header carries the full
         // start-of-interval architectural state, so replay jumps straight
-        // to checkpoint `n` — intervals before it are skipped, never
-        // re-executed.
+        // to each thread's first interval with checkpoint id `n` —
+        // intervals before it are skipped, never re-executed.
         println!("seeking to checkpoint {n}: earlier intervals are skipped, not replayed");
     }
     let report = dump

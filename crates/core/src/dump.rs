@@ -94,8 +94,12 @@ use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io;
+use std::num::NonZeroUsize;
+use std::panic;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
 use bugnet_compress::{
     container_info, decode_container, encode_container, fnv1a, streams_info, CodecId,
@@ -1377,7 +1381,9 @@ impl CrashDump {
     }
 
     /// Replays every retained interval of every thread and checks each
-    /// replay against the recording ([`DumpIntervalReplay::check`]). A
+    /// replay against the recording ([`DumpIntervalReplay::check`]), on up
+    /// to one thread per CPU ([`replay_and_check`]); to start from a given
+    /// checkpoint, see [`replay_from`](CrashDump::replay_from). A
     /// thread replays against its *embedded* program image (format v3);
     /// `fallback` is only consulted for threads without one (v1/v2 dumps,
     /// or image embedding disabled) — the registry-resolution path. Threads
@@ -1400,10 +1406,15 @@ impl CrashDump {
     }
 
     /// Checkpoint-seeking time travel: like [`replay`](CrashDump::replay),
-    /// but replays only the intervals whose checkpoint id is `from` or
-    /// later. Every FLL header carries the complete architectural state at
-    /// the start of its interval, so seeking is free — intervals before
-    /// `from` are skipped outright, never re-executed.
+    /// but each thread replays from its first retained interval whose
+    /// checkpoint id is `from` to the end of its window. Checkpoint ids are
+    /// `checkpoint_id_bits` wide and wrap, so in a window of more than
+    /// 2^bits intervals an id recurs: the seek stops at its first
+    /// occurrence, and a later interval with a lower id still replays. A
+    /// thread without an interval of that id replays nothing. Every FLL
+    /// header carries the complete architectural state at the start of its
+    /// interval, so seeking is free — intervals before `from` are skipped
+    /// outright, never re-executed.
     ///
     /// # Errors
     ///
@@ -1506,9 +1517,11 @@ impl CrashDump {
     }
 
     /// The general replay: programs resolve as in
-    /// [`replay`](CrashDump::replay), the intervals before `request.from`
-    /// are skipped, and `request.probe` observes the rest as
-    /// [`replay_and_check`] checks them.
+    /// [`replay`](CrashDump::replay), each thread seeks to its first
+    /// interval whose checkpoint id is `request.from` (see
+    /// [`replay_from`](CrashDump::replay_from)), and `request.probe`
+    /// observes the rest as [`replay_and_check`] checks them, on up to one
+    /// thread per CPU.
     ///
     /// # Errors
     ///
@@ -1526,7 +1539,7 @@ impl CrashDump {
             let intervals = t
                 .checkpoints
                 .iter()
-                .filter(move |cp| from.is_none_or(|from| cp.fll.header.checkpoint >= from));
+                .skip_while(move |cp| from.is_some_and(|from| cp.fll.header.checkpoint != from));
             (t.thread, t.program(&mut fallback), intervals)
         });
         replay_and_check(threads, &mut probe, None)
@@ -1545,6 +1558,26 @@ impl ThreadDump {
     }
 }
 
+/// Instructions to replay per worker below which [`replay_and_check`] adds
+/// no further worker. A scoped spawn and join costs 37–43 µs on a 2-vCPU
+/// VM, about what 2,000 instructions take to replay, so a helper would
+/// nearly double the replay of crash-burst's python incidents (two
+/// intervals of 2.2k and 6.6k instructions in all). Without this floor,
+/// crash-burst read bugbench `replay_ns_per_instr` 25.73 → 26.23 against
+/// the serial loop (6 pairs, 4 lost).
+const INSTRUCTIONS_PER_WORKER: u64 = 50_000;
+
+/// The CPUs this process may run on, read once: each
+/// [`available_parallelism`](thread::available_parallelism) call reads
+/// cgroup files.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One interval to replay: its thread, that thread's replayer and its logs.
+type ReplayJob<'a> = (ThreadId, Replayer, &'a CheckpointLogs);
+
 /// The one replay-and-check loop, behind [`CrashDump::replay_with`], the
 /// dump profiler and the machine's in-memory `replay_and_verify` alike.
 /// Each thread comes as its id, the program it replays against (`None`
@@ -1553,28 +1586,112 @@ impl ThreadDump {
 /// which hands `hook`, if any, the PC of every dispatched instruction;
 /// `probe` observes each interval as [`ReplayRequest::probe`] describes.
 ///
+/// Every interval starts from its FLL header's state and empty memory, so
+/// the intervals replay independently, on up to one worker per CPU
+/// ([`available_parallelism`](thread::available_parallelism), read once
+/// per process). It takes no more workers than there are intervals, and
+/// no more than one per 50,000 instructions to replay: below that, a
+/// thread costs more to start than it saves. With a `hook`, one worker
+/// replays every interval in order, so the hook sees one instruction
+/// sequence. The calling thread is worker 0, and the others are scoped
+/// threads that end with the call. Each worker takes the next interval in
+/// report order from a shared counter, and no worker starts an interval
+/// after one that failed.
+///
+/// The report is the serial loop's: intervals grouped by thread, oldest
+/// first. Helpers observe through [`Probe::sibling`]s on the tracks
+/// `replay-1`, `replay-2`, ..., so their spans land there, while the
+/// counter totals and the `replay_interval_ns` sample count are the serial
+/// loop's. On an error, an interval after the failing one that was
+/// already replaying may also have been observed.
+///
 /// # Errors
 ///
-/// Returns the first [`ReplayError`] from an unreplayable interval.
+/// Returns the first [`ReplayError`] in report order from an unreplayable
+/// interval, the one the serial loop would return.
 pub fn replay_and_check<'a, I>(
     threads: impl IntoIterator<Item = (ThreadId, Option<Arc<Program>>, I)>,
     probe: &mut Probe,
-    mut hook: Option<&mut dyn FnMut(Addr)>,
+    hook: Option<&mut dyn FnMut(Addr)>,
 ) -> Result<DumpReplayReport, ReplayError>
 where
     I: IntoIterator<Item = &'a CheckpointLogs>,
 {
     let mut report = DumpReplayReport::default();
+    let mut jobs: Vec<ReplayJob<'a>> = Vec::new();
     for (thread, program, intervals) in threads {
         let Some(program) = program else {
             report.unreplayable_threads.push(thread);
             continue;
         };
         let replayer = Replayer::new(program);
-        for cp in intervals {
-            let start = probe.now();
-            let interval = DumpIntervalReplay::check(&replayer, thread, cp, hook.as_deref_mut())?;
-            if probe.is_on() {
+        jobs.extend(
+            intervals
+                .into_iter()
+                .map(|cp| (thread, replayer.clone(), cp)),
+        );
+    }
+    // The counts come from the dump, so they may be anything.
+    let instructions = jobs.iter().fold(0u64, |sum, (_, _, cp)| {
+        sum.saturating_add(cp.fll.instructions)
+    });
+    let workers = if hook.is_some() {
+        1
+    } else {
+        let floor = usize::try_from(instructions / INSTRUCTIONS_PER_WORKER).unwrap_or(usize::MAX);
+        cpus().min(jobs.len()).min(floor).max(1)
+    };
+    // Neither atomic publishes data: the jobs are shared before the spawns
+    // and the results come back through the joins, so `Relaxed` will do.
+    // `failed` only falls, so every interval before the first failure is
+    // taken and replayed.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(usize::MAX);
+    let helpers: Vec<Probe> = (1..workers)
+        .map(|w| probe.sibling(format_args!("replay-{w}")))
+        .collect();
+    let mut done = thread::scope(|s| {
+        let (jobs, next, failed) = (&jobs, &next, &failed);
+        let handles: Vec<_> = helpers
+            .into_iter()
+            .map(|mut probe| s.spawn(move || replay_jobs(jobs, next, failed, &mut probe, None)))
+            .collect();
+        let mut done = replay_jobs(jobs, next, failed, probe, hook);
+        for handle in handles {
+            done.extend(handle.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    for (_, interval) in done {
+        report.intervals.push(interval?);
+    }
+    Ok(report)
+}
+
+/// One worker of [`replay_and_check`]: replays the next job until none is
+/// left or one at a lower index has failed, and returns each job's index
+/// and result.
+fn replay_jobs(
+    jobs: &[ReplayJob<'_>],
+    next: &AtomicUsize,
+    failed: &AtomicUsize,
+    probe: &mut Probe,
+    mut hook: Option<&mut dyn FnMut(Addr)>,
+) -> Vec<(usize, Result<DumpIntervalReplay, ReplayError>)> {
+    let mut done = Vec::new();
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some((thread, replayer, cp)) = jobs.get(i) else {
+            return done;
+        };
+        if i > failed.load(Ordering::Relaxed) {
+            return done;
+        }
+        let start = probe.now();
+        let result = DumpIntervalReplay::check(replayer, *thread, cp, hook.as_deref_mut());
+        match &result {
+            Ok(interval) if probe.is_on() => {
                 let digest_match = interval.digest_match;
                 let instructions = Some(("instructions", interval.instructions));
                 probe.span("replay", "interval", start, instructions);
@@ -1587,10 +1704,13 @@ where
                     probe.instant("replay", "digest_mismatch");
                 }
             }
-            report.intervals.push(interval);
+            Ok(_) => {}
+            Err(_) => {
+                failed.fetch_min(i, Ordering::Relaxed);
+            }
         }
+        done.push((i, result));
     }
-    Ok(report)
 }
 
 /// One replay of a dump, for [`CrashDump::replay_with`]: where the programs
@@ -1600,15 +1720,17 @@ pub struct ReplayRequest<F> {
     /// [`CrashDump::replay`]. To replay against other programs, replace the
     /// threads' [`ThreadDump::image`]s.
     pub fallback: F,
-    /// Checkpoint-seeking time travel: replay only the intervals whose
-    /// checkpoint id is `from` or later (see
+    /// Checkpoint-seeking time travel: replay each thread from its first
+    /// interval whose checkpoint id is `from` to the end of its window (see
     /// [`replay_from`](CrashDump::replay_from)); `None` replays the whole
     /// window.
     pub from: Option<CheckpointId>,
     /// Observes the replay: one `replay`/`interval` span per replayed
     /// interval (instruction count attached, feeding `replay_interval_ns`),
     /// a `digest_mismatch` instant where it diverges, and the `replay_*`
-    /// counters. [`Probe::off`] observes nothing.
+    /// counters. Intervals that helper threads replay land on the sibling
+    /// tracks `replay-1`, `replay-2`, ... ([`replay_and_check`]).
+    /// [`Probe::off`] observes nothing.
     pub probe: Probe,
 }
 

@@ -1274,12 +1274,15 @@ mod tests {
         use bugnet_core::dump::{CrashDump, ReplayRequest};
         use bugnet_telemetry::{MetricValue, Registry};
         use bugnet_trace::{EventKind, TraceSession};
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         let base = std::env::temp_dir().join(format!("bugnet-agree-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
+        // The long arm replays past the 100,000 instructions at which two
+        // CPUs start a helper, so its probe's spans are checked too.
         let workloads = [
             ("racy", mt::racy_counter(2, 400)),
             ("gzip", SpecProfile::gzip().build_workload(30_000, 1)),
+            ("gzip-long", SpecProfile::gzip().build_workload(150_000, 1)),
         ];
         for (name, workload) in workloads {
             let registry = Arc::new(Registry::default());
@@ -1308,13 +1311,22 @@ mod tests {
             assert_eq!(session.dropped_events(), 0, "{name}: ring too small");
 
             let mut spans: BTreeMap<String, u64> = BTreeMap::new();
-            for (_, _, events) in session.snapshot() {
+            let mut tracks = BTreeSet::new();
+            for (_, track, events) in session.snapshot() {
                 for e in events {
                     if let EventKind::Span { .. } = e.kind {
                         *spans.entry(format!("{}_{}_ns", e.cat, e.name)).or_default() += 1;
+                        tracks.insert(track.clone());
                     }
                 }
             }
+            let helpers_start = report.instructions() >= 100_000
+                && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+            assert_eq!(
+                tracks.contains("replay-1"),
+                helpers_start,
+                "{name}: {tracks:?}"
+            );
             let histograms: BTreeMap<String, u64> = registry
                 .snapshot()
                 .entries

@@ -20,9 +20,10 @@ use bugnet_types::ThreadId;
 use crate::machine::Machine;
 
 impl Machine {
-    /// Replays every retained interval of every thread and checks that the
-    /// replay reproduces the recorded execution exactly. A machine without
-    /// a recorder returns an empty report.
+    /// Replays every retained interval of every thread, on up to one
+    /// thread per CPU ([`replay_and_check`]), and checks that the replay
+    /// reproduces the recorded execution exactly. A machine without a
+    /// recorder returns an empty report.
     ///
     /// # Errors
     ///

@@ -3,17 +3,23 @@
 //! must surface as a typed [`DumpError`] — never a panic and never a replay
 //! of wrong data.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bugnet::core::digest::ExecutionDigest;
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpError, ReplayRequest, DUMP_VERSION_V1, DUMP_VERSION_V4,
-    DUMP_VERSION_V5,
+    replay_and_check, verify_dump, CrashDump, DumpError, DumpReplayReport, ReplayRequest,
+    DUMP_VERSION_V1, DUMP_VERSION_V4, DUMP_VERSION_V5,
 };
 use bugnet::core::profile::{profile_dump, ProfileOptions};
+use bugnet::core::replayer::ReplayError;
+use bugnet::cpu::Fault;
 use bugnet::sim::{Machine, MachineBuilder, RecordingOptions};
-use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
+use bugnet::telemetry::Probe;
+use bugnet::trace::TraceSession;
+use bugnet::types::{Addr, BugNetConfig, CheckpointId, SplitMix64, ThreadId};
 use bugnet::workloads::registry;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -470,9 +476,7 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
 
 #[test]
 fn one_replay_request_combines_seek_override_and_observers() {
-    use bugnet::telemetry::{MetricValue, Probe, Registry};
-    use bugnet::trace::TraceSession;
-    use std::sync::Arc;
+    use bugnet::telemetry::{MetricValue, Registry};
     let spec = "spec:gzip:30000:1";
     let dir = temp_dir("replay-request");
     record_dump(spec, &dir, 5_000);
@@ -508,6 +512,169 @@ fn one_replay_request_combines_seek_override_and_observers() {
         other => panic!("replay_intervals_total missing or mistyped: {other:?}"),
     }
     assert_eq!(session.emitted_events(), replayed);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Replays `dump` through [`replay_and_check`], each thread against its
+/// embedded image, or none where `replayable` says no. Unhooked, the loop
+/// spreads the intervals over the CPUs; with a no-op hook it replays them
+/// all on one worker, in order.
+fn replay_on(
+    dump: &CrashDump,
+    replayable: impl Fn(ThreadId) -> bool,
+    one_worker: bool,
+) -> Result<DumpReplayReport, ReplayError> {
+    let threads = dump.threads.iter().map(|t| {
+        let program = t.image.clone().filter(|_| replayable(t.thread));
+        (t.thread, program, &t.checkpoints)
+    });
+    let mut noop = |_: Addr| {};
+    let hook: Option<&mut dyn FnMut(Addr)> = if one_worker { Some(&mut noop) } else { None };
+    replay_and_check(threads, &mut Probe::off(), hook)
+}
+
+/// The tracks on which a replay of `dump` emitted events.
+fn replay_tracks(dump: &CrashDump) -> BTreeSet<String> {
+    let session = Arc::new(TraceSession::with_capacity("replay-tracks", 1 << 10));
+    let report = dump
+        .replay_with(ReplayRequest {
+            fallback: |_| None,
+            from: None,
+            probe: Probe::new(None, Some(Arc::clone(&session)), "replay"),
+        })
+        .expect("replays");
+    assert!(report.all_match(), "{:?}", report.divergences());
+    session
+        .snapshot()
+        .into_iter()
+        .filter(|(_, _, events)| !events.is_empty())
+        .map(|(_, track, _)| track)
+        .collect()
+}
+
+/// Both dumps hold at least 100,000 instructions, so two CPUs give two
+/// workers; the report must not depend on how many there were.
+#[test]
+fn parallel_replay_reports_exactly_what_one_worker_does() {
+    let base = temp_dir("parallel-replay");
+    for (name, spec) in [
+        ("gzip", "spec:gzip:300000:1"),
+        ("racy", "mt:racy_counter:2:20000"),
+    ] {
+        let dir = base.join(name);
+        record_dump(spec, &dir, 5_000);
+        let dump = CrashDump::load(&dir).expect("load passes");
+        let parallel = replay_on(&dump, |_| true, false).expect("replays");
+        assert!(parallel.all_match(), "{name}: {:?}", parallel.divergences());
+        let intervals: usize = dump.threads.iter().map(|t| t.checkpoints.len()).sum();
+        assert_eq!(parallel.intervals.len(), intervals, "{name}");
+        assert!(
+            parallel.instructions() >= 100_000,
+            "{name}: under the floor"
+        );
+        assert_eq!(
+            parallel,
+            replay_on(&dump, |_| true, true).unwrap(),
+            "{name}"
+        );
+        // An unreplayable thread is reported, and the rest keep their order.
+        let without_t0 = replay_on(&dump, |t| t != ThreadId(0), false).unwrap();
+        assert_eq!(
+            without_t0,
+            replay_on(&dump, |t| t != ThreadId(0), true).unwrap(),
+            "{name}"
+        );
+        assert_eq!(without_t0.unreplayable_threads, [ThreadId(0)]);
+    }
+    fs::remove_dir_all(&base).unwrap();
+}
+
+/// Two broken intervals: whichever worker fails first, the replay returns
+/// the error of the earlier one in report order, as the serial loop does.
+#[test]
+fn the_earliest_failing_interval_decides_the_replay_error() {
+    let dir = temp_dir("earliest-error");
+    record_dump("spec:gzip:300000:1", &dir, 5_000);
+    let mut dump = CrashDump::load(&dir).expect("load passes");
+    let (early, late) = (Addr::new(0x7000_0000), Addr::new(0x7100_0000));
+    let checkpoints = &mut dump.threads[0].checkpoints;
+    assert!(checkpoints.len() > 40, "need a long window");
+    checkpoints[3].fll.header.arch.pc = early;
+    checkpoints[40].fll.header.arch.pc = late;
+    let expected = ReplayError::BadInitialState(Fault::InvalidPc(early));
+    assert_eq!(dump.replay(|_| None), Err(expected.clone()));
+    assert_eq!(replay_on(&dump, |_| true, true), Err(expected));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A helper thread costs more than a short replay saves, so a replay of
+/// fewer than 100,000 instructions stays on the calling thread: python's
+/// two threads of one interval each, and 87 short gzip intervals, which a
+/// helper would share if it started. A longer replay also runs on
+/// `replay-1`, given a second CPU.
+#[test]
+fn replays_under_the_instruction_floor_start_no_helper() {
+    let base = temp_dir("replay-floor");
+    for (name, spec, interval) in [
+        ("python", "bug:python-2.1.1-1:1000", 100_000),
+        ("short", "spec:gzip:90000:1", 1_000),
+    ] {
+        let dir = base.join(name);
+        record_dump(spec, &dir, interval);
+        let dump = CrashDump::load(&dir).expect("load passes");
+        let intervals = dump.threads.iter().flat_map(|t| &t.checkpoints);
+        assert!(intervals.clone().count() >= 2, "{name}: one interval");
+        let instructions: u64 = intervals.map(|cp| cp.fll.instructions).sum();
+        assert!(
+            instructions < 100_000,
+            "{name}: {instructions} instructions"
+        );
+        assert_eq!(
+            replay_tracks(&dump),
+            BTreeSet::from(["replay".to_string()]),
+            "{name}"
+        );
+    }
+
+    let long = base.join("gzip");
+    record_dump("spec:gzip:300000:1", &long, 5_000);
+    if std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2) {
+        let tracks = replay_tracks(&CrashDump::load(&long).expect("load passes"));
+        assert!(tracks.contains("replay-1"), "{tracks:?}");
+    } else {
+        eprintln!("one CPU: a replay starts no helper, so the helper half is skipped");
+    }
+    fs::remove_dir_all(&base).unwrap();
+}
+
+/// Checkpoint ids are 8 bits wide by default: a window of 289 intervals
+/// holds ids 0–255 and then 0–32. Seeking to id `k` starts at its first
+/// occurrence and replays every later interval, the wrapped ones with lower
+/// ids included.
+#[test]
+fn replay_from_seeks_by_position_past_wrapped_checkpoint_ids() {
+    let dir = temp_dir("wrapped-seek");
+    record_dump("spec:gzip:300000:1", &dir, 1_000);
+    let dump = CrashDump::load(&dir).expect("load passes");
+    let ids: Vec<u32> = dump.threads[0]
+        .checkpoints
+        .iter()
+        .map(|cp| cp.fll.header.checkpoint.0)
+        .collect();
+    assert!(ids.len() > 256, "the window must wrap, got {}", ids.len());
+    let k = 10;
+    assert_eq!(ids[k], k as u32);
+    assert!(
+        ids[k + 1..].contains(&0),
+        "an id below k recurs after the wrap"
+    );
+
+    let full = dump.replay(|_| None).expect("replays");
+    let seek = dump
+        .replay_from(CheckpointId(k as u32), |_| None)
+        .expect("seek replays");
+    assert!(seek.all_match(), "{:?}", seek.divergences());
+    assert_eq!(seek.intervals, full.intervals[k..]);
     fs::remove_dir_all(&dir).unwrap();
 }
 
