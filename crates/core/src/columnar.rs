@@ -495,12 +495,16 @@ pub fn join_fll(streams: &[(u8, Vec<u8>)]) -> Result<FirstLoadLog, ColumnarCodec
             what: "vtype stream length",
         });
     }
-    // The token section is one byte per full value; count the set vtype
-    // bits (only those covering real records) to find where it ends.
-    let mut full_total = 0usize;
-    for i in 0..records as usize {
-        full_total += usize::from(vtype[i / 8] >> (i % 8) & 1);
+    // The bits past the last record pad the final byte, and the writer
+    // leaves them clear. With that checked, the token section (one byte
+    // per full value) ends after as many bytes as the stream has set bits.
+    let padding = records % 8;
+    if padding != 0 && vtype.last().is_some_and(|&byte| byte >> padding != 0) {
+        return Err(ColumnarCodecError::Inconsistent {
+            what: "nonzero vtype padding bit",
+        });
     }
+    let full_total = vtype.iter().map(|byte| byte.count_ones() as usize).sum();
     let (tokens, literals) =
         value
             .split_at_checked(full_total)
@@ -1043,6 +1047,39 @@ mod tests {
             Err(ColumnarCodecError::Truncated { .. })
                 | Err(ColumnarCodecError::Inconsistent { .. })
         ));
+    }
+
+    /// The vtype stream's padding bits are clear as written; a set one is
+    /// a forgery, as a nonzero rank padding nibble is.
+    #[test]
+    fn set_padding_bits_are_rejected() {
+        let log = make_fll(&[
+            (0, EncodedValue::Full(Word::new(7))),
+            (1, EncodedValue::DictRank(1)),
+            (2, EncodedValue::Full(Word::new(9))),
+        ]);
+        let clean = split_fll(&log).unwrap();
+        assert_eq!(clean[FLL_STREAM_VTYPE as usize].1, [0b101]);
+        assert_eq!(join_fll(&clean).unwrap(), log);
+        for bit in 3..8 {
+            let mut streams = clean.clone();
+            streams[FLL_STREAM_VTYPE as usize].1[0] |= 1 << bit;
+            assert_eq!(
+                join_fll(&streams),
+                Err(ColumnarCodecError::Inconsistent {
+                    what: "nonzero vtype padding bit"
+                }),
+                "padding bit {bit}"
+            );
+        }
+        let mut streams = clean;
+        streams[FLL_STREAM_RANK as usize].1[0] |= 0x10;
+        assert_eq!(
+            join_fll(&streams),
+            Err(ColumnarCodecError::Inconsistent {
+                what: "nonzero rank padding nibble"
+            })
+        );
     }
 
     #[test]

@@ -78,7 +78,11 @@
 //! Reading is one walk over the directory. It validates everything it
 //! reads — magics, versions, bounds, frame checksums, FLL/MRL pairing,
 //! image hashes and decodability — and keeps every checksum-intact prefix
-//! of frames, recording where and why it stopped instead of failing.
+//! of frames, recording where and why it stopped instead of failing. The
+//! files are read and checksummed one thread after another; the frame
+//! pairs then decode on the workers a replay gets, under the same
+//! instruction floor (`taskset -c 0` forces one), and each thread takes
+//! its pairs back in frame order.
 //! [`CrashDump::load`] turns the first recorded damage, or the first
 //! disagreement between what was recovered and what the manifest declares,
 //! into a typed [`DumpError`]; it never panics on bad input and never
@@ -90,6 +94,7 @@
 //! the very disk-full that triggered it — and reports exactly what was lost
 //! ([`SalvageReport`]).
 
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -1297,6 +1302,11 @@ impl CrashDump {
     /// recovered — instruction counts, raw and stored byte totals, image
     /// sizes — is exactly what the manifest declares.
     ///
+    /// The walk decodes the frames on the workers [`replay_and_check`]
+    /// would get for the manifest's declared instructions, so a load of
+    /// fewer than 100,000 stays on the calling thread and `taskset -c 0`
+    /// forces one worker; the dump and the error are the same either way.
+    ///
     /// # Errors
     ///
     /// Returns a typed [`DumpError`] describing the first problem found,
@@ -1558,13 +1568,14 @@ impl ThreadDump {
     }
 }
 
-/// Instructions to replay per worker below which [`replay_and_check`] adds
-/// no further worker. A scoped spawn and join costs 37–43 µs on a 2-vCPU
-/// VM, about what 2,000 instructions take to replay, so a helper would
-/// nearly double the replay of crash-burst's python incidents (two
-/// intervals of 2.2k and 6.6k instructions in all). Without this floor,
-/// crash-burst read bugbench `replay_ns_per_instr` 25.73 → 26.23 against
-/// the serial loop (6 pairs, 4 lost).
+/// Instructions per worker below which [`spread`] is given no further
+/// worker, for a replay ([`replay_and_check`]) and for the load's frame
+/// decode alike. A scoped spawn and join costs 37–43 µs on a 2-vCPU VM,
+/// about what 2,000 instructions take to replay, so a helper would nearly
+/// double the replay of crash-burst's python incidents (two intervals of
+/// 2.2k and 6.6k instructions in all). Without this floor, crash-burst read
+/// bugbench `replay_ns_per_instr` 25.73 → 26.23 against the serial loop (6
+/// pairs, 4 lost).
 const INSTRUCTIONS_PER_WORKER: u64 = 50_000;
 
 /// The CPUs this process may run on, read once: each
@@ -1573,6 +1584,80 @@ const INSTRUCTIONS_PER_WORKER: u64 = 50_000;
 fn cpus() -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// How many workers [`spread`] gets for `jobs` jobs that cover
+/// `instructions` instructions: one per CPU, but no more than there are
+/// jobs and no more than one per [`INSTRUCTIONS_PER_WORKER`], and at least
+/// one.
+fn workers(jobs: usize, instructions: u64) -> usize {
+    let floor = usize::try_from(instructions / INSTRUCTIONS_PER_WORKER).unwrap_or(usize::MAX);
+    cpus().min(jobs).min(floor).max(1)
+}
+
+/// The one spreading loop of the read side, behind [`replay_and_check`] and
+/// the load's frame decode. The calling thread works through `caller`, and
+/// each of `helpers` on a scoped thread that ends with the call. Each
+/// worker takes the next job in order from a shared counter, and no worker
+/// starts a job after one that failed.
+///
+/// Returns every result in job order, or the first error in job order:
+/// what one worker taking the jobs in order would return.
+fn spread<J, T, E>(
+    jobs: &[J],
+    caller: impl FnMut(&J) -> Result<T, E>,
+    helpers: Vec<impl FnMut(&J) -> Result<T, E> + Send>,
+) -> Result<Vec<T>, E>
+where
+    J: Sync,
+    T: Send,
+    E: Send,
+{
+    // Neither atomic publishes data: the jobs are shared before the spawns
+    // and the results come back through the joins, so `Relaxed` will do.
+    // `failed` only falls, so every job before the first failure is taken
+    // and done.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(usize::MAX);
+    let mut done = thread::scope(|s| {
+        let (next, failed) = (&next, &failed);
+        let handles: Vec<_> = helpers
+            .into_iter()
+            .map(|work| s.spawn(move || take_jobs(jobs, next, failed, work)))
+            .collect();
+        let mut done = take_jobs(jobs, next, failed, caller);
+        for handle in handles {
+            done.extend(handle.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// One worker of [`spread`]: does the next job until none is left or one at
+/// a lower index has failed, and returns each job's index and result.
+fn take_jobs<J, T, E>(
+    jobs: &[J],
+    next: &AtomicUsize,
+    failed: &AtomicUsize,
+    mut work: impl FnMut(&J) -> Result<T, E>,
+) -> Vec<(usize, Result<T, E>)> {
+    let mut done = Vec::new();
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else {
+            return done;
+        };
+        if i > failed.load(Ordering::Relaxed) {
+            return done;
+        }
+        let result = work(job);
+        if result.is_err() {
+            failed.fetch_min(i, Ordering::Relaxed);
+        }
+        done.push((i, result));
+    }
 }
 
 /// One interval to replay: its thread, that thread's replayer and its logs.
@@ -1612,7 +1697,7 @@ type ReplayJob<'a> = (ThreadId, Replayer, &'a CheckpointLogs);
 pub fn replay_and_check<'a, I>(
     threads: impl IntoIterator<Item = (ThreadId, Option<Arc<Program>>, I)>,
     probe: &mut Probe,
-    hook: Option<&mut dyn FnMut(Addr)>,
+    mut hook: Option<&mut dyn FnMut(Addr)>,
 ) -> Result<DumpReplayReport, ReplayError>
 where
     I: IntoIterator<Item = &'a CheckpointLogs>,
@@ -1638,79 +1723,42 @@ where
     let workers = if hook.is_some() {
         1
     } else {
-        let floor = usize::try_from(instructions / INSTRUCTIONS_PER_WORKER).unwrap_or(usize::MAX);
-        cpus().min(jobs.len()).min(floor).max(1)
+        workers(jobs.len(), instructions)
     };
-    // Neither atomic publishes data: the jobs are shared before the spawns
-    // and the results come back through the joins, so `Relaxed` will do.
-    // `failed` only falls, so every interval before the first failure is
-    // taken and replayed.
-    let next = AtomicUsize::new(0);
-    let failed = AtomicUsize::new(usize::MAX);
-    let helpers: Vec<Probe> = (1..workers)
-        .map(|w| probe.sibling(format_args!("replay-{w}")))
+    let helpers: Vec<_> = (1..workers)
+        .map(|w| {
+            let mut probe = probe.sibling(format_args!("replay-{w}"));
+            move |job: &ReplayJob<'a>| replay_job(job, &mut probe, None)
+        })
         .collect();
-    let mut done = thread::scope(|s| {
-        let (jobs, next, failed) = (&jobs, &next, &failed);
-        let handles: Vec<_> = helpers
-            .into_iter()
-            .map(|mut probe| s.spawn(move || replay_jobs(jobs, next, failed, &mut probe, None)))
-            .collect();
-        let mut done = replay_jobs(jobs, next, failed, probe, hook);
-        for handle in handles {
-            done.extend(handle.join().unwrap_or_else(|e| panic::resume_unwind(e)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    for (_, interval) in done {
-        report.intervals.push(interval?);
-    }
+    let caller = |job: &ReplayJob<'a>| replay_job(job, probe, hook.as_deref_mut());
+    report.intervals = spread(&jobs, caller, helpers)?;
     Ok(report)
 }
 
-/// One worker of [`replay_and_check`]: replays the next job until none is
-/// left or one at a lower index has failed, and returns each job's index
-/// and result.
-fn replay_jobs(
-    jobs: &[ReplayJob<'_>],
-    next: &AtomicUsize,
-    failed: &AtomicUsize,
+/// Replays and checks one interval of [`replay_and_check`], observed by
+/// `probe`.
+fn replay_job(
+    (thread, replayer, cp): &ReplayJob<'_>,
     probe: &mut Probe,
-    mut hook: Option<&mut dyn FnMut(Addr)>,
-) -> Vec<(usize, Result<DumpIntervalReplay, ReplayError>)> {
-    let mut done = Vec::new();
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some((thread, replayer, cp)) = jobs.get(i) else {
-            return done;
-        };
-        if i > failed.load(Ordering::Relaxed) {
-            return done;
+    hook: Option<&mut (dyn FnMut(Addr) + '_)>,
+) -> Result<DumpIntervalReplay, ReplayError> {
+    let start = probe.now();
+    let interval = DumpIntervalReplay::check(replayer, *thread, cp, hook)?;
+    if probe.is_on() {
+        let digest_match = interval.digest_match;
+        let instructions = Some(("instructions", interval.instructions));
+        probe.span("replay", "interval", start, instructions);
+        probe.add("replay_intervals_total", 1);
+        probe.add("replay_instructions_total", interval.instructions);
+        probe.add("replay_loads_from_log_total", interval.loads_from_log);
+        probe.add("replay_digest_matches_total", u64::from(digest_match));
+        probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
+        if !digest_match {
+            probe.instant("replay", "digest_mismatch");
         }
-        let start = probe.now();
-        let result = DumpIntervalReplay::check(replayer, *thread, cp, hook.as_deref_mut());
-        match &result {
-            Ok(interval) if probe.is_on() => {
-                let digest_match = interval.digest_match;
-                let instructions = Some(("instructions", interval.instructions));
-                probe.span("replay", "interval", start, instructions);
-                probe.add("replay_intervals_total", 1);
-                probe.add("replay_instructions_total", interval.instructions);
-                probe.add("replay_loads_from_log_total", interval.loads_from_log);
-                probe.add("replay_digest_matches_total", u64::from(digest_match));
-                probe.add("replay_digest_mismatches_total", u64::from(!digest_match));
-                if !digest_match {
-                    probe.instant("replay", "digest_mismatch");
-                }
-            }
-            Ok(_) => {}
-            Err(_) => {
-                failed.fetch_min(i, Ordering::Relaxed);
-            }
-        }
-        done.push((i, result));
     }
+    Ok(interval)
 }
 
 /// One replay of a dump, for [`CrashDump::replay_with`]: where the programs
@@ -2182,7 +2230,7 @@ fn decode_pair(
     thread: ThreadId,
     i: u32,
     columnar: bool,
-) -> Result<(FirstLoadLog, MemoryRaceLog), (bool, DumpError)> {
+) -> DecodedPair {
     let corrupt = |file: &str, detail: String| DumpError::CorruptLog {
         file: file.into(),
         frame: i,
@@ -2279,10 +2327,18 @@ fn read_image(dir: &Path, manifest: &DumpManifest, t: &ThreadManifest) -> ImageW
 /// checksums, decode, and pair correctly — and every image file that
 /// validates, recording all damage instead of failing on it. Only an
 /// unusable manifest is an error.
+///
+/// The files are read one thread after another: framing, stored-bytes
+/// checksums, codec checks and images. Every FLL header holds its
+/// interval's complete starting state, so the intact frame pairs of all
+/// threads then decode independently, spread over the workers a replay
+/// gets ([`spread`]). The manifest's declared instructions set the
+/// worker floor; read from the dump, they bound nothing else. Each thread
+/// then takes its decoded pairs in frame order, as one serial walk would.
 fn walk(dir: &Path) -> Result<Walk, DumpError> {
     let manifest = DumpManifest::load(dir)?;
     let columnar = manifest.version >= DUMP_VERSION_V5;
-    let mut threads = Vec::with_capacity(manifest.threads.len());
+    let mut files = Vec::with_capacity(manifest.threads.len());
     let mut images: Vec<ImageWalk> = Vec::new();
     for t in &manifest.threads {
         let (fll, fll_frames) = read_file(
@@ -2301,77 +2357,6 @@ fn walk(dir: &Path) -> Result<Walk, DumpError> {
             t.thread,
             t.checkpoints,
         );
-        let mut recovered = ThreadManifest {
-            thread: t.thread,
-            checkpoints: 0,
-            instructions: 0,
-            fll_bytes: 0,
-            mrl_bytes: 0,
-            fll_stored_bytes: 0,
-            mrl_stored_bytes: 0,
-            has_image: false,
-            image_raw_bytes: 0,
-            image_stored_bytes: 0,
-            image_hash: None,
-            digests: Vec::new(),
-        };
-        let mut checkpoints = Vec::with_capacity(fll_frames.len().min(mrl_frames.len()));
-        let mut stop = None;
-        for (i, (ff, mf)) in fll_frames.iter().zip(&mrl_frames).enumerate() {
-            let i = i as u32;
-            let decoded = decode_pair(
-                &ff.payload,
-                &mf.payload,
-                &fll.file,
-                &mrl.file,
-                t.thread,
-                i,
-                columnar,
-            );
-            let (fll_log, mrl_log) = match decoded {
-                Ok(pair) => pair,
-                Err((at_mrl, cause)) => {
-                    let offset = if at_mrl { mf.offset } else { ff.offset };
-                    stop = Some((at_mrl, Stop { offset, cause }));
-                    break;
-                }
-            };
-            // Checked: frames are attacker-controlled (FNV is not a MAC), and
-            // an overflowing sum must not panic or wrap past the manifest
-            // cross-check.
-            let Some(instructions) = recovered.instructions.checked_add(fll_log.instructions)
-            else {
-                let cause = DumpError::Inconsistent {
-                    file: fll.file.clone(),
-                    detail: "declared per-interval instruction counts overflow".into(),
-                };
-                stop = Some((
-                    false,
-                    Stop {
-                        offset: ff.offset,
-                        cause,
-                    },
-                ));
-                break;
-            };
-            recovered.instructions = instructions;
-            // Each version's raw-size semantics: row-serialized sizes in v5
-            // (the payloads are columnar blobs), payload sizes before.
-            if columnar {
-                recovered.fll_bytes += fll_log.serialized_len();
-                recovered.mrl_bytes += mrl_log.serialized_len();
-            } else {
-                recovered.fll_bytes += ff.payload.len() as u64;
-                recovered.mrl_bytes += mf.payload.len() as u64;
-            }
-            recovered.fll_stored_bytes += ff.stored;
-            recovered.mrl_stored_bytes += mf.stored;
-            checkpoints.push(CheckpointLogs {
-                fll: fll_log,
-                mrl: mrl_log,
-                digest: t.digests[i as usize],
-            });
-        }
         let image = if t.has_image {
             let file = t.image_file();
             match images.iter().find(|i| i.account.file == file) {
@@ -2384,28 +2369,176 @@ fn walk(dir: &Path) -> Result<Walk, DumpError> {
         } else {
             None
         };
-        recovered.checkpoints = checkpoints.len() as u32;
-        recovered.digests = t.digests[..checkpoints.len()].to_vec();
-        if image.is_some() {
-            recovered.has_image = true;
-            recovered.image_raw_bytes = t.image_raw_bytes;
-            recovered.image_stored_bytes = t.image_stored_bytes;
-            recovered.image_hash = t.image_hash;
-        }
-        threads.push(ThreadWalk {
+        files.push(ThreadFiles {
             fll,
             mrl,
-            stop,
-            recovered,
-            checkpoints,
+            fll_frames,
+            mrl_frames,
             image,
         });
     }
+
+    let jobs: Vec<DecodeJob<'_>> = manifest
+        .threads
+        .iter()
+        .zip(&files)
+        .flat_map(|(t, f)| (0..f.pairs()).map(move |i| (t.thread, f, i)))
+        .collect();
+    // A failed decode ends only its own thread's prefix, in the fold below,
+    // so no job fails as far as `spread` can tell, and the pairs after it
+    // in a damaged thread decode for nothing.
+    let decode = move |&(thread, f, i): &DecodeJob<'_>| {
+        Ok::<_, Infallible>(decode_pair(
+            &f.fll_frames[i].payload,
+            &f.mrl_frames[i].payload,
+            &f.fll.file,
+            &f.mrl.file,
+            thread,
+            i as u32,
+            columnar,
+        ))
+    };
+    let declared = manifest
+        .threads
+        .iter()
+        .fold(0u64, |sum, t| sum.saturating_add(t.instructions));
+    let helpers = vec![decode; workers(jobs.len(), declared) - 1];
+    let Ok(decoded) = spread(&jobs, decode, helpers);
+
+    let mut decoded = decoded.into_iter();
+    let threads = manifest
+        .threads
+        .iter()
+        .zip(files)
+        .map(|(t, f)| {
+            let pairs: Vec<_> = decoded.by_ref().take(f.pairs()).collect();
+            fold_thread(t, f, pairs, columnar)
+        })
+        .collect();
     Ok(Walk {
         manifest,
         threads,
         images,
     })
+}
+
+/// One thread's log files as the walk read them, before decoding.
+struct ThreadFiles {
+    fll: FileSalvage,
+    mrl: FileSalvage,
+    fll_frames: Vec<WalkedFrame>,
+    mrl_frames: Vec<WalkedFrame>,
+    /// The thread's program image, when its file validated.
+    image: Option<Arc<Program>>,
+}
+
+impl ThreadFiles {
+    /// The intervals both log files hold an intact frame of.
+    fn pairs(&self) -> usize {
+        self.fll_frames.len().min(self.mrl_frames.len())
+    }
+}
+
+/// One frame pair to decode: its thread, that thread's files and the
+/// interval's index.
+type DecodeJob<'a> = (ThreadId, &'a ThreadFiles, usize);
+
+/// A frame pair's logs, or whether the MRL frame (rather than the FLL
+/// frame) is at fault and the cause.
+type DecodedPair = Result<(FirstLoadLog, MemoryRaceLog), (bool, DumpError)>;
+
+/// Takes one thread's decoded frame pairs in frame order, up to the first
+/// that failed to decode or pair, or whose instruction count overflows the
+/// sum, and accounts for what they recovered.
+fn fold_thread(
+    t: &ThreadManifest,
+    files: ThreadFiles,
+    decoded: Vec<DecodedPair>,
+    columnar: bool,
+) -> ThreadWalk {
+    let ThreadFiles {
+        fll,
+        mrl,
+        fll_frames,
+        mrl_frames,
+        image,
+    } = files;
+    let mut recovered = ThreadManifest {
+        thread: t.thread,
+        checkpoints: 0,
+        instructions: 0,
+        fll_bytes: 0,
+        mrl_bytes: 0,
+        fll_stored_bytes: 0,
+        mrl_stored_bytes: 0,
+        has_image: false,
+        image_raw_bytes: 0,
+        image_stored_bytes: 0,
+        image_hash: None,
+        digests: Vec::new(),
+    };
+    let mut checkpoints = Vec::with_capacity(decoded.len());
+    let mut stop = None;
+    for (i, ((ff, mf), decoded)) in fll_frames.iter().zip(&mrl_frames).zip(decoded).enumerate() {
+        let (fll_log, mrl_log) = match decoded {
+            Ok(pair) => pair,
+            Err((at_mrl, cause)) => {
+                let offset = if at_mrl { mf.offset } else { ff.offset };
+                stop = Some((at_mrl, Stop { offset, cause }));
+                break;
+            }
+        };
+        // Checked: frames are attacker-controlled (FNV is not a MAC), and
+        // an overflowing sum must not panic or wrap past the manifest
+        // cross-check.
+        let Some(instructions) = recovered.instructions.checked_add(fll_log.instructions) else {
+            let cause = DumpError::Inconsistent {
+                file: fll.file.clone(),
+                detail: "declared per-interval instruction counts overflow".into(),
+            };
+            stop = Some((
+                false,
+                Stop {
+                    offset: ff.offset,
+                    cause,
+                },
+            ));
+            break;
+        };
+        recovered.instructions = instructions;
+        // Each version's raw-size semantics: row-serialized sizes in v5
+        // (the payloads are columnar blobs), payload sizes before.
+        if columnar {
+            recovered.fll_bytes += fll_log.serialized_len();
+            recovered.mrl_bytes += mrl_log.serialized_len();
+        } else {
+            recovered.fll_bytes += ff.payload.len() as u64;
+            recovered.mrl_bytes += mf.payload.len() as u64;
+        }
+        recovered.fll_stored_bytes += ff.stored;
+        recovered.mrl_stored_bytes += mf.stored;
+        checkpoints.push(CheckpointLogs {
+            fll: fll_log,
+            mrl: mrl_log,
+            digest: t.digests[i],
+        });
+    }
+    recovered.checkpoints = checkpoints.len() as u32;
+    recovered.digests = t.digests[..checkpoints.len()].to_vec();
+    if image.is_some() {
+        recovered.has_image = true;
+        recovered.image_raw_bytes = t.image_raw_bytes;
+        recovered.image_stored_bytes = t.image_stored_bytes;
+        recovered.image_hash = t.image_hash;
+    }
+    ThreadWalk {
+        fll,
+        mrl,
+        stop,
+        recovered,
+        checkpoints,
+        image,
+    }
 }
 
 /// `Ok` when a value recovered from `file` is the one the manifest declares.
@@ -2428,7 +2561,9 @@ impl CrashDump {
     /// validates. The returned dump's manifest is adjusted to the recovered
     /// content so replay and verification work unchanged, and the
     /// [`SalvageReport`] states per file how many frames survived, where
-    /// the first damage sits, and the typed cause.
+    /// the first damage sits, and the typed cause. It decodes on the
+    /// workers [`load`](CrashDump::load) does, and a thread whose frame
+    /// fails to decode keeps its prefix without costing another thread any.
     ///
     /// # Errors
     ///

@@ -5,9 +5,11 @@
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use bugnet::compress::fnv1a;
 use bugnet::core::digest::ExecutionDigest;
 use bugnet::core::dump::{
     replay_and_check, verify_dump, CrashDump, DumpError, DumpReplayReport, ReplayRequest,
@@ -678,6 +680,112 @@ fn replay_from_seeks_by_position_past_wrapped_checkpoint_ids() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The bytes of frame `k`'s payload in a v5 log file: a 16-byte file
+/// header (magic, version, thread id, frame count), then per frame a `u32`
+/// length, the columnar blob and its FNV-1a trailer.
+fn frame_payload(file: &[u8], k: usize) -> Range<usize> {
+    let len_at = |at: usize| u32::from_le_bytes(file[at - 4..at].try_into().unwrap()) as usize;
+    let mut start = 16 + 4;
+    for _ in 0..k {
+        start += len_at(start) + 8 + 4;
+    }
+    start..start + len_at(start)
+}
+
+/// Flips a byte of the first stream container's payload checksum in frame
+/// `k` of the log file at `path`: the columnar magic and stream count, the
+/// stream's id and length, and the container's codec and two lengths come
+/// before it. With `reseal`, the frame's trailer is rewritten to match, so
+/// the walk reads the frame intact and only its decode fails; without, the
+/// frame fails its checksum as it is read.
+fn damage_frame(path: &Path, k: usize, reseal: bool) {
+    let mut bytes = fs::read(path).unwrap();
+    let payload = frame_payload(&bytes, k);
+    bytes[payload.start + 16] ^= 0xFF;
+    if reseal {
+        let trailer = fnv1a(&bytes[payload.clone()]).to_le_bytes();
+        bytes[payload.end..payload.end + 8].copy_from_slice(&trailer);
+    }
+    fs::write(path, bytes).unwrap();
+}
+
+/// The file and frame a load error names.
+fn damage_site(err: &DumpError) -> (&str, u32) {
+    match err {
+        DumpError::ChecksumMismatch {
+            file,
+            frame: Some(frame),
+            ..
+        }
+        | DumpError::CorruptLog { file, frame, .. } => (file, *frame),
+        other => panic!("no frame named: {other}"),
+    }
+}
+
+/// The walk takes each thread's frames in order, however their decode is
+/// spread: the earliest damaged frame decides the load error and ends the
+/// thread's salvaged prefix, and damage in thread 0 costs no other thread
+/// an interval. Damage the FLL file shows as it is read still outranks an
+/// earlier frame of the MRL file that fails to decode. Both dumps hold at
+/// least 100,000 instructions, so two CPUs decode them on two workers.
+#[test]
+fn the_earliest_damaged_frame_decides_load_and_salvage() {
+    let base = temp_dir("damage-order");
+    for (name, spec) in [
+        ("gzip", "spec:gzip:300000:1"),
+        ("racy", "mt:racy_counter:2:20000"),
+    ] {
+        let dir = base.join(name);
+        record_dump(spec, &dir, 5_000);
+        let clean = CrashDump::load(&dir).expect("load passes");
+        let declared: u64 = clean.manifest.threads.iter().map(|t| t.instructions).sum();
+        assert!(declared >= 100_000, "{name}: under the floor");
+        let n = clean.threads[0].checkpoints.len();
+        let (k, m) = (n / 4, n / 2);
+        assert!(0 < k && k < m, "{name}: {n} intervals");
+        let t = &clean.manifest.threads[0];
+        let fll_name = t.fll_file();
+        let (fll, mrl) = (dir.join(&fll_name), dir.join(t.mrl_file()));
+        let (fll_bytes, mrl_bytes) = (fs::read(&fll).unwrap(), fs::read(&mrl).unwrap());
+        let salvaged_prefixes = || {
+            let salvaged = CrashDump::load_salvage(&dir).expect("salvage runs");
+            for (got, want) in salvaged.dump.threads.iter().zip(&clean.threads) {
+                let kept = if got.thread == t.thread {
+                    k
+                } else {
+                    want.checkpoints.len()
+                };
+                assert_eq!(got.checkpoints[..], want.checkpoints[..kept], "{name}");
+            }
+            salvaged.report
+        };
+
+        // Two FLL frames read intact and fail to decode: the earlier is named.
+        damage_frame(&fll, m, true);
+        damage_frame(&fll, k, true);
+        let err = CrashDump::load(&dir).expect_err("damage must be detected");
+        assert_eq!(damage_site(&err), (fll_name.as_str(), k as u32), "{name}");
+        let report = salvaged_prefixes();
+        let account = report.files.iter().find(|f| f.file == fll_name).unwrap();
+        assert_eq!(account.intact_frames, k as u32, "{name}");
+        assert_eq!(damage_site(account.cause.as_ref().unwrap()).1, k as u32);
+
+        // A checksum failure at FLL frame m, and MRL frame k < m fails to
+        // decode: the FLL file's damage is reported first.
+        fs::write(&fll, &fll_bytes).unwrap();
+        damage_frame(&fll, m, false);
+        damage_frame(&mrl, k, true);
+        let err = CrashDump::load(&dir).expect_err("damage must be detected");
+        assert!(matches!(err, DumpError::ChecksumMismatch { .. }), "{err}");
+        assert_eq!(damage_site(&err), (fll_name.as_str(), m as u32), "{name}");
+        salvaged_prefixes();
+        fs::write(&fll, &fll_bytes).unwrap();
+        fs::write(&mrl, &mrl_bytes).unwrap();
+        assert_eq!(CrashDump::load(&dir).expect("restored"), clean, "{name}");
+    }
+    fs::remove_dir_all(&base).unwrap();
+}
+
 #[test]
 fn bisect_finds_the_first_divergent_interval() {
     let spec = "spec:gzip:60000:1";
@@ -855,7 +963,6 @@ fn image_section_corruptions_yield_typed_errors_and_never_wrong_replays() {
 
 #[test]
 fn mixed_v1_v2_framing_is_rejected() {
-    use bugnet::compress::fnv1a;
     let spec = "spec:gzip:20000:1";
     let dir = temp_dir("mixed-framing");
     record_dump(spec, &dir, 5_000);
