@@ -3,12 +3,10 @@
 
 use std::path::Path;
 
-use bugnet_compress::streams_info;
-use bugnet_core::columnar::{
-    encode_fll_columnar, encode_mrl_columnar, fll_stream_name, mrl_stream_name,
-};
+use bugnet_core::columnar::{fll_stream_name, mrl_stream_name, LOG_STREAMS};
 use bugnet_core::dump::{
-    BisectReport, CrashDump, DumpManifest, DumpReplayReport, SalvageReport, DUMP_VERSION_V5,
+    BisectReport, CrashDump, DumpManifest, DumpReplayReport, SalvageReport, StreamSize,
+    DUMP_VERSION_V5,
 };
 use bugnet_core::stats::LogSizeReport;
 use bugnet_telemetry::{MetricValue, Snapshot};
@@ -54,34 +52,30 @@ pub fn print_info(dir: &Path, dump: &CrashDump) {
         m.backend_ratio()
     );
     if m.version >= DUMP_VERSION_V5 {
-        // Re-encode the decoded logs exactly as the sealer did — sealing is
-        // deterministic, so these are the per-stream sizes on disk.
-        let mut fll = [(0u64, 0u64); 5];
-        let mut mrl = [(0u64, 0u64); 5];
-        for cp in dump.threads.iter().flat_map(|t| t.checkpoints.iter()) {
-            let fll_blob = encode_fll_columnar(m.codec, &cp.fll);
-            let mrl_blob = encode_mrl_columnar(m.codec, &cp.mrl);
-            for (acc, blob) in [(&mut fll, fll_blob), (&mut mrl, mrl_blob)] {
-                for info in streams_info(&blob).expect("just-encoded blob parses") {
-                    let (raw, stored) = &mut acc[info.id as usize];
-                    *raw += u64::from(info.raw_len);
-                    *stored += u64::from(info.stored_len);
+        // The per-stream sizes on disk, from the frames' stream headers.
+        let mut fll = [StreamSize::default(); LOG_STREAMS];
+        let mut mrl = [StreamSize::default(); LOG_STREAMS];
+        for t in &dump.threads {
+            for (sums, thread) in [(&mut fll, &t.fll_streams), (&mut mrl, &t.mrl_streams)] {
+                for (sum, s) in sums.iter_mut().zip(thread) {
+                    sum.raw += s.raw;
+                    sum.stored += s.stored;
                 }
             }
         }
-        for (label, name, acc) in [
+        for (label, name, sums) in [
             ("FLL", fll_stream_name as fn(u8) -> &'static str, fll),
             ("MRL", mrl_stream_name, mrl),
         ] {
-            let streams = acc
+            let streams = sums
                 .iter()
                 .enumerate()
-                .map(|(id, (raw, stored))| {
+                .map(|(id, s)| {
                     format!(
                         "{} {} -> {}",
                         name(id as u8),
-                        ByteSize::from_bytes(*raw),
-                        ByteSize::from_bytes(*stored)
+                        ByteSize::from_bytes(s.raw),
+                        ByteSize::from_bytes(s.stored)
                     )
                 })
                 .collect::<Vec<_>>()

@@ -18,13 +18,17 @@
 use std::fmt;
 
 #[inline(always)]
-const fn low_mask(width: u32) -> u64 {
+pub(crate) const fn low_mask(width: u32) -> u64 {
     if width >= 64 {
         u64::MAX
     } else {
         (1u64 << width) - 1
     }
 }
+
+/// Bits of the stream a [`BitReader::window`] holds at least: 128 less
+/// the up to 7 bits of the cursor's byte that precede the cursor.
+pub(crate) const WINDOW_BITS: u64 = 121;
 
 /// Append-only bit writer (least-significant-bit first within each byte).
 ///
@@ -250,6 +254,30 @@ impl<'a> BitReader<'a> {
         buf[..need].copy_from_slice(&self.stream.bytes[start..start + need]);
         let word = u128::from_le_bytes(buf);
         Some(((word >> offset) as u64) & low_mask(width))
+    }
+
+    /// The 16 bytes from the cursor's byte on, shifted so that bit 0 is the
+    /// cursor's bit: at least [`WINDOW_BITS`] bits of the stream, for a
+    /// caller that decodes several fields at once. `None` unless 16 bytes
+    /// follow the cursor's byte. Does not move the cursor; see
+    /// [`BitReader::skip`].
+    #[inline]
+    pub(crate) fn window(&self) -> Option<u128> {
+        let start = (self.cursor / 8) as usize;
+        let bytes = self.stream.bytes.get(start..start + 16)?;
+        let word = u128::from_le_bytes(bytes.try_into().expect("16 bytes"));
+        Some(word >> (self.cursor % 8))
+    }
+
+    /// Moves the cursor `bits` on, or returns `None` (without moving it) if
+    /// fewer remain.
+    #[inline]
+    pub(crate) fn skip(&mut self, bits: u64) -> Option<()> {
+        if self.remaining() < bits {
+            return None;
+        }
+        self.cursor += bits;
+        Some(())
     }
 
     /// Reads exactly `out.len()` whole bytes into `out`, or `None` if fewer

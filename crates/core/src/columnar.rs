@@ -56,6 +56,9 @@ use crate::fll::{
 use crate::mrl::{MemoryRaceLog, MrlHeader, RaceEntry, RemoteExecState};
 use bugnet_cpu::ArchState;
 
+/// Streams a sealed FLL splits into, and a sealed MRL: ids 0 to 4.
+pub const LOG_STREAMS: usize = 5;
+
 /// FLL stream ids.
 pub const FLL_STREAM_META: u8 = 0;
 /// Per-record skip counts.

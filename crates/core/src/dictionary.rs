@@ -19,8 +19,8 @@
 //! derived from it spare the per-load path any scan of that array:
 //!
 //! * a value → rank index: an open-addressed table of a power-of-two size at
-//!   least twice the capacity, probed linearly from a multiplicative hash of
-//!   the value. Deletion shifts the rest of the probe run back instead of
+//!   least four times the capacity (at most a quarter full), probed linearly
+//!   from a multiplicative hash of the value. Deletion shifts the rest of the probe run back instead of
 //!   leaving tombstones, so an eviction on every load never lengthens the
 //!   probes, and `slot_of` maps each rank back to its slot so that a swap of
 //!   two ranks rewrites just their two slots;
@@ -29,6 +29,9 @@
 //!   smallest live counter) is the highest set bit of the first non-empty
 //!   class, at most `capacity / 64` words from the top of its bitset (one
 //!   word for the paper's 64 entries).
+//!
+//! A replayed dictionary hit needs no index at all: its record names the
+//! rank, and [`ValueDictionary::observe_rank`] updates that entry directly.
 //!
 //! The observable rank/eviction semantics are identical to a linear-scan
 //! implementation (see the differential test in `tests/properties.rs`).
@@ -104,6 +107,11 @@ const EMPTY: Slot = Slot {
     rank: u32::MAX,
 };
 
+/// Index slots per table entry: the index is at most a quarter full, so a
+/// probe run, and the shift after an eviction, ends at an empty slot within
+/// a slot or two. 256 slots (2 KiB) for the paper's 64 entries.
+const SLOTS_PER_ENTRY: usize = 4;
+
 /// 2^64 divided by the golden ratio: multiplying by it spreads every input
 /// bit into the product's high bits (Fibonacci hashing).
 const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -122,8 +130,7 @@ impl ValueDictionary {
             "counter must be 1..=8 bits"
         );
         let counter_max = ((1u16 << counter_bits) - 1) as u8;
-        // At most half full, so every probe run ends at an empty slot soon.
-        let table = (2 * capacity).next_power_of_two();
+        let table = (SLOTS_PER_ENTRY * capacity).next_power_of_two();
         let classes = counter_max as usize + 1;
         let class_words = capacity.div_ceil(64);
         ValueDictionary {
@@ -182,6 +189,17 @@ impl ValueDictionary {
         self.entries.get(rank).map(|e| e.value)
     }
 
+    /// Applies the per-load update for a load of the value the table holds
+    /// at `rank`, exactly as `observe(value_at(rank))` would: the values in
+    /// the table are unique, so the index probe would find `rank` again.
+    /// Returns that value, or `None` if no entry has that rank. The
+    /// replayer resolves a logged dictionary hit this way, with no probe.
+    pub fn observe_rank(&mut self, rank: usize) -> Option<Word> {
+        let value = self.value_at(rank)?;
+        self.bump(rank);
+        Some(value)
+    }
+
     /// Looks up `value` for encoding (recording statistics) and then applies
     /// the per-load table update. Returns the rank the value had *before* the
     /// update, which is what gets written to the log.
@@ -219,7 +237,7 @@ impl ValueDictionary {
     }
 
     /// The slot of `value`'s probe run that holds it, or `Err` with the empty
-    /// slot that ends the run. The table is at most half full, so a run
+    /// slot that ends the run. The table is at most a quarter full, so a run
     /// always ends.
     fn probe(&self, value: Word) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
@@ -504,20 +522,22 @@ mod tests {
 
     #[test]
     fn encoder_and_replayer_stay_in_sync() {
-        // Simulate the encoder (encode) and replayer (observe) over the same
-        // value stream and check the tables match after every step.
+        // Simulate the encoder (encode) and replayer over the same value
+        // stream and check the tables match after every step. The replayer
+        // updates a logged hit through its rank and observes every other
+        // value.
         let mut enc = dict(8);
         let mut rep = dict(8);
         let stream: Vec<u32> = (0..200).map(|i| (i * 7) % 13).collect();
         for v in stream {
-            let rank = enc.encode(Word::new(v));
-            // The replayer first resolves the rank (if any), then observes.
-            if let Some(r) = rank {
-                assert_eq!(rep.value_at(r), Some(Word::new(v)));
+            match enc.encode(Word::new(v)) {
+                Some(r) => assert_eq!(rep.observe_rank(r), Some(Word::new(v))),
+                None => rep.observe(Word::new(v)),
             }
-            rep.observe(Word::new(v));
             assert_eq!(enc.entries, rep.entries);
+            check_invariants(&rep);
         }
+        assert_eq!(rep.observe_rank(8), None, "no entry has rank 8");
         check_invariants(&enc);
         check_invariants(&rep);
     }

@@ -86,9 +86,9 @@ impl ExecutionDigest {
         self.mix(value.get() as u64);
     }
 
-    /// Folds in one committed instruction (of any kind).
-    pub fn record_instruction(&mut self) {
-        self.instructions += 1;
+    /// Folds in `count` committed instructions (of any kind).
+    pub fn record_instructions(&mut self, count: u64) {
+        self.instructions += count;
     }
 
     /// Folds in the final architectural state of the interval.
@@ -132,8 +132,8 @@ mod tests {
         for i in 0..10u32 {
             a.record_load(Addr::new(0x1000 + i as u64 * 4), Word::new(i));
             b.record_load(Addr::new(0x1000 + i as u64 * 4), Word::new(i));
-            a.record_instruction();
-            b.record_instruction();
+            a.record_instructions(1);
+            b.record_instructions(1);
         }
         assert_eq!(a, b);
         assert_eq!(a.loads(), 10);

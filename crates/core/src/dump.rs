@@ -108,13 +108,13 @@ use std::thread;
 
 use bugnet_compress::{
     container_info, decode_container, encode_container, fnv1a, streams_info, CodecId,
-    ColumnarError, FrameError,
+    ColumnarError, ColumnarStreamInfo, FrameError,
 };
 use bugnet_isa::{decode_image, encode_image, Program};
 use bugnet_telemetry::Probe;
 use bugnet_types::{Addr, BugNetConfig, ByteSize, CheckpointId, InstrCount, ThreadId, Timestamp};
 
-use crate::columnar::{decode_fll_columnar, decode_mrl_columnar, ColumnarCodecError};
+use crate::columnar::{decode_fll_columnar, decode_mrl_columnar, ColumnarCodecError, LOG_STREAMS};
 use crate::digest::ExecutionDigest;
 use crate::fll::FirstLoadLog;
 use crate::io::{commit_atomic, DumpIo, IoFailure, IoOp};
@@ -851,6 +851,35 @@ pub struct ThreadDump {
     /// Retained intervals, oldest first: the store's own interval type,
     /// each with the digest its manifest entry recorded.
     pub checkpoints: Vec<CheckpointLogs>,
+    /// Raw and stored bytes of each columnar stream of `checkpoints`' FLL
+    /// frames, indexed by stream id, as the frames' own stream headers
+    /// declare them (all zero before format v5).
+    pub fll_streams: [StreamSize; LOG_STREAMS],
+    /// The same for the MRL frames.
+    pub mrl_streams: [StreamSize; LOG_STREAMS],
+}
+
+/// Bytes of one columnar log stream before and after its codec, summed
+/// over intervals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamSize {
+    /// Bytes the column split produced.
+    pub raw: u64,
+    /// Bytes the codec stored.
+    pub stored: u64,
+}
+
+impl StreamSize {
+    /// Adds each stream of one frame to the sum of its id; a stream id no
+    /// log type defines is left out, as the decoders leave it.
+    fn add_frame(sums: &mut [StreamSize; LOG_STREAMS], streams: &[ColumnarStreamInfo]) {
+        for info in streams {
+            if let Some(sum) = sums.get_mut(usize::from(info.id)) {
+                sum.raw += u64::from(info.raw_len);
+                sum.stored += u64::from(info.stored_len);
+            }
+        }
+    }
 }
 
 /// A fully loaded and validated crash-dump directory.
@@ -1146,8 +1175,9 @@ fn read_frame_v5(
     file: &str,
     index: u32,
     manifest_codec: CodecId,
-) -> Result<(Vec<u8>, u64), DumpError> {
+) -> Result<WalkedFrame, DumpError> {
     let truncated = || DumpError::Truncated { file: file.into() };
+    let offset = r.position();
     let len = r.u32().ok_or_else(truncated)? as usize;
     let blob = r.take(len).ok_or_else(truncated)?;
     let expected = r.u64().ok_or_else(truncated)?;
@@ -1172,7 +1202,12 @@ fn read_frame_v5(
             });
         }
     }
-    Ok((blob.to_vec(), len as u64))
+    Ok(WalkedFrame {
+        payload: blob.to_vec(),
+        stored: len as u64,
+        offset,
+        streams,
+    })
 }
 
 /// Maps a columnar-container [`ColumnarError`] to the dump-level error
@@ -1238,7 +1273,7 @@ fn frame_error(file: &str, index: u32, e: FrameError) -> DumpError {
 
 /// Reads one frame in the framing of format `version`; `columnar` selects
 /// the v5 log-frame payload (image files keep the single-container layout
-/// in every version). Returns the payload and its stored size.
+/// in every version).
 fn read_frame(
     r: &mut ByteReader<'_>,
     file: &str,
@@ -1246,16 +1281,24 @@ fn read_frame(
     version: u32,
     codec: CodecId,
     columnar: bool,
-) -> Result<(Vec<u8>, u64), DumpError> {
+) -> Result<WalkedFrame, DumpError> {
     if columnar {
-        read_frame_v5(r, file, index, codec)
-    } else if version >= DUMP_VERSION_V2 {
-        read_codec_frame(r, file, index, codec, version >= DUMP_VERSION_V3)
+        return read_frame_v5(r, file, index, codec);
+    }
+    let offset = r.position();
+    let (payload, stored) = if version >= DUMP_VERSION_V2 {
+        read_codec_frame(r, file, index, codec, version >= DUMP_VERSION_V3)?
     } else {
         let payload = read_frame_v1(r, file, index)?;
         let stored = payload.len() as u64;
-        Ok((payload, stored))
-    }
+        (payload, stored)
+    };
+    Ok(WalkedFrame {
+        payload,
+        stored,
+        offset,
+        streams: Vec::new(),
+    })
 }
 
 /// Counts well-formed frames (of any framing generation) remaining after
@@ -1366,6 +1409,8 @@ impl CrashDump {
                 thread: t.thread,
                 image: w.image,
                 checkpoints: w.checkpoints,
+                fll_streams: w.fll_streams,
+                mrl_streams: w.mrl_streams,
             });
         }
         Ok(CrashDump {
@@ -1597,9 +1642,11 @@ fn workers(jobs: usize, instructions: u64) -> usize {
 
 /// The one spreading loop of the read side, behind [`replay_and_check`] and
 /// the load's frame decode. The calling thread works through `caller`, and
-/// each of `helpers` on a scoped thread that ends with the call. Each
-/// worker takes the next job in order from a shared counter, and no worker
-/// starts a job after one that failed.
+/// each of `helpers` on a scoped thread that ends with the call. Worker `w`
+/// (the caller is 0) starts with job `w`, so no helper is started for
+/// nothing however late it gets a CPU, then each takes the next job in
+/// order from a shared counter, and no worker starts a job after one that
+/// failed.
 ///
 /// Returns every result in job order, or the first error in job order:
 /// what one worker taking the jobs in order would return.
@@ -1617,15 +1664,16 @@ where
     // and the results come back through the joins, so `Relaxed` will do.
     // `failed` only falls, so every job before the first failure is taken
     // and done.
-    let next = AtomicUsize::new(0);
+    let next = AtomicUsize::new(helpers.len() + 1);
     let failed = AtomicUsize::new(usize::MAX);
     let mut done = thread::scope(|s| {
         let (next, failed) = (&next, &failed);
         let handles: Vec<_> = helpers
             .into_iter()
-            .map(|work| s.spawn(move || take_jobs(jobs, next, failed, work)))
+            .enumerate()
+            .map(|(h, work)| s.spawn(move || take_jobs(jobs, h + 1, next, failed, work)))
             .collect();
-        let mut done = take_jobs(jobs, next, failed, caller);
+        let mut done = take_jobs(jobs, 0, next, failed, caller);
         for handle in handles {
             done.extend(handle.join().unwrap_or_else(|e| panic::resume_unwind(e)));
         }
@@ -1635,29 +1683,30 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// One worker of [`spread`]: does the next job until none is left or one at
-/// a lower index has failed, and returns each job's index and result.
+/// One worker of [`spread`]: does job `first`, then the next job from
+/// `next`, until none is left or one at a lower index has failed, and
+/// returns each job's index and result.
 fn take_jobs<J, T, E>(
     jobs: &[J],
+    first: usize,
     next: &AtomicUsize,
     failed: &AtomicUsize,
     mut work: impl FnMut(&J) -> Result<T, E>,
 ) -> Vec<(usize, Result<T, E>)> {
     let mut done = Vec::new();
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(job) = jobs.get(i) else {
-            return done;
-        };
+    let mut i = first;
+    while let Some(job) = jobs.get(i) {
         if i > failed.load(Ordering::Relaxed) {
-            return done;
+            break;
         }
         let result = work(job);
         if result.is_err() {
             failed.fetch_min(i, Ordering::Relaxed);
         }
         done.push((i, result));
+        i = next.fetch_add(1, Ordering::Relaxed);
     }
+    done
 }
 
 /// One interval to replay: its thread, that thread's replayer and its logs.
@@ -1679,9 +1728,9 @@ type ReplayJob<'a> = (ThreadId, Replayer, &'a CheckpointLogs);
 /// thread costs more to start than it saves. With a `hook`, one worker
 /// replays every interval in order, so the hook sees one instruction
 /// sequence. The calling thread is worker 0, and the others are scoped
-/// threads that end with the call. Each worker takes the next interval in
-/// report order from a shared counter, and no worker starts an interval
-/// after one that failed.
+/// threads that end with the call. Worker `w` starts with interval `w`,
+/// then each takes the next interval in report order from a shared
+/// counter, and no worker starts an interval after one that failed.
 ///
 /// The report is the serial loop's: intervals grouped by thread, oldest
 /// first. Helpers observe through [`Probe::sibling`]s on the tracks
@@ -2040,11 +2089,13 @@ pub struct SalvagedDump {
 // --- the walk: the one reader behind load and salvage -------------------
 
 /// A frame that read intact: its payload (decompressed, or a v5 log
-/// frame's columnar blob), stored size and start offset in its file.
+/// frame's columnar blob), stored size, start offset in its file and, for
+/// a v5 log frame, the blob's stream headers.
 struct WalkedFrame {
     payload: Vec<u8>,
     stored: u64,
     offset: u64,
+    streams: Vec<ColumnarStreamInfo>,
 }
 
 /// Damage inside a frame that read intact — it failed to decode, to pair,
@@ -2068,6 +2119,10 @@ struct ThreadWalk {
     recovered: ThreadManifest,
     /// The intact intervals, oldest first.
     checkpoints: Vec<CheckpointLogs>,
+    /// Their FLL frames' stream sizes ([`ThreadDump::fll_streams`]).
+    fll_streams: [StreamSize; LOG_STREAMS],
+    /// Their MRL frames' stream sizes.
+    mrl_streams: [StreamSize; LOG_STREAMS],
     /// The thread's program image, when its file validated.
     image: Option<Arc<Program>>,
 }
@@ -2186,11 +2241,7 @@ fn read_file(
     for i in 0..file_frames.min(expect_frames) {
         let offset = r.position();
         match read_frame(&mut r, &file, i, manifest.version, manifest.codec, columnar) {
-            Ok((payload, stored)) => frames.push(WalkedFrame {
-                payload,
-                stored,
-                offset,
-            }),
+            Ok(frame) => frames.push(frame),
             Err(cause) => {
                 account.damage(cause, offset);
                 break;
@@ -2478,6 +2529,8 @@ fn fold_thread(
         digests: Vec::new(),
     };
     let mut checkpoints = Vec::with_capacity(decoded.len());
+    let mut fll_streams = [StreamSize::default(); LOG_STREAMS];
+    let mut mrl_streams = [StreamSize::default(); LOG_STREAMS];
     let mut stop = None;
     for (i, ((ff, mf), decoded)) in fll_frames.iter().zip(&mrl_frames).zip(decoded).enumerate() {
         let (fll_log, mrl_log) = match decoded {
@@ -2517,6 +2570,8 @@ fn fold_thread(
         }
         recovered.fll_stored_bytes += ff.stored;
         recovered.mrl_stored_bytes += mf.stored;
+        StreamSize::add_frame(&mut fll_streams, &ff.streams);
+        StreamSize::add_frame(&mut mrl_streams, &mf.streams);
         checkpoints.push(CheckpointLogs {
             fll: fll_log,
             mrl: mrl_log,
@@ -2537,6 +2592,8 @@ fn fold_thread(
         stop,
         recovered,
         checkpoints,
+        fll_streams,
+        mrl_streams,
         image,
     }
 }
@@ -2606,6 +2663,8 @@ impl CrashDump {
                 thread: t.thread,
                 image: w.image,
                 checkpoints: w.checkpoints,
+                fll_streams: w.fll_streams,
+                mrl_streams: w.mrl_streams,
             });
         }
         let dump = CrashDump {

@@ -24,7 +24,7 @@ use bugnet_types::{
     MAX_DICTIONARY_ENTRIES,
 };
 
-use crate::bitstream::{BitReader, BitStream, BitWriter};
+use crate::bitstream::{low_mask, BitReader, BitStream, BitWriter, WINDOW_BITS};
 
 /// Why a checkpoint interval was terminated (paper §4.2, §4.4, §4.8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -684,6 +684,10 @@ impl FllRecordReader<'_> {
         if self.remaining == 0 {
             return Ok(None);
         }
+        if let Some(record) = self.next_from_window() {
+            self.remaining -= 1;
+            return Ok(Some(record));
+        }
         let lc_type = self.reader.read_bit().ok_or(FllDecodeError::Truncated)?;
         let lcount_bits = if lc_type {
             self.codec.full_lcount_bits
@@ -707,6 +711,40 @@ impl FllRecordReader<'_> {
         };
         self.remaining -= 1;
         Ok(Some(LoadRecord { skipped, value }))
+    }
+
+    /// Decodes the next record's four fields from one
+    /// [`BitReader::window`], when 16 bytes follow the cursor: a record of
+    /// any codec [`FllCodec::check`] accepts takes at most 1 + 64 + 1 + 32
+    /// bits. `None` leaves the cursor where it was, for the per-field path
+    /// (near the end of the stream, or for a record that does not fit).
+    #[inline]
+    fn next_from_window(&mut self) -> Option<LoadRecord> {
+        let window = self.reader.window()?;
+        let lcount_bits = if window & 1 == 1 {
+            self.codec.full_lcount_bits
+        } else {
+            self.codec.reduced_lcount_bits
+        };
+        if lcount_bits > 64 {
+            return None;
+        }
+        let skipped = (window >> 1) as u64 & low_mask(lcount_bits);
+        let lv_type = 1 + lcount_bits;
+        let field = window >> (lv_type + 1);
+        let (value, value_bits) = if (window >> lv_type) & 1 == 1 {
+            (EncodedValue::Full(Word::new(field as u32)), 32)
+        } else {
+            let rank_bits = self.codec.dict_index_bits;
+            let rank = field as u64 & low_mask(rank_bits);
+            (EncodedValue::DictRank(rank as usize), rank_bits)
+        };
+        let bits = u64::from(lv_type) + 1 + u64::from(value_bits);
+        if bits > WINDOW_BITS {
+            return None;
+        }
+        self.reader.skip(bits)?;
+        Some(LoadRecord { skipped, value })
     }
 }
 
@@ -1045,6 +1083,79 @@ mod tests {
                 Err(FllDecodeError::Truncated),
                 "stream_bits = {corrupt} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_stream_decodes_its_whole_records_then_fails() {
+        // The paper's widths, and the widest any checked codec declares: a
+        // 64-bit full L-Count and 16-bit ranks. Away from the end of the
+        // stream a record decodes from one 128-bit window, near it field by
+        // field; both must give the same records and the same error.
+        let widest = FllCodec {
+            reduced_lcount_bits: 63,
+            full_lcount_bits: 64,
+            dict_index_bits: 16,
+            dictionary_entries: 65_536,
+            ..codec()
+        };
+        for c in [codec(), widest] {
+            c.check().unwrap();
+            let mut x = 7u64;
+            let records: Vec<(u64, EncodedValue)> = (0..100u64)
+                .map(|i| {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let skipped = match i % 3 {
+                        0 => i % 4,
+                        1 => x & low_mask(c.full_lcount_bits),
+                        _ => low_mask(c.full_lcount_bits),
+                    };
+                    let value = if i % 2 == 0 {
+                        EncodedValue::Full(Word::new((x >> 16) as u32))
+                    } else {
+                        EncodedValue::DictRank(((x >> 40) & low_mask(c.dict_index_bits)) as usize)
+                    };
+                    (skipped, value)
+                })
+                .collect();
+            let mut enc = FllEncoder::new(c);
+            let mut ends = Vec::new();
+            for &(skipped, value) in &records {
+                enc.push(skipped, value);
+                ends.push(enc.bits());
+            }
+            let (stream, payload) = enc.finish();
+            for cut in 0..=stream.bit_len() {
+                let bytes = stream.as_bytes()[..cut.div_ceil(8) as usize].to_vec();
+                let log = FirstLoadLog::new(
+                    header(),
+                    c,
+                    BitStream::from_bytes(bytes, cut),
+                    payload,
+                    1000,
+                    300,
+                    TerminationCause::IntervalFull,
+                    None,
+                );
+                let mut reader = log.records_reader();
+                for (&(skipped, value), &end) in records.iter().zip(&ends) {
+                    let next = reader.next_record();
+                    if end > cut {
+                        assert_eq!(next, Err(FllDecodeError::Truncated), "cut at {cut}");
+                        break;
+                    }
+                    assert_eq!(
+                        next,
+                        Ok(Some(LoadRecord { skipped, value })),
+                        "cut at {cut}"
+                    );
+                }
+                if cut == stream.bit_len() {
+                    assert_eq!(reader.next_record(), Ok(None));
+                }
+            }
         }
     }
 

@@ -404,7 +404,7 @@ impl ThreadRecorder {
         let limit = self.cfg.checkpoint_interval;
         let state = self.state_mut();
         state.instructions += 1;
-        state.digest.record_instruction();
+        state.digest.record_instructions(1);
         state.instructions >= limit
     }
 

@@ -8,6 +8,16 @@
 //! previously-consumed logged load. Synchronous interrupts and everything the
 //! kernel did between intervals never need to be replayed — their memory
 //! effects show up as logged first loads of the following interval.
+//!
+//! An interval replays in one batch of its recorded instruction count
+//! ([`Cpu::run`]); the instructions committed are the CPU's instruction
+//! count afterwards. The replay port asks the interpreter to stop right
+//! after a load that hit a corrupt record or a dictionary desync, so a
+//! replay fails at the access that raised the error, as stepping would. A
+//! hooked replay ([`Replayer::replay_interval_sampled`], which sees every
+//! PC) and a traced one ([`Replayer::with_trace_capture`], which stamps
+//! every operation with its instruction count) step one instruction at a
+//! time through the same loop.
 
 use std::error::Error;
 use std::fmt;
@@ -174,8 +184,13 @@ impl MemoryPort for ReplayPort<'_> {
         let value = if from_log {
             let rec = self.pending.expect("checked above");
             let value = match rec.value {
-                EncodedValue::Full(w) => w,
-                EncodedValue::DictRank(rank) => match self.dictionary.value_at(rank) {
+                EncodedValue::Full(w) => {
+                    self.dictionary.observe(w);
+                    w
+                }
+                // The record names the hit's rank: update that entry
+                // directly instead of probing the index for its value.
+                EncodedValue::DictRank(rank) => match self.dictionary.observe_rank(rank) {
                     Some(w) => w,
                     None => {
                         if self.error.is_none() {
@@ -196,9 +211,10 @@ impl MemoryPort for ReplayPort<'_> {
         } else {
             self.loads_since_log += 1;
             self.loads_from_memory += 1;
-            self.memory.read(addr)
+            let value = self.memory.read(addr);
+            self.dictionary.observe(value);
+            value
         };
-        self.dictionary.observe(value);
         self.digest.record_load(addr, value);
         if let Some(trace) = &mut self.trace {
             trace.push(MemOp {
@@ -222,6 +238,12 @@ impl MemoryPort for ReplayPort<'_> {
                 is_store: true,
             });
         }
+    }
+
+    /// A decode error or a dictionary desync ends the batch at the load
+    /// that raised it.
+    fn stop_requested(&self) -> bool {
+        self.error.is_some()
     }
 }
 
@@ -320,29 +342,29 @@ impl Replayer {
         };
         port.advance_record();
 
+        // An unhooked, untraced replay runs the interval in one batch of
+        // its remaining instructions, which the port ends early at an
+        // error. A hook sees every PC and a trace stamps every operation
+        // with its instruction count, so those step one at a time.
+        let stepped = hook.is_some() || port.trace.is_some();
+        let start = cpu.icount();
         let mut committed = 0u64;
         while committed < fll.instructions {
             port.current_ic = committed;
             let event = match hook.as_deref_mut() {
                 Some(h) => cpu.step_hooked(&mut port, h),
-                None => cpu.step(&mut port),
+                None if stepped => cpu.step(&mut port),
+                None => cpu.run(&mut port, fll.instructions - committed),
             };
+            committed = cpu.icount().since(start);
             if let Some(err) = port.error.take() {
                 return Err(err);
             }
-            match event {
-                StepEvent::Committed | StepEvent::SyscallCommitted(_) => {
-                    committed += 1;
-                    port.digest.record_instruction();
-                }
-                StepEvent::Halted => {
-                    committed += 1;
-                    port.digest.record_instruction();
-                    break;
-                }
-                StepEvent::Faulted(_) => break,
+            if matches!(event, StepEvent::Halted | StepEvent::Faulted(_)) {
+                break;
             }
         }
+        port.digest.record_instructions(committed);
 
         if committed < fll.instructions {
             return Err(ReplayError::PrematureStop {
@@ -409,7 +431,8 @@ impl Replayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fll::TerminationCause;
+    use crate::bitstream::BitStream;
+    use crate::fll::{FllEncoder, TerminationCause};
     use crate::recorder::ThreadRecorder;
     use bugnet_cpu::SparseMemoryPort;
     use bugnet_isa::{AluOp, BranchCond, ProgramBuilder, Reg};
@@ -580,6 +603,62 @@ mod tests {
         assert_eq!(sampled, plain, "the hook must not perturb the replay");
         assert_eq!(pcs.len() as u64, plain.instructions);
         assert!(pcs.iter().all(|pc| program.index_of_pc(*pc).is_some()));
+    }
+
+    #[test]
+    fn a_cut_record_stream_ends_the_batch_at_the_failing_load() {
+        // A program that loads around a 16 KiB ring forever, and never
+        // faults: under a forged count of 2^40 instructions, only the
+        // port's error can end the batch.
+        let mut b = ProgramBuilder::new("endless");
+        let arr = b.alloc_data_array(4096, |i| i as u32 * 7 + 3);
+        b.li_addr(Reg::R3, arr);
+        let top = b.here();
+        b.alu(AluOp::Add, Reg::R6, Reg::R3, Reg::R5);
+        b.load(Reg::R4, Reg::R6, 0);
+        b.alu_imm(AluOp::Add, Reg::R5, Reg::R5, 4);
+        b.alu_imm(AluOp::And, Reg::R5, Reg::R5, 0x3ffc);
+        b.jump(top);
+        let program = Arc::new(b.build());
+        let logs = record_one_interval(&program, &BugNetConfig::default(), 3_000);
+        let fll = &logs.fll;
+        assert!(fll.records() > 500);
+
+        // The same records, the stream cut in half mid-record.
+        let mut enc = FllEncoder::new(fll.codec());
+        for rec in fll.decode_records().unwrap() {
+            enc.push(rec.skipped, rec.value);
+        }
+        let (stream, payload) = enc.finish();
+        let half = stream.as_bytes().len() / 2;
+        let cut = BitStream::from_bytes(stream.as_bytes()[..half].to_vec(), half as u64 * 8 - 3);
+        let forged = FirstLoadLog::new(
+            fll.header,
+            fll.codec(),
+            cut,
+            payload,
+            1 << 40,
+            fll.loads_executed,
+            TerminationCause::IntervalFull,
+            None,
+        );
+        // A batch that ran on past the cut would not end for hours: give
+        // it a minute on its own thread. The traced replay steps one
+        // instruction at a time.
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let replayer = Replayer::new(program);
+            let batched = replayer.replay_interval(&forged);
+            let traced = replayer.with_trace_capture(true).replay_interval(&forged);
+            done.send((batched, traced))
+                .expect("the test waits for the result");
+        });
+        let (batched, traced) = result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the replay ran on past the cut");
+        let expected = Err(ReplayError::Decode(FllDecodeError::Truncated));
+        assert_eq!(batched, expected);
+        assert_eq!(traced, expected);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! (caches + coherence + recorder) and the replayer (log-fed memory image)
 //! plug in different ports around an identical core.
 //!
+//! There is one interpreter loop, [`Cpu::run`]: it commits up to a budget
+//! of instructions with the code, the pc and the instruction count held in
+//! locals, and returns on halt, fault, an exhausted budget, or right after
+//! a memory access once the port asks to stop
+//! ([`MemoryPort::stop_requested`]). [`Cpu::step`] is the same loop with a
+//! budget of one. The recording machine steps, since it acts between any
+//! two instructions; the replayer runs a whole interval in one batch.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,12 +36,18 @@
 //! b.halt();
 //! let program = Arc::new(b.build());
 //!
+//! // One instruction at a time...
 //! let mut port = SparseMemoryPort::from_program(&program);
 //! let mut cpu = Cpu::new(Arc::clone(&program));
-//! while cpu.is_running() {
-//!     if matches!(cpu.step(&mut port), StepEvent::Halted) { break; }
-//! }
+//! while !matches!(cpu.step(&mut port), StepEvent::Halted) {}
 //! assert_eq!(port.memory().read(data).get(), 42);
+//!
+//! // ...or in one batch, to the same end.
+//! let mut batch_port = SparseMemoryPort::from_program(&program);
+//! let mut batch = Cpu::new(Arc::clone(&program));
+//! assert_eq!(batch.run(&mut batch_port, u64::MAX), StepEvent::Halted);
+//! assert_eq!(batch.icount(), cpu.icount());
+//! assert_eq!(batch_port.memory().read(data).get(), 42);
 //! ```
 
 pub mod arch;

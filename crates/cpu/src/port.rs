@@ -27,6 +27,15 @@ pub trait MemoryPort {
         self.store(addr, new);
         old
     }
+
+    /// Whether [`Cpu::run`](crate::Cpu::run) should return now. It is
+    /// polled right after each instruction that accessed memory, once that
+    /// instruction has committed, so a port that hit an error (the
+    /// replayer's, on a corrupt log) ends the batch at the failing access.
+    /// The default never stops.
+    fn stop_requested(&self) -> bool {
+        false
+    }
 }
 
 /// The simplest possible port: direct access to a [`SparseMemory`].

@@ -337,6 +337,69 @@ fn code_only_fixture_replays_like_the_full_image_fixture() {
 /// regenerate only on an *intentional* v5 change, alongside a version bump
 /// discussion. `golden-v5` is never rewritten.
 ///
+/// `bugnet info` prints each columnar stream's raw and stored bytes from
+/// the v5 frames' own stream headers ([`ThreadDump::fll_streams`]). Sealing
+/// is deterministic, so re-sealing the loaded logs, as `info` once did to
+/// get them, must give the same sizes, stream for stream and thread for
+/// thread: on both v5 fixtures and on fresh gzip, mcf and two-thread dumps.
+#[test]
+fn frame_stream_sizes_equal_a_reseal_of_the_loaded_logs() {
+    use bugnet::compress::streams_info;
+    use bugnet::core::columnar::{encode_fll_columnar, encode_mrl_columnar, LOG_STREAMS};
+    use bugnet::core::dump::StreamSize;
+    use bugnet::sim::MachineBuilder;
+
+    let base = std::env::temp_dir().join(format!("bugnet-stream-sizes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut dirs = vec![fixture_dir_v5(), fixture_dir_v5_code_only()];
+    for (i, spec) in [
+        "spec:gzip:30000:1",
+        "spec:mcf:200000:1",
+        "mt:racy_counter:2:400",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let workload = registry::resolve(spec).unwrap();
+        let mut machine = MachineBuilder::new()
+            .bugnet(BugNetConfig::default().with_checkpoint_interval(20_000))
+            .workload_spec(spec)
+            .build_with_workload(&workload);
+        machine.run_to_completion();
+        let dir = base.join(i.to_string());
+        machine.write_crash_dump(&dir).unwrap();
+        dirs.push(dir);
+    }
+    for dir in &dirs {
+        let dump = CrashDump::load(dir).unwrap();
+        let codec = dump.manifest.codec;
+        for t in &dump.threads {
+            let mut fll = [StreamSize::default(); LOG_STREAMS];
+            let mut mrl = [StreamSize::default(); LOG_STREAMS];
+            for cp in &t.checkpoints {
+                for (sums, blob) in [
+                    (&mut fll, encode_fll_columnar(codec, &cp.fll)),
+                    (&mut mrl, encode_mrl_columnar(codec, &cp.mrl)),
+                ] {
+                    for info in streams_info(&blob).unwrap() {
+                        let sum = &mut sums[usize::from(info.id)];
+                        sum.raw += u64::from(info.raw_len);
+                        sum.stored += u64::from(info.stored_len);
+                    }
+                }
+            }
+            let at = format!("{} {}", dir.display(), t.thread);
+            assert!(
+                fll[0].stored > 0 && mrl[0].stored > 0,
+                "{at}: no meta stream"
+            );
+            assert_eq!(t.fll_streams, fll, "{at}");
+            assert_eq!(t.mrl_streams, mrl, "{at}");
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
 /// ```text
 /// cargo test --test golden_dump -- --ignored regenerate_golden_fixture_v5_code_only
 /// ```
